@@ -1,10 +1,11 @@
 # Pre-merge gate: `make check` must pass before any merge. It builds
 # everything, vets, runs the full test suite under the race detector,
-# smoke-runs every benchmark once so the bench harness can never rot, and
-# gives each fuzz target a short live-fuzz burst beyond its seed corpus.
-.PHONY: check build vet test bench-smoke fuzz-smoke bench netbench storagebench schedbench simbench simbench-gate scalebench scalebench-smoke domainbench domainbench-smoke domainbench-gate geobench geobench-smoke geobench-gate campaignbench campaignbench-smoke campaignbench-gate validate serve wiresmoke
+# smoke-runs every benchmark once so the bench harness can never rot,
+# self-tests the perfbench module, and gives each fuzz target a short
+# live-fuzz burst beyond its seed corpus.
+.PHONY: check build vet test bench-smoke perfbench-selftest fuzz-smoke bench netbench storagebench schedbench simbench simbench-gate scalebench scalebench-smoke domainbench domainbench-smoke domainbench-gate geobench geobench-smoke geobench-gate campaignbench campaignbench-smoke campaignbench-gate validate serve wiresmoke
 
-check: build vet test bench-smoke fuzz-smoke scalebench-smoke domainbench-smoke geobench-smoke campaignbench-smoke wiresmoke
+check: build vet test bench-smoke perfbench-selftest fuzz-smoke scalebench-smoke domainbench-smoke geobench-smoke campaignbench-smoke wiresmoke
 
 build:
 	go build ./...
@@ -19,6 +20,13 @@ test:
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x ./...
 
+# The repository benchmark (perfbench/, see BENCHMARK.json) is a module of
+# its own, so `go test ./...` never builds it. Its self-test runs every
+# workload briefly, untraced and traced, and checks the result lines
+# (about 30 s).
+perfbench-selftest:
+	cd perfbench && go test .
+
 # 30 seconds of live fuzzing per target. The checked-in seed corpora under
 # testdata/fuzz/ always run as part of `make test`; this adds fresh inputs.
 fuzz-smoke:
@@ -26,6 +34,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzRetryClassify$$' -fuzztime 30s ./internal/azure
 	go test -run '^$$' -fuzz '^FuzzGeoRoute$$' -fuzztime 30s ./internal/geo
 	go test -race -run '^$$' -fuzz '^FuzzDomainMailOrder$$' -fuzztime 30s ./internal/sim
+	go test -run '^$$' -fuzz '^FuzzFabricChurn$$' -fuzztime 30s ./internal/netsim
 
 # Full timed microbenchmarks (internal/netsim flow churn + sweeps).
 bench:

@@ -225,6 +225,23 @@ func TestTCPRoundtripAndSend(t *testing.T) {
 	c.Engine.Run()
 }
 
+// TestTCPSendToOwnVM sends to the client's own VM: the path names the NIC
+// once, so the transfer runs instead of tripping the fabric's duplicate-link
+// check, and its rate stays within the GigE cap.
+func TestTCPSendToOwnVM(t *testing.T) {
+	c := newCloud()
+	vm := c.Controller.ReadyFleet(1, fabric.Worker, fabric.Small)[0]
+	cl := c.NewClient(vm, 0)
+	c.Engine.Spawn("loop", func(p *sim.Proc) {
+		elapsed := cl.TCPSend(p, vm, 1_000_000_000)
+		rate := 1000.0 / elapsed.Seconds() // MB/s
+		if rate < 4 || rate > 125.1 {
+			t.Errorf("own-VM bandwidth = %.1f MB/s, outside Fig. 5 range", rate)
+		}
+	})
+	c.Engine.Run()
+}
+
 func TestClientRecorder(t *testing.T) {
 	c := newCloud()
 	vm := c.Controller.ReadyFleet(1, fabric.Worker, fabric.Small)[0]

@@ -257,8 +257,12 @@ func (cl *Client) TCPRoundtrip(p *sim.Proc, peer *fabric.VM) time.Duration {
 
 // TCPSend streams size bytes to a peer VM over an internal endpoint and
 // returns the elapsed time. The achievable rate depends on both endpoints'
-// placement quality (Fig. 5).
+// placement quality (Fig. 5). A send to the client's own VM crosses its NIC
+// once, not once per endpoint.
 func (cl *Client) TCPSend(p *sim.Proc, peer *fabric.VM, size int64) time.Duration {
 	link := cl.cloud.DC.PairBandwidthLink(cl.vm, peer, cl.rng)
+	if peer == cl.vm {
+		return cl.cloud.DC.Net().Transfer(p, size, cl.vm.NIC(), link)
+	}
 	return cl.cloud.DC.Net().Transfer(p, size, cl.vm.NIC(), link, peer.NIC())
 }

@@ -11,7 +11,7 @@ import (
 // toward each peer region plus a fixed one-way propagation delay per pair.
 // Trunks live on the owning datacenter's netsim fabric, so cross-region
 // transfers contend with that region's own egress traffic while the
-// union-find components keep each region's intra-DC reallocation
+// solver's component-local reallocation keeps each region's intra-DC churn
 // incremental — a remote region's churn never touches this fabric at all.
 // Propagation is not modeled inside netsim (links share capacity, not
 // delay); the geo transport layers the one-way delay on top when it

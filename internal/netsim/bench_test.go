@@ -72,6 +72,53 @@ func BenchmarkFlowChurnStaggered(b *testing.B) {
 	}
 }
 
+// BenchmarkFlowChurnComponents churns flows in a fabric shaped like a blob
+// service under mixed load: 32 hot-blob groups of 30 downloads, each
+// download crossing its blob's egress trunk and a private session link,
+// beside 1,000 uploads that cross a private session link and one shared
+// ingress trunk. That is 33 disjoint components. Each iteration replaces
+// one download and one upload (four reallocations), so the cost a change
+// pays for components it cannot reach shows directly.
+func BenchmarkFlowChurnComponents(b *testing.B) {
+	const (
+		groups    = 32
+		perGroup  = 30
+		uploaders = 1000
+	)
+	eng := sim.NewEngine()
+	fab := NewFabric(eng)
+	ingress := fab.NewLink("blob-ingress", 125*MBps)
+	egress := make([]*Link, groups)
+	for g := range egress {
+		egress[g] = fab.NewLink("blob-egress", 400*MBps)
+	}
+	down := make([]*Link, groups*perGroup)
+	downs := make([]*Flow, len(down))
+	for i := range down {
+		down[i] = fab.NewLink("client-down", 13*MBps)
+		downs[i] = fab.StartFlow(1000*GB, egress[i%groups], down[i])
+	}
+	up := make([]*Link, uploaders)
+	ups := make([]*Flow, uploaders)
+	for i := range up {
+		up[i] = fab.NewLink("client-up", 6.5*MBps)
+		ups[i] = fab.StartFlow(1000*GB, up[i], ingress)
+	}
+	if got := fab.Components(); got != groups+1 {
+		b.Fatalf("%d components, want %d", got, groups+1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := i % len(downs)
+		fab.abandon(downs[d])
+		downs[d] = fab.StartFlow(1000*GB, egress[d%groups], down[d])
+		u := i % uploaders
+		fab.abandon(ups[u])
+		ups[u] = fab.StartFlow(1000*GB, up[u], ingress)
+	}
+}
+
 // BenchmarkSweepTransfers runs a closed-loop transfer sweep end to end:
 // every client repeatedly transfers through the shared trunk, so the
 // benchmark covers the full event loop (schedule, settle, solve, complete).

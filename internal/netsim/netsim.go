@@ -16,22 +16,24 @@
 // The closed-loop sweeps of Sections 3.1–3.3 churn hundreds of concurrent
 // flows through one fabric, and every arrival or completion triggers a
 // reallocation, so this is the simulator's hottest path. The solver is
-// incremental: per-link state lives on the Link itself (stamped with a pass
-// epoch instead of rebuilt in a map), links are grouped into connected
-// components with a union-find pass, and only the components whose flow set
-// changed since the last solve are re-run — flows in untouched components
-// keep their rates and their scheduled completion events. Completion events
-// are only re-created when the predicted completion time actually moved, and
-// retired events are recycled through the kernel's event pool.
+// component-local: every link keeps an intrusive list of the flows crossing
+// it, and a reallocation walks from the links whose flow set changed through
+// that membership to mark exactly the connected component(s) the change can
+// reach. Only those flows are re-solved; flows in untouched components keep
+// their rates. Per-link solver state lives on the Link itself, stamped with
+// a walk epoch instead of rebuilt in a map. Completion events are only
+// re-created when the predicted completion time actually moved, and retired
+// events are recycled through the kernel's event pool.
 //
 // The fast path is bit-exact with the from-scratch progressive-filling
 // solver: components never interact (a flow's rate depends only on links it
-// can reach through shared flows), flows are scanned in arrival order so
-// tie-breaking between equally-loaded links is unchanged, and kept events
-// fire at exactly the time a recomputation would have produced. The
-// property tests cross-check incremental against from-scratch allocations on
-// random churn sequences, and internal/core's trace goldens pin whole
-// experiment runs to the bit.
+// can reach through shared flows), the marked flows are taken in arrival
+// order so tie-breaking between equally-loaded links is unchanged, every
+// flow is settled exactly once per reallocation at the rate it held, and
+// kept events fire at exactly the time a recomputation would have produced.
+// The property tests and FuzzFabricChurn cross-check incremental against
+// from-scratch allocations on random churn sequences, and internal/core's
+// trace goldens pin whole experiment runs to the bit.
 package netsim
 
 import (
@@ -67,17 +69,26 @@ type Link struct {
 	cap   Bandwidth
 	capFn func(nflows int) Bandwidth
 
-	nflows int // active flows crossing this link
+	nflows int     // active flows crossing this link
+	flows  *member // head of the list of those flows' memberships
 
-	// Solver scratch, owned by the fabric. epoch-stamped fields are valid
-	// only for the reallocation pass whose epoch matches, which is what lets
-	// the solver skip rebuilding per-link state in a map on every call.
-	epoch    uint64  // pass this link was last collected in
-	capEpoch uint64  // pass capRem was last initialised in
-	comp     int     // union-find node id within the epoch pass
-	unfix    int     // flows crossing this link not yet fixed by the solver
-	capRem   float64 // capacity not yet claimed by fixed flows
-	dirty    bool    // flow set changed since the last solve
+	// Solver scratch, owned by the fabric. unfix and capRem are valid only
+	// for the walk whose epoch matches, which is what lets the solver skip
+	// rebuilding per-link state in a map on every call.
+	epoch  uint64  // walk that last reached this link
+	unfix  int     // flows crossing this link not yet fixed by the solver
+	capRem float64 // capacity not yet claimed by fixed flows
+	dirty  bool    // flow set changed since the last solve
+}
+
+// member threads one flow onto the flow list of one link of its path. The
+// list is doubly linked through pprev (the address of the pointer that points
+// at this member), so insertion and removal are O(1) and allocation-free:
+// members live inline in their Flow.
+type member struct {
+	fl    *Flow
+	next  *member
+	pprev **member
 }
 
 // Name returns the link name.
@@ -107,13 +118,22 @@ func (l *Link) effectiveCap(n int) Bandwidth {
 
 // Flow is one active transfer.
 type Flow struct {
-	path      []*Link
+	// Every reallocation reads these for every flow, so they lead the
+	// struct, packed together.
+	epoch     uint64  // walk that last reached this flow
 	remaining float64 // bytes
 	rate      float64 // bytes/sec, assigned by the solver
 	updated   time.Duration
+	complete  *sim.Event
+	path      []*Link
+
+	// Short paths and their memberships live inline, so starting a flow
+	// allocates neither and the caller's variadic path stays on its stack.
+	pathBuf   [3]*Link
+	memb      []member // memb[i] threads the flow onto path[i]'s flow list
+	membBuf   [3]member
 	completed bool
 	done      sim.Signal
-	complete  *sim.Event
 	onFire    func() // cached completion callback (one closure per flow)
 	index     int    // position in Fabric.flows; -1 once removed
 }
@@ -123,6 +143,19 @@ func (f *Flow) Rate() Bandwidth { return Bandwidth(f.rate) }
 
 // Remaining returns the bytes not yet delivered (as of the last settle).
 func (f *Flow) Remaining() float64 { return f.remaining }
+
+// settle credits the flow with the bytes moved at its current rate since it
+// was last settled.
+func (f *Flow) settle(now time.Duration) {
+	dt := (now - f.updated).Seconds()
+	if dt > 0 && f.rate > 0 {
+		f.remaining -= f.rate * dt
+		if f.remaining < 0 {
+			f.remaining = 0
+		}
+	}
+	f.updated = now
+}
 
 // Fabric owns the links and active flows of one simulated network and keeps
 // the max-min allocation current as flows come and go.
@@ -135,8 +168,7 @@ type Fabric struct {
 	// nothing in steady state.
 	epoch      uint64
 	dirtyLinks []*Link
-	ufParent   []int
-	compDirty  []bool
+	reached    []*Link // links marked by the current walk, in visit order
 	unfixed    []*Flow
 }
 
@@ -155,10 +187,10 @@ func (f *Fabric) NewLink(name string, capacity Bandwidth) *Link {
 
 // SetLinkCapacity changes a link's nominal capacity at runtime — the chaos
 // engine's rack partitions squeeze NICs to an epsilon rate and restore them
-// on repair. Flows in progress are settled at their old rates first, then the
-// component containing the link re-solves; completion events move
-// accordingly. Capacity must stay positive (use a small epsilon, not zero).
-// Links driven by SetCapacityFn ignore the nominal value.
+// on repair. The component containing the link re-solves, settling flows in
+// progress at their old rates first; completion events move accordingly.
+// Capacity must stay positive (use a small epsilon, not zero). Links driven
+// by SetCapacityFn ignore the nominal value.
 func (f *Fabric) SetLinkCapacity(l *Link, capacity Bandwidth) {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("netsim: link %q capacity %v", l.name, capacity))
@@ -166,7 +198,6 @@ func (f *Fabric) SetLinkCapacity(l *Link, capacity Bandwidth) {
 	if capacity == l.cap {
 		return
 	}
-	f.settle()
 	l.cap = capacity
 	f.markDirty(l)
 	f.reallocate()
@@ -211,17 +242,35 @@ func (f *Fabric) TransferFlat(a *sim.Actor, size int64, then func(), path ...*Li
 
 // StartFlow injects a flow without blocking. The returned flow's done signal
 // fires on completion. Most callers want Transfer; StartFlow exists for
-// event-driven users and tests.
+// event-driven users and tests. A path must name each link at most once.
 func (f *Fabric) StartFlow(size int64, path ...*Link) *Flow {
 	if len(path) == 0 {
 		panic("netsim: flow with empty path")
 	}
-	fl := &Flow{path: path, remaining: float64(size), updated: f.eng.Now()}
+	for i, l := range path {
+		for _, prev := range path[:i] {
+			if prev == l {
+				panic(fmt.Sprintf("netsim: link %q appears twice in one flow path", l.name))
+			}
+		}
+	}
+	fl := &Flow{remaining: float64(size), updated: f.eng.Now()}
 	fl.onFire = func() { f.onComplete(fl) }
-	f.settle()
+	fl.path = append(fl.pathBuf[:0], path...)
+	if len(path) <= len(fl.membBuf) {
+		fl.memb = fl.membBuf[:len(path)]
+	} else {
+		fl.memb = make([]member, len(path))
+	}
 	fl.index = len(f.flows)
 	f.flows = append(f.flows, fl)
-	for _, l := range path {
+	for i, l := range path {
+		m := &fl.memb[i]
+		*m = member{fl: fl, next: l.flows, pprev: &l.flows}
+		if m.next != nil {
+			m.next.pprev = &m.next
+		}
+		l.flows = m
 		l.nflows++
 		f.markDirty(l)
 	}
@@ -240,7 +289,7 @@ func (f *Fabric) abandon(fl *Flow) {
 	if fl.completed {
 		return
 	}
-	f.settle()
+	fl.settle(f.eng.Now())
 	f.remove(fl)
 	f.reallocate()
 }
@@ -263,7 +312,13 @@ func (f *Fabric) remove(fl *Flow) {
 	f.flows[last] = nil
 	f.flows = f.flows[:last]
 	fl.index = -1
-	for _, l := range fl.path {
+	for i, l := range fl.path {
+		m := &fl.memb[i]
+		*m.pprev = m.next
+		if m.next != nil {
+			m.next.pprev = m.pprev
+		}
+		*m = member{}
 		l.nflows--
 		f.markDirty(l)
 	}
@@ -285,22 +340,6 @@ func (f *Fabric) clearDirty() {
 	f.dirtyLinks = f.dirtyLinks[:0]
 }
 
-// settle credits every active flow with the bytes moved since the last rate
-// change.
-func (f *Fabric) settle() {
-	now := f.eng.Now()
-	for _, fl := range f.flows {
-		dt := (now - fl.updated).Seconds()
-		if dt > 0 && fl.rate > 0 {
-			fl.remaining -= fl.rate * dt
-			if fl.remaining < 0 {
-				fl.remaining = 0
-			}
-		}
-		fl.updated = now
-	}
-}
-
 // reallocate brings rates and completion events up to date after a change.
 // Rate recomputation runs only when some link's flow set actually changed;
 // the stale-prediction path (a completion event firing at the same instant
@@ -319,70 +358,46 @@ func (f *Fabric) reallocate() {
 }
 
 // solve recomputes max-min fair rates by progressive filling for every flow
-// whose connected component contains a dirty link. Components are computed
-// fresh each pass (links only carry epoch-stamped scratch), but flows of
-// clean components are never scanned by the filling loop and keep their
-// rates: allocations in one component are independent of every other, so
-// skipping them is exact, not an approximation.
+// whose connected component contains a dirty link. It walks from the dirty
+// links through link membership, so its cost is proportional to the
+// components a change can reach; flows of clean components are never
+// visited and keep their rates: allocations in one component are
+// independent of every other, so skipping them is exact, not an
+// approximation.
 func (f *Fabric) solve() {
+	// Mark the dirty components. Dirty links no longer crossed by any flow
+	// (a departed flow's private segment, an idle link whose capacity
+	// changed) start no walk.
 	f.epoch++
-	// Pass 1: stamp links with this epoch, count crossing flows, and union
-	// each flow's path links into one component.
-	f.ufParent = f.ufParent[:0]
-	for _, fl := range f.flows {
-		first := fl.path[0]
-		for _, l := range fl.path {
-			if l.epoch != f.epoch {
-				l.epoch = f.epoch
-				l.unfix = 0
-				l.comp = len(f.ufParent)
-				f.ufParent = append(f.ufParent, l.comp)
-			}
-			l.unfix++
-			if l != first {
-				f.union(first.comp, l.comp)
-			}
-		}
-	}
-	// Pass 2: mark components containing a dirty link. Dirty links no
-	// longer crossed by any flow (a departed flow's private segment) carry a
-	// stale epoch and drop out here.
-	if cap(f.compDirty) < len(f.ufParent) {
-		f.compDirty = make([]bool, len(f.ufParent))
-	}
-	f.compDirty = f.compDirty[:len(f.ufParent)]
-	for i := range f.compDirty {
-		f.compDirty[i] = false
-	}
+	f.reached = f.reached[:0]
 	for _, l := range f.dirtyLinks {
-		if l.epoch == f.epoch {
-			f.compDirty[f.find(l.comp)] = true
+		if l.nflows > 0 && l.epoch != f.epoch {
+			f.visit(l)
 		}
 	}
-	// Pass 3: gather the flows of dirty components — in arrival order, which
-	// is what keeps bottleneck tie-breaking identical to the from-scratch
-	// solver — and initialise remaining capacity on the links they cross.
+	f.walk(0)
+	for _, l := range f.reached {
+		c := float64(l.effectiveCap(l.nflows))
+		if !(c > 0) {
+			panic(fmt.Sprintf(
+				"netsim: link %q effective capacity %v with %d flows; capacity functions must be positive for every n ≥ 1",
+				l.name, Bandwidth(c), l.nflows))
+		}
+		l.capRem = c
+		l.unfix = l.nflows
+	}
+	// Take the marked flows in arrival order, which is what keeps bottleneck
+	// tie-breaking identical to the from-scratch solver, settling each at the
+	// rate it is about to lose.
+	now := f.eng.Now()
 	f.unfixed = f.unfixed[:0]
 	for _, fl := range f.flows {
-		if !f.compDirty[f.find(fl.path[0].comp)] {
-			continue
-		}
-		f.unfixed = append(f.unfixed, fl)
-		for _, l := range fl.path {
-			if l.capEpoch == f.epoch {
-				continue
-			}
-			l.capEpoch = f.epoch
-			c := float64(l.effectiveCap(l.nflows))
-			if !(c > 0) {
-				panic(fmt.Sprintf(
-					"netsim: link %q effective capacity %v with %d flows; capacity functions must be positive for every n ≥ 1",
-					l.name, Bandwidth(c), l.nflows))
-			}
-			l.capRem = c
+		if fl.epoch == f.epoch {
+			fl.settle(now)
+			f.unfixed = append(f.unfixed, fl)
 		}
 	}
-	// Pass 4: progressive filling. Each round, the bottleneck is the link
+	// Progressive filling. Each round, the bottleneck is the link
 	// whose fair share for its unfixed flows is smallest — scanned in flow
 	// arrival order (not map order) so ties resolve stably — and every
 	// unfixed flow crossing it is fixed at that share.
@@ -437,47 +452,31 @@ func (f *Fabric) solve() {
 		}
 		unfixed = unfixed[:n]
 	}
+	// Drop the scratch references so finished flows can be collected.
+	clear(f.unfixed)
 }
 
-// find returns the union-find root of scratch node x.
-func (f *Fabric) find(x int) int {
-	for f.ufParent[x] != x {
-		f.ufParent[x] = f.ufParent[f.ufParent[x]] // path halving
-		x = f.ufParent[x]
-	}
-	return x
+// visit marks l as reached by the current walk and queues it.
+func (f *Fabric) visit(l *Link) {
+	l.epoch = f.epoch
+	f.reached = append(f.reached, l)
 }
 
-func (f *Fabric) union(a, b int) {
-	ra, rb := f.find(a), f.find(b)
-	if ra == rb {
-		return
-	}
-	if ra < rb {
-		f.ufParent[rb] = ra
-	} else {
-		f.ufParent[ra] = rb
-	}
-}
-
-// stampComponents rebuilds the union-find over the current flow set — the
-// same pass-1 stamping solve performs — so component queries can run between
-// solves. Burning an epoch here is safe: every solve pass restamps all the
-// scratch it reads, so an extra epoch bump just looks like one more solve.
-func (f *Fabric) stampComponents() {
-	f.epoch++
-	f.ufParent = f.ufParent[:0]
-	for _, fl := range f.flows {
-		first := fl.path[0]
-		for _, l := range fl.path {
-			if l.epoch != f.epoch {
-				l.epoch = f.epoch
-				l.unfix = 0
-				l.comp = len(f.ufParent)
-				f.ufParent = append(f.ufParent, l.comp)
+// walk marks every flow crossing a link queued at index i or later, queueing
+// the further links those flows cross, until the components of the queued
+// links are fully marked.
+func (f *Fabric) walk(i int) {
+	for ; i < len(f.reached); i++ {
+		for m := f.reached[i].flows; m != nil; m = m.next {
+			fl := m.fl
+			if fl.epoch == f.epoch {
+				continue
 			}
-			if l != first {
-				f.union(first.comp, l.comp)
+			fl.epoch = f.epoch
+			for _, l := range fl.path {
+				if l.epoch != f.epoch {
+					f.visit(l)
+				}
 			}
 		}
 	}
@@ -490,13 +489,18 @@ func (f *Fabric) stampComponents() {
 // workload whose flow graph stays partitioned into k components is safe to
 // split across up to k simulation domains, one fabric per domain, with no
 // cross-domain mail. Links no flow currently crosses count toward no
-// component.
+// component. The query walks link membership with its own epoch, so it
+// never disturbs allocation.
 func (f *Fabric) Components() int {
-	f.stampComponents()
+	f.epoch++
+	f.reached = f.reached[:0]
 	n := 0
-	for i := range f.ufParent {
-		if f.find(i) == i {
+	for _, fl := range f.flows {
+		if fl.epoch != f.epoch {
 			n++
+			i := len(f.reached)
+			f.visit(fl.path[0])
+			f.walk(i)
 		}
 	}
 	return n
@@ -505,19 +509,29 @@ func (f *Fabric) Components() int {
 // SameComponent reports whether two active flows share a connected component
 // — whether any chain of overlapping paths couples their rate allocations.
 // Flows in different components are independent: domain-sharding them apart
-// cannot change either one's trace.
+// cannot change either one's trace. A finished flow is in no component.
 func (f *Fabric) SameComponent(a, b *Flow) bool {
-	f.stampComponents()
-	return f.find(a.path[0].comp) == f.find(b.path[0].comp)
+	if a.index < 0 || b.index < 0 {
+		return false
+	}
+	f.epoch++
+	f.reached = f.reached[:0]
+	f.visit(a.path[0])
+	f.walk(0)
+	return b.epoch == f.epoch
 }
 
-// reschedule brings each flow's completion event in line with its current
-// remaining bytes and rate. An event is re-created only when the predicted
+// reschedule settles every flow solve did not (a no-op for those it did) and
+// brings its completion event in line with its remaining bytes and rate.
+// Every flow is visited because every flow's remaining bytes moved: its
+// prediction is recomputed from the settled value, exactly as a
+// from-scratch pass would. An event is re-created only when the predicted
 // completion time actually moved; an unchanged prediction keeps the
 // already-scheduled event, and retired events return to the kernel pool.
 func (f *Fabric) reschedule() {
 	now := f.eng.Now()
 	for _, fl := range f.flows {
+		fl.settle(now)
 		if fl.rate <= 0 {
 			// Stalled; a future reallocate will revive it.
 			if fl.complete != nil {
@@ -563,7 +577,7 @@ func (f *Fabric) onComplete(fl *Flow) {
 	if ev != nil {
 		f.eng.Recycle(ev)
 	}
-	f.settle()
+	fl.settle(f.eng.Now())
 	if fl.remaining > 0.5 {
 		if !math.IsInf(fl.rate, 1) {
 			// Prediction went stale (rates changed at this same instant);

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -282,6 +283,58 @@ func TestEmptyPathPanics(t *testing.T) {
 		}
 	}()
 	fab.StartFlow(1 * MB)
+}
+
+// A path naming one link twice would count the flow twice on that link;
+// StartFlow rejects it, naming the link, before touching any fabric state.
+func TestDuplicateLinkPathPanics(t *testing.T) {
+	eng := sim.NewEngine()
+	fab := NewFabric(eng)
+	nic := fab.NewLink("vm-nic", 125*MBps)
+	pair := fab.NewLink("pair", 100*MBps)
+	defer func() {
+		rec := recover()
+		if rec == nil {
+			t.Fatal("duplicate link did not panic")
+		}
+		if msg, ok := rec.(string); !ok || !strings.Contains(msg, "vm-nic") {
+			t.Fatalf("panic %v does not name the repeated link", rec)
+		}
+		if fab.ActiveFlows() != 0 || nic.Flows() != 0 || pair.Flows() != 0 {
+			t.Fatalf("rejected flow left state behind: %d flows, nic %d, pair %d",
+				fab.ActiveFlows(), nic.Flows(), pair.Flows())
+		}
+	}()
+	fab.StartFlow(MB, nic, pair, nic)
+}
+
+// Paths longer than the inline membership buffer thread and unthread like
+// short ones.
+func TestLongPathMembership(t *testing.T) {
+	eng := sim.NewEngine()
+	fab := NewFabric(eng)
+	links := make([]*Link, 5)
+	for i := range links {
+		links[i] = fab.NewLink("hop", Bandwidth(10*(i+1))*MBps)
+	}
+	long := fab.StartFlow(100*MB, links...)
+	short := fab.StartFlow(100*MB, links[4])
+	if got := long.Rate(); got != 10*MBps {
+		t.Fatalf("long-path rate %v, want the 10 MB/s first hop", got)
+	}
+	if !fab.SameComponent(long, short) || fab.Components() != 1 {
+		t.Fatal("flows sharing the last hop are not one component")
+	}
+	fab.Abandon(long)
+	for i, l := range links {
+		if l.flows != nil && l != links[4] {
+			t.Fatalf("hop %d still lists a flow after the long flow left", i)
+		}
+	}
+	if got := short.Rate(); got != 50*MBps {
+		t.Fatalf("short-path rate %v after the long flow left, want 50 MB/s", got)
+	}
+	eng.Run()
 }
 
 func TestDeterministicTransfers(t *testing.T) {
