@@ -14,7 +14,6 @@ import (
 	"azureobs/internal/fabric"
 	"azureobs/internal/sim"
 	"azureobs/internal/simrand"
-	"azureobs/internal/storage/storerr"
 	"azureobs/internal/storage/tablesvc"
 )
 
@@ -23,7 +22,8 @@ import (
 // at 1k/10k/100k/1M clients, run on the flat-actor path and — up to 100k —
 // on the goroutine path for comparison. Both modes drive the identical
 // simulation: same per-client random streams, same service pipeline, same
-// retry policy, so the cross-mode assertions (ops, failures, server
+// retry machine (azure.Retry, which RetryPolicy.Do drives for the goroutine
+// clients), so the cross-mode assertions (ops, failures, server
 // requests, events fired, final virtual time) check bit-identical traces,
 // and the per-client memory numbers compare only the execution mechanism.
 //
@@ -103,81 +103,60 @@ func (h *scaleHarness) opFinished(err error) {
 	}
 }
 
-// scaleClient is one flat-mode client: the closed-loop think/request/retry
-// machine compiled into a struct that lives in the rung's client slice. Its
-// per-client heap is two cached closures and one forked random stream; the
-// actor, the request state, and the counters are all in the struct itself.
+// scaleClient is one flat-mode client: the closed-loop think/request cycle
+// compiled into a struct that lives in the rung's client slice, with the
+// azure retry machine (the one RetryPolicy.Do drives for the goroutine
+// clients) around each query. Its per-client heap is the cached closures
+// and one forked random stream; the actor, the request and retry state, and
+// the counters are all in the struct itself.
 type scaleClient struct {
-	a   sim.Actor
-	get tablesvc.GetFlat
-	rng simrand.RNG // per-client stream: think draws and retry jitter, by value
-	h   *scaleHarness
+	a     sim.Actor
+	get   tablesvc.GetFlat
+	retry azure.Retry
+	rng   simrand.RNG // per-client stream: think draws and retry jitter, by value
+	h     *scaleHarness
 
 	pk, rk    string
 	remaining int
-	attempt   int
-	inOp      bool
-	backoff   time.Duration
 
-	onWake func()                        // think/backoff sleeps land here
-	onDone func(*tablesvc.Entity, error) // request completions land here
+	onIssue func() // think sleeps land here
 }
 
 func (c *scaleClient) init(h *scaleHarness, i int) {
 	c.h = h
 	c.a.Bind(h.eng, "scale-client")
 	c.rng = *h.root.ForkN("scale-client", i)
-	c.onWake = c.wake
-	c.onDone = c.opDone
-	c.get.Init(h.svc, c.onDone)
+	c.onIssue = c.issue
+	c.get.Init(h.svc, c.gotEntity)
+	c.retry.Policy = h.policy
+	c.retry.Policy.Rand = &c.rng
+	c.retry.Init(c.attempt, c.opDone)
 	c.pk = h.pks[i%len(h.pks)]
 	c.rk = h.rks[(i/len(h.pks))%len(h.rks)]
 	c.remaining = scaleOpsPerClient
 }
 
-func (c *scaleClient) begin() { c.a.Go(c.onWake) }
+func (c *scaleClient) begin() { c.a.Go(c.think) }
 
-// wake is every timer expiry: mid-operation it issues the (re)try; between
-// operations it draws the next think time or finishes the client.
-func (c *scaleClient) wake() {
-	if c.inOp {
-		c.get.Begin(&c.a, "scale", c.pk, c.rk)
-		return
-	}
+// think draws the next think time, or finishes the client after its last
+// operation.
+func (c *scaleClient) think() {
 	if c.remaining == 0 {
 		c.a.Finish()
 		return
 	}
 	c.remaining--
-	c.attempt = 0
-	c.backoff = c.h.policy.Backoff
-	c.inOp = true
-	c.a.Sleep(simrand.Duration(c.h.think, &c.rng), c.onWake)
+	c.a.Sleep(simrand.Duration(c.h.think, &c.rng), c.onIssue)
 }
 
-// opDone replicates azure.RetryPolicy.Do's decision and draw order exactly:
-// success or a non-retryable error ends the operation; a retryable failure
-// with attempts left draws the jitter, sleeps the backoff, and reissues.
-func (c *scaleClient) opDone(_ *tablesvc.Entity, err error) {
-	p := &c.h.policy
-	if err != nil && storerr.IsRetryable(err) {
-		c.attempt++
-		if c.attempt < p.MaxAttempts && c.backoff > 0 {
-			wait := c.backoff
-			if p.Jitter > 0 {
-				wait = time.Duration(float64(wait) * (1 - p.Jitter*c.rng.Float64()))
-			}
-			c.backoff = time.Duration(float64(c.backoff) * p.Multiplier)
-			if p.MaxBackoff > 0 && c.backoff > p.MaxBackoff {
-				c.backoff = p.MaxBackoff
-			}
-			c.a.Sleep(wait, c.onWake)
-			return
-		}
-	}
-	c.inOp = false
+func (c *scaleClient) issue()   { c.retry.Begin(&c.a) }
+func (c *scaleClient) attempt() { c.get.Begin(&c.a, "scale", c.pk, c.rk) }
+
+func (c *scaleClient) gotEntity(_ *tablesvc.Entity, err error) { c.retry.Done(err) }
+
+func (c *scaleClient) opDone(err error) {
 	c.h.opFinished(err)
-	c.wake()
+	c.think()
 }
 
 // newScaleCloud builds the rung's cloud: a table service with a mild

@@ -24,8 +24,8 @@ import (
 // (container/heap binary heap with eager O(log n) Cancel removal, one fresh
 // goroutine + channel pair per spawned process) with this exact harness on
 // the reference machine, taking the minimum of three full-scale repetitions.
-// The pre-overhaul capture swaps simbench_idiom.go for the legacy
-// cancel/recycle/schedule spelling; everything else is byte-identical.
+// That capture spelled the cancel and move idioms as the legacy
+// Cancel + Recycle + Schedule; everything else was byte-identical.
 var seedSimNs = map[string]float64{
 	"cancel-churn/1024":  716.7,
 	"cancel-churn/8192":  828.6,
@@ -129,10 +129,10 @@ func cancelChurn(pop, iters int) {
 			case evs[s] == nil:
 				evs[s] = eng.Schedule(at, fns[s])
 			case j < cancels:
-				cancelReplace(eng, evs[s])
+				eng.CancelRecycle(evs[s])
 				evs[s] = eng.Schedule(at, fns[s])
 			default:
-				evs[s] = moveEvent(eng, evs[s], at, fns[s])
+				eng.Reschedule(evs[s], at)
 			}
 		}
 		eng.Step()
@@ -181,7 +181,7 @@ func reschedChurn(pop, iters int) {
 			k := i*8 + j
 			s := k & (pop - 1)
 			if evs[s] != nil {
-				evs[s] = moveEvent(eng, evs[s], eng.Now()+offs[k&mask], fns[s])
+				eng.Reschedule(evs[s], eng.Now()+offs[k&mask])
 			} else {
 				evs[s] = eng.Schedule(eng.Now()+offs[k&mask], fns[s])
 			}
@@ -361,8 +361,11 @@ func fig1Cell192(seed uint64, clients, requests int) fig1CellStats {
 		RequestsPerVM:       requests,
 		WallMS:              float64(time.Since(start)) / 1e6,
 		GoroutinesHighwater: peakG,
+		SpawnedProcs:        cloud.Engine.ProcsSpawned(),
+		WorkersCreated:      cloud.Engine.WorkersCreated(),
+		WorkersReused:       cloud.Engine.WorkersReused(),
+		WorkersPeak:         cloud.Engine.WorkersPeak(),
 	}
-	fillCellStats(&st, cloud.Engine)
 	return st
 }
 

@@ -14,10 +14,10 @@
 //
 // # Continuation API naming contract
 //
-// Every layer exposes its blocking operations in two symmetric forms. The
-// blocking form takes the calling *sim.Proc and returns results directly.
-// The flat form runs on a caller-embedded sim.Actor and follows one naming
-// convention throughout the tree:
+// Every storage op is written once, as a flat state machine on a
+// sim.Actor, and offered in two forms. The flat form runs on a
+// caller-embedded actor and follows one naming convention throughout the
+// tree:
 //
 //   - A method suffixed Flat (blobsvc Session.GetFlat, Client.PutBlobFlat,
 //     netsim TransferFlat, Signal.WaitFlat) starts the operation on the
@@ -27,11 +27,17 @@
 //     method; the struct embeds all per-request state so steady-state
 //     requests allocate nothing.
 //
-// Both forms obey the actor's arm-or-finish discipline: every flat step
-// either arms exactly one continuation (a Sleep, a WaitFlat, a nested
-// *Flat call) or finishes the actor, and the kernel panics on a step that
-// does neither. Flat and blocking forms consume identical RNG draws and
-// sequence numbers stage for stage, so their traces are bit-identical by
-// construction — pinned by the per-service equivalence tests and the
+// The blocking form takes the calling *sim.Proc and returns results
+// directly: it drives the same machine on the process's own goroutine
+// (sim.Proc.Drive), and a Kill of the parked process runs the machine's
+// abort. azure.Retry is the retry loop in the same shape, with
+// RetryPolicy.Do its blocking form.
+//
+// Flat steps obey the actor's arm-or-finish discipline: every step either
+// arms exactly one continuation (a Sleep, a WaitFlat, a nested *Flat call)
+// or finishes the actor, and the kernel panics on a step that does
+// neither. Both drivers schedule exactly one event per wake, so a
+// blocking call and its flat form are trace-identical by construction —
+// pinned by the per-service golden traces and equivalence tests and the
 // scalebench/domainbench trace gates.
 package azureobs

@@ -53,17 +53,15 @@ func (cl *Client) SetRecorder(fn func(op string, d time.Duration, err error)) { 
 // Ops returns the client's per-operation latency/error tallies.
 func (cl *Client) Ops() *metrics.OpStats { return cl.stats }
 
-// observe wraps an operation with latency and error accounting. Every
-// client API method goes through it, so the tallies cover the full surface.
-func observe[T any](cl *Client, p *sim.Proc, op string, fn func() (T, error)) (T, error) {
-	start := p.Now()
-	v, err := fn()
-	d := p.Now() - start
+// record is the client-side accounting every operation ends with, blocking
+// or flat: the op's latency since start and its outcome go to the client's
+// tallies and recorder hook, so the tallies cover the full API surface.
+func (cl *Client) record(op string, start time.Duration, err error) {
+	d := cl.cloud.Engine.Now() - start
 	cl.stats.Record(op, d, string(storerr.CodeOf(err)))
 	if cl.onOp != nil {
 		cl.onOp(op, d, err)
 	}
-	return v, err
 }
 
 // VM returns the instance the client runs on.
@@ -79,32 +77,34 @@ func (cl *Client) CreateContainer(name string) { cl.cloud.Blob.CreateContainer(n
 
 // GetBlob downloads a blob in full and returns its size.
 func (cl *Client) GetBlob(p *sim.Proc, container, name string) (int64, error) {
-	return observe(cl, p, "blob.Get", func() (int64, error) {
-		return cl.blobSession().Get(p, container, name)
-	})
+	start := p.Now()
+	n, err := cl.blobSession().Get(p, container, name)
+	cl.record("blob.Get", start, err)
+	return n, err
 }
 
 // PutBlob uploads a blob. With overwrite false an existing name fails with
 // CodeBlobExists.
 func (cl *Client) PutBlob(p *sim.Proc, container, name string, size int64, overwrite bool) error {
-	_, err := observe(cl, p, "blob.Put", func() (struct{}, error) {
-		return struct{}{}, cl.blobSession().Put(p, container, name, size, overwrite)
-	})
+	start := p.Now()
+	err := cl.blobSession().Put(p, container, name, size, overwrite)
+	cl.record("blob.Put", start, err)
 	return err
 }
 
 // BlobExists checks existence.
 func (cl *Client) BlobExists(p *sim.Proc, container, name string) (bool, error) {
-	return observe(cl, p, "blob.Exists", func() (bool, error) {
-		return cl.blobSession().Exists(p, container, name)
-	})
+	start := p.Now()
+	ok, err := cl.blobSession().Exists(p, container, name)
+	cl.record("blob.Exists", start, err)
+	return ok, err
 }
 
 // DeleteBlob removes a blob.
 func (cl *Client) DeleteBlob(p *sim.Proc, container, name string) error {
-	_, err := observe(cl, p, "blob.Delete", func() (struct{}, error) {
-		return struct{}{}, cl.blobSession().Delete(p, container, name)
-	})
+	start := p.Now()
+	err := cl.blobSession().Delete(p, container, name)
+	cl.record("blob.Delete", start, err)
 	return err
 }
 
@@ -115,41 +115,43 @@ func (cl *Client) CreateTable(name string) { cl.cloud.Table.CreateTable(name) }
 
 // InsertEntity inserts a new entity.
 func (cl *Client) InsertEntity(p *sim.Proc, table string, e *tablesvc.Entity) error {
-	_, err := observe(cl, p, "table.Insert", func() (struct{}, error) {
-		return struct{}{}, cl.cloud.Table.Insert(p, table, e)
-	})
+	start := p.Now()
+	err := cl.cloud.Table.Insert(p, table, e)
+	cl.record("table.Insert", start, err)
 	return err
 }
 
 // GetEntity queries one entity by partition and row key (the indexed path).
 func (cl *Client) GetEntity(p *sim.Proc, table, pk, rk string) (*tablesvc.Entity, error) {
-	return observe(cl, p, "table.Query", func() (*tablesvc.Entity, error) {
-		return cl.cloud.Table.Get(p, table, pk, rk)
-	})
+	start := p.Now()
+	e, err := cl.cloud.Table.Get(p, table, pk, rk)
+	cl.record("table.Query", start, err)
+	return e, err
 }
 
 // UpdateEntity replaces an entity unconditionally.
 func (cl *Client) UpdateEntity(p *sim.Proc, table string, e *tablesvc.Entity) error {
-	_, err := observe(cl, p, "table.Update", func() (struct{}, error) {
-		return struct{}{}, cl.cloud.Table.Update(p, table, e)
-	})
+	start := p.Now()
+	err := cl.cloud.Table.Update(p, table, e)
+	cl.record("table.Update", start, err)
 	return err
 }
 
 // DeleteEntity removes an entity.
 func (cl *Client) DeleteEntity(p *sim.Proc, table, pk, rk string) error {
-	_, err := observe(cl, p, "table.Delete", func() (struct{}, error) {
-		return struct{}{}, cl.cloud.Table.Delete(p, table, pk, rk)
-	})
+	start := p.Now()
+	err := cl.cloud.Table.Delete(p, table, pk, rk)
+	cl.record("table.Delete", start, err)
 	return err
 }
 
 // QueryEntities scans a partition with a property filter (the non-indexed
 // path the paper warns about).
 func (cl *Client) QueryEntities(p *sim.Proc, table, pk string, pred func(*tablesvc.Entity) bool) ([]*tablesvc.Entity, error) {
-	return observe(cl, p, "table.QueryFilter", func() ([]*tablesvc.Entity, error) {
-		return cl.cloud.Table.QueryFilter(p, table, pk, pred)
-	})
+	start := p.Now()
+	out, err := cl.cloud.Table.QueryFilter(p, table, pk, pred)
+	cl.record("table.QueryFilter", start, err)
+	return out, err
 }
 
 // --- Queue API ---
@@ -161,9 +163,10 @@ func (cl *Client) CreateQueue(name string) *queuesvc.Queue {
 
 // AddMessage enqueues a message body padded to size bytes.
 func (cl *Client) AddMessage(p *sim.Proc, q *queuesvc.Queue, body string, size int) (uint64, error) {
-	return observe(cl, p, "queue.Add", func() (uint64, error) {
-		return cl.cloud.Queue.Add(p, q, body, size)
-	})
+	start := p.Now()
+	id, err := cl.cloud.Queue.Add(p, q, body, size)
+	cl.record("queue.Add", start, err)
+	return id, err
 }
 
 // Peek returns the first visible message without state change. An empty
@@ -171,16 +174,16 @@ func (cl *Client) AddMessage(p *sim.Proc, q *queuesvc.Queue, body string, size i
 // reports — so callers branch with storerr.IsCode instead of a second
 // boolean channel.
 func (cl *Client) Peek(p *sim.Proc, q *queuesvc.Queue) (*queuesvc.Message, error) {
-	return observe(cl, p, "queue.Peek", func() (*queuesvc.Message, error) {
-		m, ok, err := cl.cloud.Queue.Peek(p, q)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, storerr.New(storerr.CodeNotFound, "queue.Peek", "no visible messages")
-		}
-		return m, nil
-	})
+	start := p.Now()
+	m, ok, err := cl.cloud.Queue.Peek(p, q)
+	if err == nil && !ok {
+		err = storerr.New(storerr.CodeNotFound, "queue.Peek", "no visible messages")
+	}
+	cl.record("queue.Peek", start, err)
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // Receive pops the first visible message, hiding it for the visibility
@@ -188,16 +191,16 @@ func (cl *Client) Peek(p *sim.Proc, q *queuesvc.Queue) (*queuesvc.Message, error
 // pop receipt that authorises its deletion. An empty queue is CodeNotFound,
 // as Peek.
 func (cl *Client) Receive(p *sim.Proc, q *queuesvc.Queue, visibility time.Duration) (*queuesvc.Received, error) {
-	return observe(cl, p, "queue.Receive", func() (*queuesvc.Received, error) {
-		m, rcpt, ok, err := cl.cloud.Queue.Receive(p, q, visibility)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, storerr.New(storerr.CodeNotFound, "queue.Receive", "no visible messages")
-		}
-		return &queuesvc.Received{Msg: m, Receipt: rcpt}, nil
-	})
+	start := p.Now()
+	m, rcpt, ok, err := cl.cloud.Queue.Receive(p, q, visibility)
+	if err == nil && !ok {
+		err = storerr.New(storerr.CodeNotFound, "queue.Receive", "no visible messages")
+	}
+	cl.record("queue.Receive", start, err)
+	if err != nil {
+		return nil, err
+	}
+	return &queuesvc.Received{Msg: m, Receipt: rcpt}, nil
 }
 
 // PeekMessage returns the first visible message without state change, with
@@ -208,15 +211,10 @@ func (cl *Client) Receive(p *sim.Proc, q *queuesvc.Queue, visibility time.Durati
 // calibrated against its ok-channel accounting (an empty peek records a
 // success in Ops).
 func (cl *Client) PeekMessage(p *sim.Proc, q *queuesvc.Queue) (*queuesvc.Message, bool, error) {
-	type peek struct {
-		m  *queuesvc.Message
-		ok bool
-	}
-	v, err := observe(cl, p, "queue.Peek", func() (peek, error) {
-		m, ok, err := cl.cloud.Queue.Peek(p, q)
-		return peek{m, ok}, err
-	})
-	return v.m, v.ok, err
+	start := p.Now()
+	m, ok, err := cl.cloud.Queue.Peek(p, q)
+	cl.record("queue.Peek", start, err)
+	return m, ok, err
 }
 
 // ReceiveMessage pops the first visible message, hiding it for the
@@ -225,23 +223,17 @@ func (cl *Client) PeekMessage(p *sim.Proc, q *queuesvc.Queue) (*queuesvc.Message
 // Deprecated: use Receive, which returns a *queuesvc.Received and reports
 // an empty queue as CodeNotFound instead of a separate ok channel.
 func (cl *Client) ReceiveMessage(p *sim.Proc, q *queuesvc.Queue, visibility time.Duration) (*queuesvc.Message, queuesvc.Receipt, bool, error) {
-	type recv struct {
-		m    *queuesvc.Message
-		rcpt queuesvc.Receipt
-		ok   bool
-	}
-	v, err := observe(cl, p, "queue.Receive", func() (recv, error) {
-		m, rcpt, ok, err := cl.cloud.Queue.Receive(p, q, visibility)
-		return recv{m, rcpt, ok}, err
-	})
-	return v.m, v.rcpt, v.ok, err
+	start := p.Now()
+	m, rcpt, ok, err := cl.cloud.Queue.Receive(p, q, visibility)
+	cl.record("queue.Receive", start, err)
+	return m, rcpt, ok, err
 }
 
 // DeleteMessage removes a received message by receipt.
 func (cl *Client) DeleteMessage(p *sim.Proc, q *queuesvc.Queue, r queuesvc.Receipt) error {
-	_, err := observe(cl, p, "queue.Delete", func() (struct{}, error) {
-		return struct{}{}, cl.cloud.Queue.Delete(p, q, r)
-	})
+	start := p.Now()
+	err := cl.cloud.Queue.Delete(p, q, r)
+	cl.record("queue.Delete", start, err)
 	return err
 }
 

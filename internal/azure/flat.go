@@ -4,14 +4,13 @@ import (
 	"time"
 
 	"azureobs/internal/sim"
-	"azureobs/internal/storage/storerr"
 	"azureobs/internal/storage/tablesvc"
 )
 
-// clientFlat is a client's flat-mode plumbing: the observe() accounting
-// compiled into cached completion wrappers, so a flat operation records into
-// the client's OpStats and recorder hook exactly as a goroutine operation
-// does, without allocating per request. One flat operation may be in flight
+// clientFlat is a client's flat-mode plumbing: cached completion wrappers
+// that run the client's record accounting before the caller's callback, so
+// a flat operation records into the client's OpStats and recorder hook
+// exactly as a blocking operation does, without allocating per request. One flat operation may be in flight
 // per client — the closed-loop client shape.
 type clientFlat struct {
 	cl    *Client
@@ -44,25 +43,15 @@ func (f *clientFlat) begin(a *sim.Actor, op string) {
 	f.start = a.Now()
 }
 
-// record is observe()'s accounting half, run at completion time.
-func (f *clientFlat) record(err error) {
-	cl := f.cl
-	d := cl.cloud.Engine.Now() - f.start
-	cl.stats.Record(f.op, d, string(storerr.CodeOf(err)))
-	if cl.onOp != nil {
-		cl.onOp(f.op, d, err)
-	}
-}
-
 func (f *clientFlat) blobFinished(size int64, err error) {
-	f.record(err)
+	f.cl.record(f.op, f.start, err)
 	done := f.blobDone
 	f.blobDone = nil
 	done(size, err)
 }
 
 func (f *clientFlat) entFinished(ent *tablesvc.Entity, err error) {
-	f.record(err)
+	f.cl.record(f.op, f.start, err)
 	done := f.entDone
 	f.entDone = nil
 	done(ent, err)
@@ -72,7 +61,7 @@ func (f *clientFlat) entFinished(ent *tablesvc.Entity, err error) {
 // process it drives the request with a's continuations, and done receives
 // the blob size (0 on error) at the instant GetBlob would have returned —
 // after the client's stats and recorder hook have seen the operation, as
-// with the goroutine path.
+// with the blocking form.
 func (cl *Client) GetBlobFlat(a *sim.Actor, container, name string, done func(size int64, err error)) {
 	f := cl.flatState()
 	f.begin(a, "blob.Get")

@@ -1,6 +1,7 @@
 package azure
 
 import (
+	"sync"
 	"time"
 
 	"azureobs/internal/sim"
@@ -53,38 +54,112 @@ func DefaultRetryPolicy() RetryPolicy {
 // NoRetry performs exactly one attempt.
 func NoRetry() RetryPolicy { return RetryPolicy{MaxAttempts: 1} }
 
+// Retry is RetryPolicy's state machine — the only implementation of the
+// retry loop: attempt → classify → jittered backoff (Actor.Sleep) →
+// attempt, until an attempt succeeds, fails non-retryably (conflicts,
+// not-found) or the attempt budget is spent. A flat client embeds one,
+// Inits it once and Begins it for every operation, so retries allocate
+// nothing; RetryPolicy.Do drives a pooled one on a blocking caller.
+type Retry struct {
+	// Policy governs the retries of the next Begin.
+	Policy RetryPolicy
+
+	a       *sim.Actor
+	attempt func()      // issues one attempt, whose completion calls Done
+	done    func(error) // receives the terminal outcome
+	tries   int
+	backoff time.Duration
+
+	onBackoff func() // cached: the next attempt, after a backoff sleep
+}
+
+// Init prepares an embedded (zero-value) Retry: attempt issues one try of
+// the operation and must call Done with its outcome; done receives the
+// operation's terminal error (nil on success).
+func (r *Retry) Init(attempt func(), done func(error)) {
+	r.attempt, r.done = attempt, done
+	r.onBackoff = r.try
+}
+
+// Begin starts one operation's retry loop on actor a with its first
+// attempt.
+func (r *Retry) Begin(a *sim.Actor) {
+	r.a = a
+	r.tries = 0
+	r.backoff = r.Policy.Backoff
+	r.try()
+}
+
+func (r *Retry) try() {
+	r.tries++
+	r.attempt()
+}
+
+// Done classifies an attempt's outcome: success, a non-retryable error or
+// the last allowed attempt ends the operation; a retryable failure sleeps
+// the (jittered) backoff and tries again — immediately when the backoff is
+// zero.
+func (r *Retry) Done(err error) {
+	rp := &r.Policy
+	if err == nil || !storerr.IsRetryable(err) || r.tries >= max(rp.MaxAttempts, 1) {
+		r.a = nil
+		r.done(err)
+		return
+	}
+	if r.backoff <= 0 {
+		r.try()
+		return
+	}
+	wait := r.backoff
+	if rp.Jitter > 0 {
+		if rp.Rand == nil {
+			panic("azure: RetryPolicy.Jitter set without a Rand stream")
+		}
+		wait = time.Duration(float64(wait) * (1 - rp.Jitter*rp.Rand.Float64()))
+	}
+	r.backoff = time.Duration(float64(r.backoff) * rp.Multiplier)
+	if rp.MaxBackoff > 0 && r.backoff > rp.MaxBackoff {
+		r.backoff = rp.MaxBackoff
+	}
+	r.a.Sleep(wait, r.onBackoff)
+}
+
+// retryCall is one blocking Do: a pooled Retry whose attempts Do runs in
+// its own frame, so the caller's op closure never escapes to the heap.
+type retryCall struct {
+	Retry
+	due bool // the machine asked for an attempt
+	err error
+}
+
+// retryCalls pools Do's state; Do may run on any engine of any domain, so
+// the pool is the concurrency-safe sync.Pool.
+var retryCalls = sync.Pool{New: func() any {
+	c := &retryCall{}
+	c.Init(c.request, c.finished)
+	return c
+}}
+
+func (c *retryCall) request()           { c.due = true }
+func (c *retryCall) finished(err error) { c.err = err }
+
 // Do runs op, retrying retryable storage errors per the policy. It returns
 // nil on eventual success, the last error otherwise. Non-retryable errors
-// (conflicts, not-found) return immediately.
+// (conflicts, not-found) return immediately. Do drives a Retry on the
+// calling process: each time the machine asks for an attempt Do runs op
+// and hands its outcome back, and the machine's backoff sleeps park the
+// process.
 func (rp RetryPolicy) Do(p *sim.Proc, op func() error) error {
-	attempts := rp.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
+	c := retryCalls.Get().(*retryCall)
+	c.Policy = rp
+	p.Drive(c.Begin, nil)
+	for c.due {
+		c.due = false
+		err := op()
+		p.Drive(func(*sim.Actor) { c.Done(err) }, nil)
 	}
-	backoff := rp.Backoff
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 && backoff > 0 {
-			wait := backoff
-			if rp.Jitter > 0 {
-				if rp.Rand == nil {
-					panic("azure: RetryPolicy.Jitter set without a Rand stream")
-				}
-				wait = time.Duration(float64(wait) * (1 - rp.Jitter*rp.Rand.Float64()))
-			}
-			p.Sleep(wait)
-			backoff = time.Duration(float64(backoff) * rp.Multiplier)
-			if rp.MaxBackoff > 0 && backoff > rp.MaxBackoff {
-				backoff = rp.MaxBackoff
-			}
-		}
-		err = op()
-		if err == nil {
-			return nil
-		}
-		if !storerr.IsRetryable(err) {
-			return err
-		}
-	}
+	err := c.err
+	c.Policy, c.err = RetryPolicy{}, nil
+	retryCalls.Put(c)
 	return err
 }

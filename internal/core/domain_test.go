@@ -22,7 +22,7 @@ func domainRuns(workers, domains int) map[string]Result {
 		"fig1/seed42": RunFig1(Fig1Config{
 			Proto: w(Proto{Seed: 42, Clients: []int{1, 8, 32, 64, 128, 192}, Runs: 1}), BlobMB: 32}),
 		"fig1/seed7": RunFig1(Fig1Config{
-			Proto: w(Proto{Seed: 7, Clients: []int{1, 64, 192}, Runs: 2, Flat: true}), BlobMB: 16}),
+			Proto: w(Proto{Seed: 7, Clients: []int{1, 64, 192}, Runs: 2}), BlobMB: 16}),
 		"fig2/seed42": RunFig2(Fig2Config{
 			Proto: w(Proto{Seed: 42, Clients: []int{1, 8, 64}}), EntitySize: 4096,
 			Inserts: 40, Queries: 40, Updates: 20}),

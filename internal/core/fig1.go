@@ -160,30 +160,11 @@ func fig1DownloadStart(cfg Fig1Config, n, run int, eng *sim.Engine) *fig1Round {
 	}
 
 	vms := cloud.Controller.ReadyFleet(n, fabric.Worker, fabric.Small)
-	if cfg.Flat {
-		r.flats = make([]fig1FlatClient, n)
-		for i := 0; i < n; i++ {
-			fc := &r.flats[i]
-			fc.init(cloud, vms[i], i, r.per, &r.total, &r.lastEnd)
-			fc.download("bench", "shared-1g")
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			cl := cloud.NewClient(vms[i], i)
-			cloud.Engine.Spawn(fmt.Sprintf("dl%d", i), func(p *sim.Proc) {
-				start := p.Now()
-				got, err := cl.GetBlob(p, "bench", "shared-1g")
-				if err != nil {
-					panic(err)
-				}
-				elapsed := (p.Now() - start).Seconds()
-				r.per.Add(float64(got) / 1e6 / elapsed)
-				r.total += got
-				if end := p.Now().Seconds(); end > r.lastEnd {
-					r.lastEnd = end
-				}
-			})
-		}
+	r.flats = make([]fig1FlatClient, n)
+	for i := 0; i < n; i++ {
+		fc := &r.flats[i]
+		fc.init(cloud, vms[i], i, r.per, &r.total, &r.lastEnd)
+		fc.download("bench", "shared-1g")
 	}
 	r.base = cloud.Engine.Now().Seconds()
 	return r
@@ -206,10 +187,10 @@ func fig1Agg(totalBytes int64, lastEnd, base float64) float64 {
 	return float64(totalBytes) / 1e6 / (lastEnd - base)
 }
 
-// fig1FlatClient is one fig1 client compiled onto the flat-actor path: the
-// same azure request the goroutine client issues, with completion handled by
-// cached continuations instead of a parked process. One struct (in the
-// round's slice) plus three cached closures is the entire per-client cost.
+// fig1FlatClient is one fig1 client: a kernel-driven actor issuing one azure
+// blob request, with completion handled by cached continuations instead of
+// a parked process. One struct (in the round's slice) plus three cached
+// closures is the entire per-client cost.
 type fig1FlatClient struct {
 	a     sim.Actor
 	cl    *azure.Client
@@ -276,30 +257,11 @@ func fig1UploadStart(cfg Fig1Config, n, run int, eng *sim.Engine) *fig1Round {
 	cloud.Blob.CreateContainer("bench")
 	size := cfg.BlobMB * netsim.MB
 	vms := cloud.Controller.ReadyFleet(n, fabric.Worker, fabric.Small)
-	if cfg.Flat {
-		r.flats = make([]fig1FlatClient, n)
-		for i := 0; i < n; i++ {
-			fc := &r.flats[i]
-			fc.init(cloud, vms[i], i, r.per, &r.total, &r.lastEnd)
-			fc.uploadBlob("bench", fmt.Sprintf("upload-%d", i), size)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			i := i
-			cl := cloud.NewClient(vms[i], i)
-			cloud.Engine.Spawn(fmt.Sprintf("ul%d", i), func(p *sim.Proc) {
-				start := p.Now()
-				if err := cl.PutBlob(p, "bench", fmt.Sprintf("upload-%d", i), size, true); err != nil {
-					panic(err)
-				}
-				elapsed := (p.Now() - start).Seconds()
-				r.per.Add(float64(size) / 1e6 / elapsed)
-				r.total += size
-				if end := p.Now().Seconds(); end > r.lastEnd {
-					r.lastEnd = end
-				}
-			})
-		}
+	r.flats = make([]fig1FlatClient, n)
+	for i := 0; i < n; i++ {
+		fc := &r.flats[i]
+		fc.init(cloud, vms[i], i, r.per, &r.total, &r.lastEnd)
+		fc.uploadBlob("bench", fmt.Sprintf("upload-%d", i), size)
 	}
 	r.base = cloud.Engine.Now().Seconds()
 	return r

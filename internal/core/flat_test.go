@@ -1,11 +1,16 @@
 package core
 
 import (
-	"bytes"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
 	"time"
+
+	"azureobs/internal/fabric"
+	"azureobs/internal/metrics"
+	"azureobs/internal/netsim"
+	"azureobs/internal/sim"
 )
 
 // flatHash runs fig1 with the given knobs and returns the golden-encoded
@@ -17,62 +22,106 @@ func fig1Encoded(cfg Fig1Config) ([]byte, uint64, []Anchor) {
 	return g.bytes(), g.sum(), res.Anchors()
 }
 
-// TestFlatEquivalence is the tentpole's hard requirement: fig1 run on the
-// flat-actor path must produce a byte-identical golden encoding (every
-// float64 bit pattern, in insertion order) and identical anchors to the
-// goroutine path, at every scheduler width. A single differing draw or
-// reordered event anywhere in the flat request path shows up here.
+// fig1ProcRound is one fig1 round with its clients as spawned processes on
+// the blocking client API instead of kernel-driven actors: the same world,
+// staging and client ids as fig1DownloadStart/fig1UploadStart, run to
+// completion on its own engine.
+func fig1ProcRound(cfg Fig1Config, n, run int, upload bool) *fig1Round {
+	salt := run
+	if upload {
+		salt = run + 7919
+	}
+	r := &fig1Round{cloud: fig1CloudOn(nil, cfg, salt), per: &metrics.Summary{}}
+	cloud := r.cloud
+	cloud.Blob.CreateContainer("bench")
+	size := cfg.BlobMB * netsim.MB
+	if !upload {
+		stager := cloud.NewClient(cloud.Controller.ReadyFleet(1, fabric.Worker, fabric.Small)[0], 1_000_000)
+		cloud.Engine.Spawn("stage", func(p *sim.Proc) {
+			if err := stager.PutBlob(p, "bench", "shared-1g", size, true); err != nil {
+				panic(err)
+			}
+		})
+		cloud.Engine.Run()
+	}
+	vms := cloud.Controller.ReadyFleet(n, fabric.Worker, fabric.Small)
+	for i := 0; i < n; i++ {
+		cl := cloud.NewClient(vms[i], i)
+		cloud.Engine.Spawn(fmt.Sprintf("client%d", i), func(p *sim.Proc) {
+			start := p.Now()
+			got, err := size, error(nil)
+			if upload {
+				err = cl.PutBlob(p, "bench", fmt.Sprintf("upload-%d", i), size, true)
+			} else {
+				got, err = cl.GetBlob(p, "bench", "shared-1g")
+			}
+			if err != nil {
+				panic(err)
+			}
+			r.per.Add(float64(got) / 1e6 / (p.Now() - start).Seconds())
+			r.total += got
+			r.lastEnd = max(r.lastEnd, p.Now().Seconds())
+		})
+	}
+	r.base = cloud.Engine.Now().Seconds()
+	cloud.Engine.Run()
+	return r
+}
+
+// TestFlatEquivalence checks fig1's kernel-driven actor clients against the
+// same rounds driven by processes through the blocking adapter
+// (sim.Proc.Drive): per-client bandwidth summaries, aggregates, events
+// fired and final clocks must be identical for downloads and uploads at
+// every concurrency level — a single differing draw or reordered event
+// anywhere in the request path shows up here.
 func TestFlatEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flat equivalence sweep is slow")
 	}
-	base := Fig1Config{
-		Proto:  Proto{Seed: 42, Clients: []int{1, 8, 32}, Runs: 2},
-		BlobMB: 16,
-	}
-	for _, workers := range []int{1, 2, 4} {
-		cfg := base
-		cfg.Workers = workers
-
-		goroBytes, goroHash, goroAnchors := fig1Encoded(cfg)
-
-		cfg.Flat = true
-		flatBytes, flatHash, flatAnchors := fig1Encoded(cfg)
-
-		if !bytes.Equal(goroBytes, flatBytes) {
-			t.Fatalf("workers=%d: flat trace diverges from goroutine trace (hashes %#016x vs %#016x)",
-				workers, flatHash, goroHash)
-		}
-		if len(flatAnchors) != len(goroAnchors) {
-			t.Fatalf("workers=%d: anchor count %d (flat) vs %d (goroutine)",
-				workers, len(flatAnchors), len(goroAnchors))
-		}
-		for i := range goroAnchors {
-			if flatAnchors[i] != goroAnchors[i] {
-				t.Errorf("workers=%d: anchor %q = %+v (flat), want %+v",
-					workers, goroAnchors[i].Name, flatAnchors[i], goroAnchors[i])
+	cfg := Fig1Config{Proto: Proto{Seed: 42}, BlobMB: 16}
+	for _, n := range []int{1, 8, 32} {
+		for run := 0; run < 2; run++ {
+			for _, upload := range []bool{false, true} {
+				var flat *fig1Round
+				if upload {
+					flat = fig1UploadStart(cfg, n, run, nil)
+				} else {
+					flat = fig1DownloadStart(cfg, n, run, nil)
+				}
+				flat.cloud.Engine.Run()
+				proc := fig1ProcRound(cfg, n, run, upload)
+				fe, pe := flat.cloud.Engine, proc.cloud.Engine
+				if fe.EventsFired() != pe.EventsFired() || fe.Now() != pe.Now() {
+					t.Fatalf("n=%d run=%d upload=%v: actors fired %d events to %v, processes %d to %v",
+						n, run, upload, fe.EventsFired(), fe.Now(), pe.EventsFired(), pe.Now())
+				}
+				fs, fa := flat.finish()
+				ps, pa := proc.finish()
+				if *fs != *ps || fa != pa {
+					t.Fatalf("n=%d run=%d upload=%v: actors %+v agg %v, processes %+v agg %v",
+						n, run, upload, *fs, fa, *ps, pa)
+				}
 			}
 		}
 	}
 }
 
-// TestFlatGoldenHashes pins flat mode to the recorded golden hashes: the
-// flat path must reproduce the exact seed-solver traces, not merely agree
-// with whatever the goroutine path currently does.
+// TestFlatGoldenHashes pins fig1's actor clients to the recorded golden
+// hashes: they must reproduce the exact seed-solver traces.
 func TestFlatGoldenHashes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace goldens are slow")
 	}
 	runs := map[string]Fig1Config{
 		"fig1/seed42": {
-			Proto: Proto{Seed: 42, Clients: []int{1, 8, 32, 64, 128, 192}, Runs: 1, Flat: true}, BlobMB: 32},
+			Proto: Proto{Seed: 42, Clients: []int{1, 8, 32, 64, 128, 192}, Runs: 1}, BlobMB: 32},
 		"fig1/seed7": {
-			Proto: Proto{Seed: 7, Clients: []int{1, 64, 192}, Runs: 2, Flat: true}, BlobMB: 16},
+			Proto: Proto{Seed: 7, Clients: []int{1, 64, 192}, Runs: 2}, BlobMB: 16},
 	}
 	for name, cfg := range runs {
 		_, got, _ := fig1Encoded(cfg)
 		if want := goldenTraces[name]; got != want {
-			t.Errorf("flat %s = %#016x, want %#016x (flat path not bit-identical to seed trace)", name, got, want)
+			t.Errorf("%s = %#016x, want %#016x (not bit-identical to the seed trace)", name, got, want)
 		}
 	}
 }
@@ -82,7 +131,7 @@ func TestFlatGoldenHashes(t *testing.T) {
 // flat round settles back to (at most) where it started.
 func TestFlatNoGoroutineLeak(t *testing.T) {
 	cfg := Fig1Config{
-		Proto:      Proto{Seed: 42, Clients: []int{64}, Runs: 1, Flat: true},
+		Proto:      Proto{Seed: 42, Clients: []int{64}, Runs: 1},
 		BlobMB:     4,
 		SkipUpload: true,
 	}
@@ -100,7 +149,7 @@ func TestFlatNoGoroutineLeak(t *testing.T) {
 
 // TestFig1AggDegenerate pins the scale-exposed NaN fix: a cell that moves
 // no bytes over no elapsed time reports aggregate 0, not 0/0 = NaN, and a
-// zero-client sweep produces finite (zero) point fields in both modes.
+// zero-client sweep produces finite (zero) point fields.
 func TestFig1AggDegenerate(t *testing.T) {
 	if agg := fig1Agg(0, 0, 0); agg != 0 {
 		t.Fatalf("fig1Agg(0,0,0) = %v, want 0", agg)
@@ -111,21 +160,19 @@ func TestFig1AggDegenerate(t *testing.T) {
 	if agg := fig1Agg(1_000_000, 3, 1); agg != 0.5 {
 		t.Fatalf("fig1Agg(1MB over 2s) = %v, want 0.5", agg)
 	}
-	for _, flat := range []bool{false, true} {
-		cfg := Fig1Config{
-			Proto:      Proto{Seed: 42, Clients: []int{0}, Runs: 1, Flat: flat},
-			BlobMB:     4,
-			SkipUpload: true,
-		}
-		res := RunFig1(cfg)
-		if len(res.Points) != 1 {
-			t.Fatalf("flat=%v: got %d points, want 1", flat, len(res.Points))
-		}
-		p := res.Points[0]
-		for _, v := range []float64{p.DownMBps, p.DownAggMBps, p.UpMBps, p.UpAggMBps, p.DownMBpsStddev} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("flat=%v: zero-client point has non-finite field: %+v", flat, p)
-			}
+	cfg := Fig1Config{
+		Proto:      Proto{Seed: 42, Clients: []int{0}, Runs: 1},
+		BlobMB:     4,
+		SkipUpload: true,
+	}
+	res := RunFig1(cfg)
+	if len(res.Points) != 1 {
+		t.Fatalf("got %d points, want 1", len(res.Points))
+	}
+	p := res.Points[0]
+	for _, v := range []float64{p.DownMBps, p.DownAggMBps, p.UpMBps, p.UpAggMBps, p.DownMBpsStddev} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("zero-client point has non-finite field: %+v", p)
 		}
 	}
 }

@@ -49,12 +49,6 @@ type Proto struct {
 	Scale Scale // which protocol variant a registry Run expands to
 	Size  int   // payload-size override in bytes (blob/entity/message); 0 = scale default
 
-	// Flat runs each client as a kernel-driven flat actor instead of a
-	// goroutine process, where the experiment supports it (fig1). Traces are
-	// bit-identical either way; flat mode exists for client counts where a
-	// goroutine per client is too expensive.
-	Flat bool
-
 	// Domains shards each cell's independent simulation units across a
 	// sim.Domains group of this width, where the experiment supports it
 	// (fig1, fig2): units run concurrently inside the deterministic windowed
@@ -93,7 +87,6 @@ func (p Proto) Apply(base Proto) Proto {
 	}
 	base.Scale = p.Scale
 	base.Size = p.Size
-	base.Flat = p.Flat
 	base.Domains = p.Domains
 	base.DomainStats = p.DomainStats
 	return base

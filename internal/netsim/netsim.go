@@ -229,15 +229,17 @@ func (f *Fabric) Transfer(p *sim.Proc, size int64, path ...*Link) time.Duration 
 // TransferFlat is the flat-actor form of Transfer: it injects the flow and
 // arms then to run at the instant the last byte arrives, without parking a
 // goroutine. A zero-size transfer completes synchronously (then runs before
-// TransferFlat returns), mirroring Transfer's immediate return. Flat actors
-// have no Kill, so there is no implicit abandon path — then always runs.
-func (f *Fabric) TransferFlat(a *sim.Actor, size int64, then func(), path ...*Link) {
+// TransferFlat returns, and the returned flow is nil), mirroring Transfer's
+// immediate return. The returned flow is what an aborted request hands to
+// Abandon.
+func (f *Fabric) TransferFlat(a *sim.Actor, size int64, then func(), path ...*Link) *Flow {
 	if size <= 0 {
 		then()
-		return
+		return nil
 	}
 	fl := f.StartFlow(size, path...)
 	fl.done.WaitFlat(a, then)
+	return fl
 }
 
 // StartFlow injects a flow without blocking. The returned flow's done signal

@@ -22,8 +22,13 @@ import "time"
 // Discipline: every step must either arm a continuation (Sleep, a WaitFlat
 // registration, or a nested flat call that does so) or call Finish before
 // returning; a step that does neither has silently leaked the actor, and the
-// trampoline panics. Actors have no Kill — activities needing cancellation
-// or structured teardown stay on the process API.
+// trampoline panics.
+//
+// A process can drive the same continuations itself (Proc.Drive): its
+// actor's wakes then resume the process instead of running a trampoline, so
+// a flat state machine doubles as the body of a blocking call. Actors
+// driven by the kernel have no Kill; a process killed while parked in
+// Drive runs the abort it was given (see Proc.Drive).
 type Actor struct {
 	eng    *Engine
 	name   string
@@ -38,6 +43,10 @@ type Actor struct {
 	// registrations so parking on a signal allocates nothing. One signal
 	// wait may be outstanding at a time.
 	waiter sigWaiter
+
+	// proc, when set, is the process driving this actor (Proc.Drive):
+	// every wake resumes it instead of scheduling the trampoline.
+	proc *Proc
 }
 
 // Bind attaches the actor to an engine and allocates its trampoline. It must
@@ -107,6 +116,10 @@ func (a *Actor) Finish() {
 // armEvent registers then and schedules the wake that runs it.
 func (a *Actor) armEvent(at time.Duration, then func()) {
 	a.arm(then)
+	if a.proc != nil {
+		a.proc.scheduleResumeAt(at, false)
+		return
+	}
 	a.wake = a.eng.scheduleOwned(at, a.onWake, a.daemon, true)
 }
 
@@ -127,6 +140,10 @@ func (a *Actor) arm(then func()) {
 // wakeNow schedules the externally armed continuation to run at the current
 // instant — the actor-side mirror of Proc.wakeNow, used by Signal.Fire.
 func (a *Actor) wakeNow() {
+	if a.proc != nil {
+		a.proc.wakeNow()
+		return
+	}
 	if a.wake != nil {
 		panic("sim: double wake of actor " + a.name)
 	}
@@ -140,11 +157,16 @@ func (a *Actor) wakeNow() {
 // continuation, execute it, and enforce the arm-or-finish discipline.
 func (a *Actor) step() {
 	a.wake = nil
+	a.runNext()
+	if a.live && !a.armed {
+		panic("sim: actor " + a.name + " step returned without arming a continuation or calling Finish")
+	}
+}
+
+// runNext consumes the armed continuation and executes it.
+func (a *Actor) runNext() {
 	a.armed = false
 	fn := a.next
 	a.next = nil
 	fn()
-	if a.live && !a.armed {
-		panic("sim: actor " + a.name + " step returned without arming a continuation or calling Finish")
-	}
 }

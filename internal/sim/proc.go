@@ -52,6 +52,12 @@ type Proc struct {
 	// Kill can take it out of a Resource/Signal/Queue queue. It must be
 	// idempotent. nil when not parked on a list.
 	detach func()
+
+	// act is the actor Drive runs flat state machines on, created on the
+	// first Drive and reused by every later one (nested Drives share it);
+	// flatSig is the signal its pending WaitFlat is parked on, for Kill.
+	act     *Actor
+	flatSig *Signal
 }
 
 type resumeMsg struct {
@@ -251,6 +257,14 @@ func (p *Proc) wakeup() {
 // list it is on; Kill uses it. suspend must only be called from the
 // process's own goroutine.
 func (p *Proc) suspend(detach func()) {
+	if p.park(detach) {
+		panic(killError{p.name})
+	}
+}
+
+// park is suspend without the unwind: it reports whether the resume was a
+// Kill's.
+func (p *Proc) park(detach func()) (killed bool) {
 	p.detach = detach
 	p.state = procSuspended
 	w := p.w
@@ -258,9 +272,52 @@ func (p *Proc) suspend(detach func()) {
 	msg := <-w.resume
 	p.state = procRunning
 	p.detach = nil
-	if msg.kill {
-		panic(killError{p.name})
+	return msg.kill
+}
+
+// Drive runs a flat state machine as a blocking call on the process's own
+// goroutine. start issues the machine's first step on the process's actor;
+// Drive then parks the process on each continuation the machine arms and
+// runs it on resume, until a step arms nothing — the machine has delivered
+// its result to its completion callback — and returns.
+//
+// Each wake the machine arms (Actor.Sleep, Signal.WaitFlat, a completing
+// flow) schedules the process's own resume, so a stage costs exactly the
+// one event and sequence number a Proc.Sleep or Signal.Wait would: a
+// blocking call expressed through Drive is trace-identical to the same
+// machine driven by the kernel, and to a hand-written blocking body with
+// the same stages.
+//
+// A continuation may itself make blocking calls, including nested Drives on
+// the same actor. If the process is killed while parked, Drive runs abort
+// (may be nil) before unwinding: abort must release whatever the machine
+// holds at its current stage (a station slot, a flow, a gauge) without
+// counting the request as served or delivering its completion.
+func (p *Proc) Drive(start func(a *Actor), abort func()) {
+	p.killCheck()
+	a := p.act
+	if a == nil {
+		a = &Actor{eng: p.eng, name: p.name, daemon: p.daemon, proc: p}
+		p.act = a
 	}
+	if a.armed {
+		panic("sim: Drive by process " + p.name + " with a continuation already armed")
+	}
+	settled := false
+	defer func() {
+		if !settled && abort != nil {
+			abort()
+		}
+	}()
+	start(a)
+	for a.armed {
+		if p.park(nil) {
+			panic(killError{p.name})
+		}
+		p.flatSig = nil
+		a.runNext()
+	}
+	settled = true
 }
 
 // scheduleResumeAt arranges the kernel to hand control back to the suspended
@@ -343,6 +400,14 @@ func (p *Proc) Kill() {
 		if p.detach != nil {
 			p.detach()
 			p.detach = nil
+		}
+		if s := p.flatSig; s != nil {
+			// A flat wait parked inside Drive: take it off the signal
+			// unless a Fire already released it.
+			if !p.act.waiter.released {
+				s.remove(&p.act.waiter)
+			}
+			p.flatSig = nil
 		}
 		p.scheduleResumeAt(p.eng.now, true)
 	case procCreated:

@@ -129,13 +129,21 @@ func (rt *RealTime) Serve() {
 
 		for i := range batch {
 			batch[i].fn()
-			close(batch[i].done)
+			if rt.mode == Paced {
+				close(batch[i].done)
+			}
 		}
 		switch rt.mode {
 		case FreeRun:
 			// Drain on demand: only a submission can create foreground work.
+			// The batch's callers are released only after the drain, so
+			// anything they observe next (an operation they poll) already
+			// reflects the work their submissions started.
 			if len(batch) > 0 {
 				rt.eng.Run()
+			}
+			for i := range batch {
+				close(batch[i].done)
 			}
 		case Paced:
 			rt.eng.RunUntil(virtEpoch + time.Since(wallEpoch))

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -34,6 +35,40 @@ func TestRealTimeFreeRunDrains(t *testing.T) {
 	}
 	if !eng.Drained() {
 		t.Fatal("engine not drained after Close")
+	}
+}
+
+// TestRealTimeFreeRunDoReturnsAfterDrain pins the other half of the
+// free-run contract: Do itself returns only once the work its submission
+// started has drained, so a caller that reads state the work publishes off
+// the engine goroutine (a polled operation) right after Do sees it done.
+func TestRealTimeFreeRunDoReturnsAfterDrain(t *testing.T) {
+	eng := NewEngine()
+	rt := NewRealTime(eng, FreeRun)
+	go rt.Serve()
+	defer rt.Close()
+
+	for i := 0; i < 20; i++ {
+		var mu sync.Mutex
+		finished := false
+		rt.Do(func() {
+			eng.Spawn("op", func(p *Proc) {
+				// Enough engine work that a Do released before the drain
+				// would be observed mid-flight.
+				for j := 0; j < 2000; j++ {
+					p.Sleep(time.Millisecond)
+				}
+				mu.Lock()
+				finished = true
+				mu.Unlock()
+			})
+		})
+		mu.Lock()
+		done := finished
+		mu.Unlock()
+		if !done {
+			t.Fatalf("submission %d: Do returned before its work drained", i)
+		}
 	}
 }
 

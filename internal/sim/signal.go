@@ -107,6 +107,9 @@ func (s *Signal) FireOne() bool {
 func (s *Signal) WaitFlat(a *Actor, then func()) {
 	a.arm(then)
 	a.waiter = sigWaiter{a: a}
+	if a.proc != nil {
+		a.proc.flatSig = s
+	}
 	s.waiters = append(s.waiters, &a.waiter)
 }
 

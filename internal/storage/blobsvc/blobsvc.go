@@ -20,7 +20,6 @@ import (
 	"azureobs/internal/sim"
 	"azureobs/internal/simrand"
 	"azureobs/internal/storage/reqpath"
-	"azureobs/internal/storage/storerr"
 )
 
 // Config parameterises the service. Zero fields take calibrated defaults.
@@ -111,6 +110,9 @@ type Service struct {
 	containers map[string]map[string]*Blob
 
 	downloads, uploads uint64
+
+	// calls is the free list of blocking-call states (see call).
+	calls []*call
 }
 
 // New creates a blob service on the network fabric.
@@ -242,56 +244,23 @@ func (s *Service) NewSession(id int) *Session {
 	}
 }
 
-// download moves a blob payload through the service egress and session
-// access link, then applies the integrity stage — the shared tail of Get and
-// GetRange.
-func (sess *Session) download(c *reqpath.Ctx, b *Blob, size int64) error {
-	if err := c.ReadFault(); err != nil {
-		return err
-	}
-	c.Transfer(size, b.egress, sess.down)
-	sess.svc.downloads++
-	return c.CorruptRead("%s/%s checksum mismatch", b.Container, b.Name)
-}
-
 // Get downloads a blob in full, blocking for the transfer, and returns its
 // size.
 func (sess *Session) Get(p *sim.Proc, container, name string) (size int64, err error) {
-	err = sess.pl.Do(p, "blob.Get", func(c *reqpath.Ctx) error {
-		b, ok := sess.svc.containers[container][name]
-		if !ok {
-			return c.Failf(storerr.CodeNotFound, "%s/%s", container, name)
-		}
-		size = b.Size
-		return sess.download(c, b, b.Size)
-	})
-	if err != nil {
-		size = 0
-	}
-	return size, err
+	c := sess.svc.call()
+	p.Drive(func(a *sim.Actor) { c.r.begin(a, sess, "blob.Get", bGet, container, name, 0, 0, false) }, c.r.abort)
+	return c.release()
 }
 
 // GetRange downloads length bytes starting at offset, returning the bytes
 // actually transferred (truncated at the blob end). Range reads against the
 // 2009 API are how clients parallelise a large download across connections.
 func (sess *Session) GetRange(p *sim.Proc, container, name string, offset, length int64) (int64, error) {
-	err := sess.pl.Do(p, "blob.GetRange", func(c *reqpath.Ctx) error {
-		b, ok := sess.svc.containers[container][name]
-		if !ok {
-			return c.Failf(storerr.CodeNotFound, "%s/%s", container, name)
-		}
-		if offset < 0 || offset >= b.Size || length <= 0 {
-			return c.Failf(storerr.CodeInternal, "bad range [%d,+%d) of %d", offset, length, b.Size)
-		}
-		if offset+length > b.Size {
-			length = b.Size - offset
-		}
-		return sess.download(c, b, length)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return length, nil
+	c := sess.svc.call()
+	p.Drive(func(a *sim.Actor) {
+		c.r.begin(a, sess, "blob.GetRange", bGetRange, container, name, offset, length, false)
+	}, c.r.abort)
+	return c.release()
 }
 
 // Put uploads a new blob of the given size. With overwrite false, an
@@ -299,38 +268,24 @@ func (sess *Session) GetRange(p *sim.Proc, container, name string, offset, lengt
 // which is how ModisAzure used it to elide duplicate work (Table 2's "Blob
 // already exists" entries).
 func (sess *Session) Put(p *sim.Proc, container, name string, size int64, overwrite bool) error {
-	return sess.pl.Do(p, "blob.Put", func(c *reqpath.Ctx) error {
-		cont, ok := sess.svc.containers[container]
-		if !ok {
-			return c.Failf(storerr.CodeNotFound, "container %s", container)
-		}
-		if _, exists := cont[name]; exists && !overwrite {
-			return c.Failf(storerr.CodeBlobExists, "%s/%s", container, name)
-		}
-		c.Transfer(size, sess.up, sess.svc.ingress)
-		cont[name] = sess.svc.newBlob(container, name, size, c.P.Now())
-		sess.svc.uploads++
-		return nil
-	})
+	c := sess.svc.call()
+	p.Drive(func(a *sim.Actor) { c.r.begin(a, sess, "blob.Put", bPut, container, name, 0, size, overwrite) }, c.r.abort)
+	_, err := c.release()
+	return err
 }
 
 // Exists checks blob existence with a lightweight request.
 func (sess *Session) Exists(p *sim.Proc, container, name string) (ok bool, err error) {
-	err = sess.pl.Do(p, "blob.Exists", func(*reqpath.Ctx) error {
-		_, ok = sess.svc.containers[container][name]
-		return nil
-	})
-	return ok && err == nil, err
+	c := sess.svc.call()
+	p.Drive(func(a *sim.Actor) { c.r.begin(a, sess, "blob.Exists", bExists, container, name, 0, 0, false) }, c.r.abort)
+	n, err := c.release()
+	return n != 0, err
 }
 
 // Delete removes a blob.
 func (sess *Session) Delete(p *sim.Proc, container, name string) error {
-	return sess.pl.Do(p, "blob.Delete", func(c *reqpath.Ctx) error {
-		cont := sess.svc.containers[container]
-		if _, ok := cont[name]; !ok {
-			return c.Failf(storerr.CodeNotFound, "%s/%s", container, name)
-		}
-		delete(cont, name)
-		return nil
-	})
+	c := sess.svc.call()
+	p.Drive(func(a *sim.Actor) { c.r.begin(a, sess, "blob.Delete", bDelete, container, name, 0, 0, false) }, c.r.abort)
+	_, err := c.release()
+	return err
 }

@@ -17,9 +17,10 @@ type bObs struct {
 }
 
 // TestFlatTraceMatchesBlocking runs the same blob workload — put, exists,
-// get, overwrite conflict, delete, miss — once on the blocking API and once
-// flat, and checks per-op completion instants, outcomes, events fired and
-// the final clock match exactly.
+// get, overwrite conflict, delete, miss — once on the blocking API (a process
+// driving the state machine through sim.Proc.Drive) and once on a
+// kernel-driven actor, and checks per-op completion instants, outcomes,
+// events fired and the final clock match exactly.
 func TestFlatTraceMatchesBlocking(t *testing.T) {
 	const size = 2 * netsim.MB
 

@@ -18,21 +18,20 @@ const (
 	qDelete
 )
 
-// ReqFlat is caller-owned flat-mode state for the queue ops: the blocking
-// bodies compiled into continuations on the caller's actor. The queue
-// service runs every client through one service-level pipeline, so each
-// flat client owns a ReqFlat (one outstanding request at a time) and reuses
-// it for every op it ever issues.
+// ReqFlat is the request state for the queue ops — their only
+// implementation. A kernel-driven caller owns one (one outstanding request
+// at a time), runs it on its own actor and reuses it for every op it ever
+// issues; the blocking methods (Add, Peek, ...) drive a pooled one on the
+// calling process through sim.Proc.Drive, with CtxFlat.Abort as the kill
+// path.
 //
-// Stage order replicates the blocking twins verbatim: admission (the queue
-// pipeline has no request-latency stage, so no wake is scheduled there),
-// the op's station visit, then the op body at the visit's end — Receive
-// selects and hides its message in that same atomic instant, before the
-// payload download, exactly as the blocking form does, so flat and blocking
-// consumers never race differently for the same message.
+// Stages: admission (the queue pipeline has no request-latency stage, so no
+// wake is scheduled there), the op's station visit, then the op body at the
+// visit's end — Receive selects and hides its message in that same atomic
+// instant, before the payload download, so concurrent receivers never race
+// for the same message.
 type ReqFlat struct {
 	svc *Service
-	a   *sim.Actor
 	c   reqpath.CtxFlat
 
 	op         qop
@@ -52,11 +51,10 @@ type ReqFlat struct {
 	afterDownload func() // cached: runs when the payload download ends
 }
 
-// NewReqFlat builds flat request state against the service.
+// NewReqFlat builds request state against the service.
 func (s *Service) NewReqFlat() *ReqFlat {
-	r := &ReqFlat{svc: s}
-	r.afterVisit = r.visited
-	r.afterDownload = r.downloaded
+	r := &ReqFlat{}
+	r.Init(s)
 	return r
 }
 
@@ -70,8 +68,8 @@ func (r *ReqFlat) Init(s *Service) {
 	r.afterDownload = r.downloaded
 }
 
-// BeginAdd issues one flat Add on actor a, as Add; done receives the new
-// message's id.
+// BeginAdd issues one Add on actor a: the message body, padded to size
+// bytes, is appended; done receives the new message's id.
 func (r *ReqFlat) BeginAdd(a *sim.Actor, q *Queue, body string, size int, done func(id uint64, err error)) {
 	r.addDone = done
 	if size < len(body) {
@@ -81,22 +79,25 @@ func (r *ReqFlat) BeginAdd(a *sim.Actor, q *Queue, body string, size int, done f
 	if !r.begin(a, qAdd, "queue.Add") {
 		return
 	}
-	r.a.Sleep(r.svc.add.BeginVisit(r.c.UploadCost(size)), r.afterVisit)
+	r.c.Visit(r.svc.add, r.c.UploadCost(size), r.afterVisit)
 }
 
-// BeginPeek issues one flat Peek on actor a, as Peek: ok=false with a nil
-// error when no message is visible.
+// BeginPeek issues one Peek on actor a: the first visible message, without
+// changing queue state; ok=false with a nil error when none is visible.
 func (r *ReqFlat) BeginPeek(a *sim.Actor, q *Queue, done func(msg *Message, ok bool, err error)) {
 	r.peekDone = done
 	r.q = q
 	if !r.begin(a, qPeek, "queue.Peek") {
 		return
 	}
-	r.a.Sleep(r.svc.peek.BeginVisit(0), r.afterVisit)
+	r.c.Visit(r.svc.peek, 0, r.afterVisit)
 }
 
-// BeginReceive issues one flat Receive on actor a, as Receive (visibility
-// zero means the service default; values above MaxVisibility clamp).
+// BeginReceive issues one Receive on actor a: it pops the first visible
+// message, hiding it for the visibility window (zero means the service
+// default; values above MaxVisibility clamp). If the consumer does not
+// Delete it in time it reappears for other consumers — the automatic retry
+// behaviour of Section 5.2.
 func (r *ReqFlat) BeginReceive(a *sim.Actor, q *Queue, visibility time.Duration, done func(msg *Message, rcpt Receipt, ok bool, err error)) {
 	r.recvDone = done
 	if visibility <= 0 {
@@ -109,26 +110,25 @@ func (r *ReqFlat) BeginReceive(a *sim.Actor, q *Queue, visibility time.Duration,
 	if !r.begin(a, qReceive, "queue.Receive") {
 		return
 	}
-	r.a.Sleep(r.svc.receive.BeginVisit(0), r.afterVisit)
+	r.c.Visit(r.svc.receive, 0, r.afterVisit)
 }
 
-// BeginDelete issues one flat Delete on actor a, as Delete.
+// BeginDelete issues one Delete on actor a. A stale receipt (the message
+// timed out and was re-received) is a conflict — exactly the
+// corrupted-output hazard the paper describes for slow tasks.
 func (r *ReqFlat) BeginDelete(a *sim.Actor, q *Queue, rcpt Receipt, done func(err error)) {
 	r.delDone = done
 	r.q, r.rcpt = q, rcpt
 	if !r.begin(a, qDelete, "queue.Delete") {
 		return
 	}
-	r.a.Sleep(r.svc.del.BeginVisit(0), r.afterVisit)
+	r.c.Visit(r.svc.del, 0, r.afterVisit)
 }
 
 // begin runs admission; it reports whether the request is still alive.
 func (r *ReqFlat) begin(a *sim.Actor, op qop, name string) bool {
-	if r.a != nil {
-		panic("queuesvc: ReqFlat already has a request in flight")
-	}
-	r.a, r.op = a, op
-	r.c.Begin(r.svc.pl, name, a.Now())
+	r.op = op
+	r.c.Begin(r.svc.pl, name, a)
 	if _, _, err := r.c.AdmitPre(); err != nil {
 		r.finish(err)
 		return false
@@ -141,10 +141,10 @@ func (r *ReqFlat) begin(a *sim.Actor, op qop, name string) bool {
 }
 
 func (r *ReqFlat) visited() {
-	s, q, now := r.svc, r.q, r.a.Now()
+	q, now := r.q, r.c.Now()
+	r.c.EndVisit()
 	switch r.op {
 	case qAdd:
-		s.add.EndVisit()
 		q.nextID++
 		m := &Message{ID: q.nextID, Body: r.body, Size: r.size, Inserted: now}
 		m.elem = q.msgs.PushBack(m)
@@ -152,16 +152,14 @@ func (r *ReqFlat) visited() {
 		r.m = m
 		r.finish(nil)
 	case qPeek:
-		s.peek.EndVisit()
 		m := q.firstVisible(now)
 		if m == nil {
 			r.finish(nil)
 			return
 		}
 		r.m = m
-		r.a.Sleep(r.c.DownloadCost(m.Size), r.afterDownload)
+		r.c.Sleep(r.c.DownloadCost(m.Size), r.afterDownload)
 	case qReceive:
-		s.receive.EndVisit()
 		m := q.firstVisible(now)
 		if m == nil {
 			r.finish(nil)
@@ -172,9 +170,8 @@ func (r *ReqFlat) visited() {
 		q.nextReceipt++
 		m.receipt = q.nextReceipt
 		r.m, r.rcpt = m, Receipt{MsgID: m.ID, token: q.nextReceipt}
-		r.a.Sleep(r.c.DownloadCost(m.Size), r.afterDownload)
+		r.c.Sleep(r.c.DownloadCost(m.Size), r.afterDownload)
 	case qDelete:
-		s.del.EndVisit()
 		m, ok := q.byID[r.rcpt.MsgID]
 		if !ok || m.deleted {
 			r.finish(r.c.Failf(storerr.CodeNotFound, "message %d", r.rcpt.MsgID))
@@ -196,10 +193,10 @@ func (r *ReqFlat) downloaded() { r.finish(nil) }
 func (r *ReqFlat) finish(err error) {
 	op, m, rcpt := r.op, r.m, r.rcpt
 	addDone, peekDone, recvDone, delDone := r.addDone, r.peekDone, r.recvDone, r.delDone
-	r.c.Finish(r.a.Now(), err)
+	r.c.Finish(err)
 	// Clear the in-flight state before the callback so the continuation can
 	// issue the next op immediately.
-	r.a, r.q, r.m = nil, nil, nil
+	r.q, r.m = nil, nil
 	r.body, r.rcpt = "", Receipt{}
 	r.addDone, r.peekDone, r.recvDone, r.delDone = nil, nil, nil, nil
 	switch op {

@@ -17,7 +17,8 @@ type qObs struct {
 
 // TestReqFlatTraceMatchesBlocking runs the same queue workload — add, peek,
 // receive, delete, visibility overrun, stale-receipt conflict — once on the
-// blocking API and once flat, and checks per-op completion instants,
+// blocking API (a process driving the state machine through sim.Proc.Drive)
+// and once on a kernel-driven actor, and checks per-op completion instants,
 // outcomes, events fired and the final clock match exactly.
 func TestReqFlatTraceMatchesBlocking(t *testing.T) {
 	runBlocking := func() (trace []qObs, fired uint64, end time.Duration) {

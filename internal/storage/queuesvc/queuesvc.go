@@ -25,7 +25,6 @@ import (
 	"azureobs/internal/simrand"
 	"azureobs/internal/storage/reqpath"
 	"azureobs/internal/storage/station"
-	"azureobs/internal/storage/storerr"
 )
 
 // Config parameterises the service; zero fields take calibrated defaults.
@@ -127,6 +126,9 @@ type Service struct {
 	add, peek, receive, del *station.Station
 
 	queues map[string]*Queue
+
+	// calls is the free list of blocking-call states (see call).
+	calls []*call
 }
 
 // Queue is one named message queue.
@@ -220,23 +222,6 @@ func (q *Queue) Prefill(n, size int) {
 	}
 }
 
-// Add appends a message with the given body, padded to size bytes.
-func (s *Service) Add(p *sim.Proc, q *Queue, body string, size int) (id uint64, err error) {
-	err = s.pl.Do(p, "queue.Add", func(c *reqpath.Ctx) error {
-		if size < len(body) {
-			size = len(body)
-		}
-		c.Station(s.add, c.UploadCost(size))
-		q.nextID++
-		m := &Message{ID: q.nextID, Body: body, Size: size, Inserted: c.P.Now()}
-		m.elem = q.msgs.PushBack(m)
-		q.byID[m.ID] = m
-		id = m.ID
-		return nil
-	})
-	return id, err
-}
-
 // firstVisible returns the first live visible message at the current time.
 func (q *Queue) firstVisible(now time.Duration) *Message {
 	for e := q.msgs.Front(); e != nil; e = e.Next() {
@@ -248,75 +233,79 @@ func (q *Queue) firstVisible(now time.Duration) *Message {
 	return nil
 }
 
+// call is one blocking request: a pooled ReqFlat plus the result its
+// completion delivers.
+type call struct {
+	svc  *Service
+	r    ReqFlat
+	id   uint64
+	m    *Message
+	rcpt Receipt
+	ok   bool
+	err  error
+
+	onAdd  func(uint64, error)
+	onPeek func(*Message, bool, error)
+	onRecv func(*Message, Receipt, bool, error)
+	onDel  func(error)
+}
+
+// call takes a blocking-call state from the service's free list.
+func (s *Service) call() *call {
+	if n := len(s.calls); n > 0 {
+		c := s.calls[n-1]
+		s.calls = s.calls[:n-1]
+		return c
+	}
+	c := &call{svc: s}
+	c.r.Init(s)
+	c.onAdd = func(id uint64, err error) { c.id, c.err = id, err }
+	c.onPeek = func(m *Message, ok bool, err error) { c.m, c.ok, c.err = m, ok, err }
+	c.onRecv = func(m *Message, rcpt Receipt, ok bool, err error) { c.m, c.rcpt, c.ok, c.err = m, rcpt, ok, err }
+	c.onDel = func(err error) { c.err = err }
+	return c
+}
+
+// release returns the call to the free list.
+func (c *call) release() {
+	c.m, c.err = nil, nil
+	c.svc.calls = append(c.svc.calls, c)
+}
+
+// Add appends a message with the given body, padded to size bytes.
+func (s *Service) Add(p *sim.Proc, q *Queue, body string, size int) (uint64, error) {
+	c := s.call()
+	p.Drive(func(a *sim.Actor) { c.r.BeginAdd(a, q, body, size, c.onAdd) }, c.r.c.Abort)
+	id, err := c.id, c.err
+	c.release()
+	return id, err
+}
+
 // Peek returns the first visible message without changing queue state, or
 // ok=false when the queue has none.
-func (s *Service) Peek(p *sim.Proc, q *Queue) (msg *Message, ok bool, err error) {
-	err = s.pl.Do(p, "queue.Peek", func(c *reqpath.Ctx) error {
-		c.Station(s.peek, 0)
-		m := q.firstVisible(c.P.Now())
-		if m == nil {
-			return nil
-		}
-		c.Download(m.Size)
-		msg, ok = m, true
-		return nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return msg, ok, nil
+func (s *Service) Peek(p *sim.Proc, q *Queue) (*Message, bool, error) {
+	c := s.call()
+	p.Drive(func(a *sim.Actor) { c.r.BeginPeek(a, q, c.onPeek) }, c.r.c.Abort)
+	m, ok, err := c.m, c.ok, c.err
+	c.release()
+	return m, ok, err
 }
 
 // Receive pops the first visible message, hiding it for the visibility
-// window (clamped to MaxVisibility; zero means the service default). If the
-// consumer does not Delete it in time it reappears for other consumers —
-// the automatic retry behaviour of Section 5.2.
-func (s *Service) Receive(p *sim.Proc, q *Queue, visibility time.Duration) (msg *Message, rcpt Receipt, ok bool, err error) {
-	err = s.pl.Do(p, "queue.Receive", func(c *reqpath.Ctx) error {
-		if visibility <= 0 {
-			visibility = s.cfg.DefaultVisibility
-		}
-		if visibility > s.cfg.MaxVisibility {
-			visibility = s.cfg.MaxVisibility
-		}
-		// The service time elapses first; the message is then selected and
-		// hidden in one atomic instant, so concurrent receivers never race
-		// for the same message. The payload transfer follows.
-		c.Station(s.receive, 0)
-		m := q.firstVisible(c.P.Now())
-		if m == nil {
-			return nil
-		}
-		m.visibleAt = c.P.Now() + visibility
-		m.Dequeues++
-		q.nextReceipt++
-		m.receipt = q.nextReceipt
-		msg, rcpt, ok = m, Receipt{MsgID: m.ID, token: q.nextReceipt}, true
-		c.Download(m.Size)
-		return nil
-	})
-	if err != nil {
-		return nil, Receipt{}, false, err
-	}
-	return msg, rcpt, ok, nil
+// window (see ReqFlat.BeginReceive).
+func (s *Service) Receive(p *sim.Proc, q *Queue, visibility time.Duration) (*Message, Receipt, bool, error) {
+	c := s.call()
+	p.Drive(func(a *sim.Actor) { c.r.BeginReceive(a, q, visibility, c.onRecv) }, c.r.c.Abort)
+	m, rcpt, ok, err := c.m, c.rcpt, c.ok, c.err
+	c.release()
+	return m, rcpt, ok, err
 }
 
-// Delete removes a received message. A stale receipt (the message timed out
-// and was re-received) is a conflict — exactly the corrupted-output hazard
-// the paper describes for slow tasks.
+// Delete removes a received message (see ReqFlat.BeginDelete).
 func (s *Service) Delete(p *sim.Proc, q *Queue, r Receipt) error {
-	return s.pl.Do(p, "queue.Delete", func(c *reqpath.Ctx) error {
-		c.Station(s.del, 0)
-		m, ok := q.byID[r.MsgID]
-		if !ok || m.deleted {
-			return c.Failf(storerr.CodeNotFound, "message %d", r.MsgID)
-		}
-		if m.receipt != r.token {
-			return c.Failf(storerr.CodeConflict, "stale receipt for message %d", m.ID)
-		}
-		m.deleted = true
-		q.msgs.Remove(m.elem)
-		delete(q.byID, m.ID)
-		return nil
-	})
+	c := s.call()
+	p.Drive(func(a *sim.Actor) { c.r.BeginDelete(a, q, r, c.onDel) }, c.r.c.Abort)
+	err := c.err
+	c.release()
+	return err
 }

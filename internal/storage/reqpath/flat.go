@@ -3,33 +3,47 @@ package reqpath
 import (
 	"time"
 
+	"azureobs/internal/netsim"
+	"azureobs/internal/sim"
 	"azureobs/internal/simrand"
+	"azureobs/internal/storage/station"
 	"azureobs/internal/storage/storerr"
 )
 
-// CtxFlat is the flat-actor counterpart of Ctx: one in-flight request whose
-// stages run as caller continuations instead of blocking a process. Services
-// embed one in their per-session (or per-client) flat request state, so a
-// steady-state request allocates nothing.
-//
-// Stage order and random-stream usage mirror Do/admit exactly — the same
-// draws from the same streams in the same order — which is what makes a flat
-// request trace-identical to its goroutine twin. The split is:
+// CtxFlat is one in-flight request whose stages run as continuations on an
+// actor. Services embed one in their per-session (or per-client) request
+// state, so a steady-state request allocates nothing. It is the only
+// implementation of every stage: a blocking op drives the same state
+// machine through sim.Proc.Drive, and sqlsvc's blocking bodies (Ctx) reuse
+// its stages. The split is:
 //
 //	Begin → AdmitPre → [sleep the returned latency] → AdmitPost →
-//	service body stages (Failf / ReadFault / CorruptRead / transfers) →
+//	service body stages (Failf / ReadFault / CorruptRead / Visit /
+//	Transfer) →
 //	Finish
 //
-// where the caller owns the sleep (via its Actor) and the transfer (via
-// netsim.TransferFlat).
+// where the caller owns the sleeps on its actor. Visit records the station
+// slot the request holds; Abort gives it up.
 type CtxFlat struct {
 	pl    *Pipeline
+	a     *sim.Actor
 	Op    string
 	start time.Duration
+	st    *station.Station // the station being visited, for Abort
 }
 
-// Begin arms the context for one request starting at virtual time now.
-func (c *CtxFlat) Begin(pl *Pipeline, op string, now time.Duration) {
+// Begin arms the context for one request on actor a, starting now. The
+// context holds one request: a Begin before the previous request's Finish
+// (or Abort) panics.
+func (c *CtxFlat) Begin(pl *Pipeline, op string, a *sim.Actor) {
+	if c.a != nil {
+		panic("reqpath: " + op + " begun with a request already in flight")
+	}
+	c.a = a
+	c.begin(pl, op, a.Now())
+}
+
+func (c *CtxFlat) begin(pl *Pipeline, op string, now time.Duration) {
 	c.pl, c.Op, c.start = pl, op, now
 }
 
@@ -37,7 +51,7 @@ func (c *CtxFlat) Begin(pl *Pipeline, op string, now time.Duration) {
 // outage gate, the conn-fail stage, then the latency draw. On success it
 // returns the admission latency the caller must sleep before AdmitPost;
 // hasSleep is false when the pipeline has no latency stage (the caller must
-// then proceed to AdmitPost without scheduling a wake, as admit would).
+// then proceed to AdmitPost without scheduling a wake).
 func (c *CtxFlat) AdmitPre() (sleep time.Duration, hasSleep bool, err error) {
 	pl := c.pl
 	switch pl.hs.outage {
@@ -77,7 +91,8 @@ func (c *CtxFlat) Failf(code storerr.Code, format string, args ...any) error {
 	return storerr.Newf(code, c.Op, format, args...)
 }
 
-// ReadFault applies the server-side read-failure stage, as Ctx.ReadFault.
+// ReadFault applies the server-side read-failure stage: with ReadFailProb it
+// returns the FaultRead reply, else nil.
 func (c *CtxFlat) ReadFault() error {
 	if hit(c.pl.read, c.pl.faultPlan().ReadFailProb) {
 		return c.fail(FaultRead, "read failed server-side")
@@ -85,7 +100,8 @@ func (c *CtxFlat) ReadFault() error {
 	return nil
 }
 
-// CorruptRead applies the post-download integrity stage, as Ctx.CorruptRead.
+// CorruptRead applies the post-download integrity stage: with
+// CorruptReadProb it returns the FaultCorrupt reply, else nil.
 func (c *CtxFlat) CorruptRead(format string, args ...any) error {
 	if hit(c.pl.corrupt, c.pl.faultPlan().CorruptReadProb) {
 		return storerr.Newf(FaultCorrupt.Code(), c.Op, format, args...)
@@ -93,22 +109,21 @@ func (c *CtxFlat) CorruptRead(format string, args ...any) error {
 	return nil
 }
 
-// Sample draws a duration from dist on the pipeline's latency stream, as
-// Ctx.Sample — same stream, same draw order.
+// Sample draws a duration from dist on the pipeline's latency stream — for
+// service-specific latencies (scan times, handshakes) that must not share a
+// stream with fault draws.
 func (c *CtxFlat) Sample(dist simrand.Dist) time.Duration {
 	return simrand.Duration(dist, c.pl.latency)
 }
 
-// TimeoutHit draws the timeout-stage Bernoulli trial, consuming exactly
-// what Ctx.TimeoutFault's gate would. On a hit the caller must sleep
-// ServerTimeout on its actor and finish with TimeoutErrf — the flat split
-// of TimeoutFault's burn-then-fail.
+// TimeoutHit draws the timeout-stage Bernoulli trial (the table service's
+// ingest-overload model). On a hit the caller must sleep ServerTimeout on
+// its actor and finish with TimeoutErrf.
 func (c *CtxFlat) TimeoutHit(prob float64) bool {
 	return hit(c.pl.timeout, prob)
 }
 
-// TimeoutErrf builds the timeout reply issued after the ServerTimeout
-// burn, as Ctx.Timeout's error half.
+// TimeoutErrf builds the timeout reply issued after the ServerTimeout burn.
 func (c *CtxFlat) TimeoutErrf(format string, args ...any) error {
 	return storerr.Newf(FaultTimeout.Code(), c.Op, format, args...)
 }
@@ -117,22 +132,72 @@ func (c *CtxFlat) TimeoutErrf(format string, args ...any) error {
 // must burn before delivering a timeout reply.
 func (c *CtxFlat) ServerTimeout() time.Duration { return c.pl.cfg.ServerTimeout }
 
-// UploadCost prices a size-byte client→service payload, as Ctx.UploadCost.
+// UploadCost prices a size-byte client→service payload at the configured
+// per-connection upload bandwidth.
 func (c *CtxFlat) UploadCost(size int) time.Duration {
 	return bwCost(size, c.pl.cfg.UploadBW)
 }
 
-// DownloadCost prices a size-byte service→client payload, as
-// Ctx.DownloadCost.
+// DownloadCost prices a size-byte service→client payload at the configured
+// per-connection download bandwidth.
 func (c *CtxFlat) DownloadCost(size int) time.Duration {
 	return bwCost(size, c.pl.cfg.DownloadBW)
 }
 
-// Finish delivers the completed request to the pipeline's hooks; now is the
-// completion instant and err the request's outcome (nil on success). It is
-// the flat counterpart of Do's hook loop and must run exactly once per
-// Begin, before the caller's own completion callback.
-func (c *CtxFlat) Finish(now time.Duration, err error) {
+// Sleep arms then to run d from now on the request's actor — the latency
+// stages the caller prices itself (payload download, timeout burn).
+func (c *CtxFlat) Sleep(d time.Duration, then func()) { c.a.Sleep(d, then) }
+
+// Now returns the request's current virtual time.
+func (c *CtxFlat) Now() time.Duration { return c.a.Now() }
+
+// Visit is the StationStage: one contended visit at st, with extra added to
+// the sampled service time. then runs when the service time ends and must
+// call EndVisit first.
+func (c *CtxFlat) Visit(st *station.Station, extra time.Duration, then func()) {
+	c.st = st
+	c.a.Sleep(st.BeginVisit(extra), then)
+}
+
+// EndVisit completes the visit begun by Visit.
+func (c *CtxFlat) EndVisit() {
+	c.st.EndVisit()
+	c.st = nil
+}
+
+// Transfer is the fabric TransferStage: a size-byte transfer across path
+// under max-min fair sharing; then runs when the last byte arrives (at
+// once, with a nil flow returned, for an empty payload). An aborted request
+// abandons the returned flow (AbortTransfer).
+func (c *CtxFlat) Transfer(size int64, then func(), path ...*netsim.Link) *netsim.Flow {
+	return c.pl.cfg.Net.TransferFlat(c.a, size, then, path...)
+}
+
+// AbortTransfer withdraws an unfinished flow begun by Transfer: its
+// bandwidth is redistributed and its completion never runs.
+func (c *CtxFlat) AbortTransfer(fl *netsim.Flow) { c.pl.cfg.Net.Abandon(fl) }
+
+// Abort withdraws the request at its current stage: a station slot is
+// given up without counting the op, and no hook sees the request. It is
+// the abort a blocking op hands to sim.Proc.Drive; machines that hold more
+// (a flow, a scan registration) release that first.
+func (c *CtxFlat) Abort() {
+	if c.st != nil {
+		c.st.AbortVisit()
+	}
+	c.st, c.a = nil, nil
+}
+
+// Finish delivers the completed request to the pipeline's hooks with err
+// (nil on success) as its outcome. It must run exactly once per Begin,
+// before the caller's own completion callback.
+func (c *CtxFlat) Finish(err error) {
+	now := c.a.Now()
+	c.st, c.a = nil, nil
+	c.finish(now, err)
+}
+
+func (c *CtxFlat) finish(now time.Duration, err error) {
 	for _, h := range c.pl.hs.hooks {
 		h(Event{Service: c.pl.cfg.Service, Op: c.Op, Start: c.start, Latency: now - c.start, Err: err})
 	}

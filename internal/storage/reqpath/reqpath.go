@@ -21,6 +21,12 @@
 //     shares, so the azure client's RetryPolicy classifies faults from any
 //     service identically.
 //
+// Each stage is written once, on CtxFlat: blob, table and queue ops are
+// flat state machines over it, run either by a kernel-driven sim.Actor or,
+// for their blocking forms, by the calling process through sim.Proc.Drive.
+// Ctx adds the calling process for the one service written as blocking
+// bodies (sqlsvc).
+//
 // Determinism: every stage draws from its own named simrand stream (forked
 // as "reqpath/<stage>"), and disabled stages (probability 0 or 1) draw
 // nothing. Enabling a fault on one stage therefore never perturbs the draws
@@ -104,10 +110,10 @@ type FaultConfig struct {
 	// request latency but before the body runs.
 	ServerBusyProb float64
 	// ReadFailProb fails read-class ops server-side (CodeTimeout) where the
-	// service calls Ctx.ReadFault.
+	// service calls CtxFlat.ReadFault.
 	ReadFailProb float64
 	// CorruptReadProb corrupts downloaded payloads (CodeCorruptRead) where
-	// the service calls Ctx.CorruptRead.
+	// the service calls CtxFlat.CorruptRead.
 	CorruptReadProb float64
 }
 
@@ -155,16 +161,16 @@ type Config struct {
 	// Latency, when set, is the per-request admission latency slept between
 	// the conn-fail and server-busy checks (blob's RequestLatency).
 	Latency simrand.Dist
-	// Net carries Ctx.Transfer payloads; required only by services that
+	// Net carries CtxFlat.Transfer payloads; required only by services that
 	// price transfers through the shared fabric (blob).
 	Net *netsim.Fabric
-	// UploadBW / DownloadBW price Ctx.Upload/Download payload costs for
+	// UploadBW / DownloadBW price UploadCost/DownloadCost payloads for
 	// services that model a fixed per-connection bandwidth instead of a
 	// fabric path (table, queue, SQL).
 	UploadBW   netsim.Bandwidth
 	DownloadBW netsim.Bandwidth
-	// ServerTimeout is the server-side deadline burned by Ctx.TimeoutFault
-	// and Ctx.Timeout before the timeout reply is issued.
+	// ServerTimeout is the server-side deadline a request burns before a
+	// timeout reply (CtxFlat.ServerTimeout, TimeoutErrf).
 	ServerTimeout time.Duration
 }
 
@@ -278,136 +284,44 @@ func hit(r *simrand.RNG, p float64) bool {
 	return r.Hit(p)
 }
 
-// Ctx is one in-flight request.
+// Ctx is one in-flight request of a service written as a blocking body
+// (sqlsvc): the request state of CtxFlat plus the calling process, which
+// the body's blocking stages park.
 type Ctx struct {
-	pl    *Pipeline
-	P     *sim.Proc
-	Op    string
-	start time.Duration
+	CtxFlat
+	P *sim.Proc
 }
 
-// Do runs one request: admission (conn-fail → request latency →
-// server-busy), then body, then hook delivery. The returned error is the
-// body's, or the admission fault.
+// Do runs one request with a blocking body: admission (conn-fail → request
+// latency → server-busy), then body, then hook delivery. The returned error
+// is the body's, or the admission fault. Services whose ops are flat state
+// machines run them through CtxFlat instead.
 func (pl *Pipeline) Do(p *sim.Proc, op string, body func(*Ctx) error) error {
-	c := &Ctx{pl: pl, P: p, Op: op, start: p.Now()}
-	err := pl.admit(c)
+	c := &Ctx{P: p}
+	c.begin(pl, op, p.Now())
+	sleep, hasSleep, err := c.AdmitPre()
+	if err == nil && hasSleep {
+		p.Sleep(sleep)
+	}
+	if err == nil {
+		err = c.AdmitPost()
+	}
 	if err == nil {
 		err = body(c)
 	}
-	for _, h := range pl.hs.hooks {
-		h(Event{Service: pl.cfg.Service, Op: op, Start: c.start, Latency: p.Now() - c.start, Err: err})
-	}
+	c.finish(p.Now(), err)
 	return err
 }
 
-// admit is the FaultStage's admission half plus the request-latency stage,
-// preceded by the outage gate.
-func (pl *Pipeline) admit(c *Ctx) error {
-	switch pl.hs.outage {
-	case OutageBlackout:
-		return c.fail(FaultConn, "service blackout")
-	case OutageBrownout:
-		if pl.outage.Hit(BrownoutBusyProb) {
-			return c.fail(FaultBusy, "service brownout")
-		}
-	}
-	if hit(pl.conn, pl.faultPlan().ConnFailProb) {
-		return c.fail(FaultConn, "connection reset")
-	}
-	if pl.cfg.Latency != nil {
-		c.P.Sleep(simrand.Duration(pl.cfg.Latency, pl.latency))
-	}
-	if hit(pl.busy, pl.faultPlan().ServerBusyProb) {
-		return c.fail(FaultBusy, "throttled")
-	}
-	return nil
-}
-
-// fail issues the ReplyStage mapping for an injected fault.
-func (c *Ctx) fail(f Fault, msg string) error {
-	return storerr.New(f.Code(), c.Op, msg)
-}
-
-// Failf builds a service-semantic error (not-found, conflict, ...) carrying
-// the request's op.
-func (c *Ctx) Failf(code storerr.Code, format string, args ...any) error {
-	return storerr.Newf(code, c.Op, format, args...)
-}
-
-// ReadFault applies the server-side read-failure stage: with ReadFailProb it
-// returns the FaultRead reply, else nil.
-func (c *Ctx) ReadFault() error {
-	if hit(c.pl.read, c.pl.faultPlan().ReadFailProb) {
-		return c.fail(FaultRead, "read failed server-side")
-	}
-	return nil
-}
-
-// CorruptRead applies the post-download integrity stage: with
-// CorruptReadProb it returns the FaultCorrupt reply, else nil.
-func (c *Ctx) CorruptRead(format string, args ...any) error {
-	if hit(c.pl.corrupt, c.pl.faultPlan().CorruptReadProb) {
-		return storerr.Newf(FaultCorrupt.Code(), c.Op, format, args...)
-	}
-	return nil
-}
-
-// TimeoutFault fails the request with probability prob, burning the
-// configured ServerTimeout first — the table service's ingest-overload
-// behaviour. It returns nil when the draw misses.
-func (c *Ctx) TimeoutFault(prob float64, format string, args ...any) error {
-	if !hit(c.pl.timeout, prob) {
-		return nil
-	}
-	return c.Timeout(format, args...)
-}
-
-// Timeout unconditionally burns the ServerTimeout and returns the timeout
-// reply — for deadlines the service has already decided are blown (slow
-// scans).
-func (c *Ctx) Timeout(format string, args ...any) error {
-	c.P.Sleep(c.pl.cfg.ServerTimeout)
-	return storerr.Newf(FaultTimeout.Code(), c.Op, format, args...)
-}
-
-// Station is the StationStage: one contended visit, with extra added to the
-// sampled service time (payload transfer, replication sync).
+// Station is the StationStage for a blocking body: one contended visit,
+// with extra added to the sampled service time.
 func (c *Ctx) Station(st *station.Station, extra time.Duration) time.Duration {
 	return st.Visit(c.P, extra)
 }
-
-// Transfer is the fabric TransferStage: it blocks the request for a
-// size-byte transfer across the given links under max-min fair sharing.
-func (c *Ctx) Transfer(size int64, links ...*netsim.Link) time.Duration {
-	return c.pl.cfg.Net.Transfer(c.P, size, links...)
-}
-
-// UploadCost prices a size-byte client→service payload at the configured
-// per-connection upload bandwidth.
-func (c *Ctx) UploadCost(size int) time.Duration {
-	return bwCost(size, c.pl.cfg.UploadBW)
-}
-
-// DownloadCost prices a size-byte service→client payload at the configured
-// per-connection download bandwidth.
-func (c *Ctx) DownloadCost(size int) time.Duration {
-	return bwCost(size, c.pl.cfg.DownloadBW)
-}
-
-// Download blocks the request for the download cost of a size-byte payload.
-func (c *Ctx) Download(size int) { c.P.Sleep(c.DownloadCost(size)) }
 
 func bwCost(size int, bw netsim.Bandwidth) time.Duration {
 	if bw <= 0 {
 		return 0
 	}
 	return time.Duration(float64(size) / float64(bw) * float64(time.Second))
-}
-
-// Sample draws a duration from dist on the pipeline's latency stream — for
-// service-specific latencies (scan times, handshakes) that must not share a
-// stream with fault draws.
-func (c *Ctx) Sample(dist simrand.Dist) time.Duration {
-	return simrand.Duration(dist, c.pl.latency)
 }

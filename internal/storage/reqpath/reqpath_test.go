@@ -64,7 +64,13 @@ func TestBodyStages(t *testing.T) {
 	}
 
 	pl = New(simrand.New(1), Config{Service: "t", ServerTimeout: 3 * time.Second})
-	d, err := runOne(t, pl, "t.op", func(c *Ctx) error { return c.TimeoutFault(1, "overloaded") })
+	d, err := runOne(t, pl, "t.op", func(c *Ctx) error {
+		if !c.TimeoutHit(1) {
+			return nil
+		}
+		c.P.Sleep(c.ServerTimeout())
+		return c.TimeoutErrf("overloaded")
+	})
 	if !storerr.IsCode(err, storerr.CodeTimeout) {
 		t.Fatalf("timeout fault = %v", err)
 	}

@@ -111,6 +111,16 @@ func (st *Station) BeginVisit(extra time.Duration) time.Duration {
 	return st.SampleLatency() + extra
 }
 
+// AbortVisit withdraws a flat-mode visit begun with BeginVisit without
+// serving it — the killed-visitor path: the client detaches and the op does
+// not count.
+func (st *Station) AbortVisit() {
+	if st.attached == 0 {
+		panic("station: AbortVisit without BeginVisit")
+	}
+	st.attached--
+}
+
 // EndVisit completes a flat-mode visit begun with BeginVisit.
 func (st *Station) EndVisit() {
 	if st.attached == 0 {

@@ -1,7 +1,9 @@
 package tablesvc
 
 import (
-	"sort"
+	"slices"
+	"strings"
+	"time"
 
 	"azureobs/internal/sim"
 	"azureobs/internal/simrand"
@@ -10,35 +12,45 @@ import (
 	"azureobs/internal/storage/storerr"
 )
 
-// GetFlat is caller-owned flat-mode state for table Get requests: the Get
-// body compiled into continuations on the caller's actor. Unlike blob
-// sessions, the table service runs every client through one service-level
-// pipeline, so the in-flight state cannot live on the service — each flat
-// client owns a GetFlat (one outstanding request at a time) and reuses it
-// for every query it ever issues; steady-state requests allocate nothing.
+// The table ops are flat state machines — their only implementation. A
+// kernel-driven caller owns one request state per op family (GetFlat,
+// WriteFlat, QueryFlat), runs it on its own actor, and reuses it for every
+// request it ever issues, so steady-state requests allocate nothing. The
+// blocking methods (Get, Insert, ...) drive a pooled state on the calling
+// process through sim.Proc.Drive, with the state's CtxFlat.Abort as the
+// kill path.
 //
-// Stage order replicates Get verbatim: admission (outage → conn-fail →
-// server-busy; the table pipeline has no request-latency stage, so no wake
-// is scheduled there), partition lookup, the query-station visit with the
-// response's download cost added, the not-found reply, hook delivery, then
-// done at the instant Get would have returned.
+// The table pipeline has no request-latency stage: AdmitPre never asks for
+// a sleep, so admission runs straight through without scheduling a wake.
+
+// admit runs admission for c; it reports the admission fault, if any.
+func admit(c *reqpath.CtxFlat) error {
+	if _, _, err := c.AdmitPre(); err != nil {
+		return err
+	}
+	return c.AdmitPost()
+}
+
+// GetFlat is the request state for table Get: admission, partition lookup,
+// the query-station visit with the response's download cost added, the
+// not-found reply (decided at lookup, delivered after the visit), hook
+// delivery, then done.
 type GetFlat struct {
 	svc *Service
-	a   *sim.Actor
 	c   reqpath.CtxFlat
 
-	table, pk, rk string
-	ent           *Entity
-	done          func(*Entity, error)
+	ent  *Entity
+	err  error // the not-found reply the visit ends with
+	done func(*Entity, error)
 
 	afterVisit func() // cached: runs when the station visit's sleep ends
 }
 
-// NewGetFlat builds flat Get state against the service; done receives every
+// NewGetFlat builds Get state against the service; done receives every
 // request's outcome.
 func (s *Service) NewGetFlat(done func(*Entity, error)) *GetFlat {
-	r := &GetFlat{svc: s, done: done}
-	r.afterVisit = r.visited
+	r := &GetFlat{}
+	r.Init(s, done)
 	return r
 }
 
@@ -54,21 +66,11 @@ func (r *GetFlat) Init(s *Service, done func(*Entity, error)) {
 	r.afterVisit = r.visited
 }
 
-// Begin issues one flat Get on actor a. A second Begin before done fires
-// panics — the state holds one request.
+// Begin issues one Get on actor a. A second Begin before done fires panics
+// — the state holds one request (so do the other request states).
 func (r *GetFlat) Begin(a *sim.Actor, table, pk, rk string) {
-	if r.a != nil {
-		panic("tablesvc: GetFlat already has a request in flight")
-	}
-	r.a, r.table, r.pk, r.rk = a, table, pk, rk
-	r.c.Begin(r.svc.pl, "table.Query", a.Now())
-	// The table pipeline has no latency stage: AdmitPre never asks for a
-	// sleep, so admission runs straight through, as Do's admit would.
-	if _, _, err := r.c.AdmitPre(); err != nil {
-		r.finish(err)
-		return
-	}
-	if err := r.c.AdmitPost(); err != nil {
+	r.c.Begin(r.svc.pl, "table.Query", a)
+	if err := admit(&r.c); err != nil {
 		r.finish(err)
 		return
 	}
@@ -81,18 +83,16 @@ func (r *GetFlat) Begin(a *sim.Actor, table, pk, rk string) {
 	var respSize int
 	if ok {
 		respSize = e.Size()
+	} else {
+		r.err = r.c.Failf(storerr.CodeNotFound, "%s/%s", pk, rk)
 	}
 	r.ent = e
-	r.a.Sleep(r.svc.query.BeginVisit(r.c.DownloadCost(respSize)), r.afterVisit)
+	r.c.Visit(r.svc.query, r.c.DownloadCost(respSize), r.afterVisit)
 }
 
 func (r *GetFlat) visited() {
-	r.svc.query.EndVisit()
-	if r.ent == nil {
-		r.finish(r.c.Failf(storerr.CodeNotFound, "%s/%s", r.pk, r.rk))
-		return
-	}
-	r.finish(nil)
+	r.c.EndVisit()
+	r.finish(r.err)
 }
 
 func (r *GetFlat) finish(err error) {
@@ -100,10 +100,10 @@ func (r *GetFlat) finish(err error) {
 	if err != nil {
 		ent = nil
 	}
-	r.c.Finish(r.a.Now(), err)
+	r.c.Finish(err)
 	// Clear the in-flight state before the callback so the continuation can
 	// issue the next query immediately.
-	r.a, r.ent = nil, nil
+	r.ent, r.err = nil, nil
 	r.done(ent, err)
 }
 
@@ -116,27 +116,22 @@ const (
 	wDelete
 )
 
-// WriteFlat is caller-owned flat-mode state for the write-class table ops
-// (Insert, Update, Delete): the blocking bodies compiled into continuations
-// on the caller's actor. One request may be in flight at a time; the state
-// is reused for every write the owner ever issues.
-//
-// Stage order replicates the blocking twins verbatim, including the
-// ingest-overload model: admission → partition lookup → overload draw (a
-// hit burns ServerTimeout, counts a service timeout, and replies
+// WriteFlat is the request state for the write-class table ops (Insert,
+// Update, Delete): admission → partition lookup → overload draw (a hit
+// burns ServerTimeout, counts a service timeout, and replies
 // OperationTimedOut without visiting the station) → station visit → the
-// conflict/not-found check → mutation → hook delivery → done.
+// conflict/not-found check → mutation → hook delivery → done. Insert and
+// Update check the row when the visit ends; Delete judges not-found by the
+// row's presence on arrival.
 type WriteFlat struct {
 	svc *Service
-	a   *sim.Actor
 	c   reqpath.CtxFlat
 
 	op     wop
-	table  string
 	ent    *Entity // insert/update payload
 	pk, rk string  // delete target
+	found  bool    // the delete target existed when the request arrived
 	part   map[string]*Entity
-	st     *station.Station
 	rho    float64 // overload diagnostic for the timeout reply
 	done   func(error)
 
@@ -144,12 +139,11 @@ type WriteFlat struct {
 	afterTimeout func() // cached: runs when the overload burn ends
 }
 
-// NewWriteFlat builds flat write state against the service; done receives
-// every request's outcome.
+// NewWriteFlat builds write state against the service; done receives every
+// request's outcome.
 func (s *Service) NewWriteFlat(done func(error)) *WriteFlat {
-	r := &WriteFlat{svc: s, done: done}
-	r.afterVisit = r.visited
-	r.afterTimeout = r.timedOut
+	r := &WriteFlat{}
+	r.Init(s, done)
 	return r
 }
 
@@ -164,100 +158,80 @@ func (r *WriteFlat) Init(s *Service, done func(error)) {
 	r.afterTimeout = r.timedOut
 }
 
-// BeginInsert issues one flat Insert on actor a, as Insert.
+// BeginInsert issues one Insert on actor a; inserting an existing (pk, rk)
+// is a conflict.
 func (r *WriteFlat) BeginInsert(a *sim.Actor, table string, e *Entity) {
-	r.op, r.table, r.ent = wInsert, table, e
-	if !r.begin(a, "table.Insert") {
-		return
+	r.op, r.ent = wInsert, e
+	if r.begin(a, "table.Insert", table, e.PartitionKey) {
+		r.write(r.svc.insert, e.Size(), r.c.UploadCost(e.Size()))
 	}
-	if r.part = r.svc.partition(table, e.PartitionKey); r.part == nil {
-		r.finish(r.c.Failf(storerr.CodeNotFound, "table %s", table))
-		return
-	}
-	r.st = r.svc.insert
-	if r.overload(e.Size()) {
-		return
-	}
-	r.a.Sleep(r.st.BeginVisit(r.c.UploadCost(e.Size())), r.afterVisit)
 }
 
-// BeginUpdate issues one flat Update on actor a, as Update. Updates have no
-// overload stage: the paper's hot-entity contention is the station's.
+// BeginUpdate issues one Update on actor a: an unconditional replace (no
+// ETag check), the mode the paper tested so concurrent clients can hit one
+// entity. Updates have no overload stage: the paper's hot-entity contention
+// is the station's.
 func (r *WriteFlat) BeginUpdate(a *sim.Actor, table string, e *Entity) {
-	r.op, r.table, r.ent = wUpdate, table, e
-	if !r.begin(a, "table.Update") {
-		return
+	r.op, r.ent = wUpdate, e
+	if r.begin(a, "table.Update", table, e.PartitionKey) {
+		r.c.Visit(r.svc.update, r.c.UploadCost(e.Size()), r.afterVisit)
 	}
-	if r.part = r.svc.partition(table, e.PartitionKey); r.part == nil {
-		r.finish(r.c.Failf(storerr.CodeNotFound, "table %s", table))
-		return
-	}
-	r.st = r.svc.update
-	r.a.Sleep(r.st.BeginVisit(r.c.UploadCost(e.Size())), r.afterVisit)
 }
 
-// BeginDelete issues one flat Delete on actor a, as Delete.
+// BeginDelete issues one Delete on actor a.
 func (r *WriteFlat) BeginDelete(a *sim.Actor, table, pk, rk string) {
-	r.op, r.table, r.pk, r.rk = wDelete, table, pk, rk
-	if !r.begin(a, "table.Delete") {
-		return
-	}
-	if r.part = r.svc.partition(table, pk); r.part == nil {
-		r.finish(r.c.Failf(storerr.CodeNotFound, "table %s", table))
+	r.op, r.pk, r.rk = wDelete, pk, rk
+	if !r.begin(a, "table.Delete", table, pk) {
 		return
 	}
 	size := 0
-	if e, ok := r.part[rk]; ok {
+	e, ok := r.part[rk]
+	if ok {
 		size = e.Size()
 	}
-	r.st = r.svc.delete
-	if r.overload(size) {
+	r.found = ok
+	r.write(r.svc.delete, size, 0)
+}
+
+// begin runs admission and the partition lookup; it reports whether the
+// request is still alive.
+func (r *WriteFlat) begin(a *sim.Actor, op, table, pk string) bool {
+	r.c.Begin(r.svc.pl, op, a)
+	if err := admit(&r.c); err != nil {
+		r.finish(err)
+		return false
+	}
+	if r.part = r.svc.partition(table, pk); r.part == nil {
+		r.finish(r.c.Failf(storerr.CodeNotFound, "table %s", table))
+		return false
+	}
+	return true
+}
+
+// write runs the ingest-overload model for a size-byte write at st — with n
+// concurrent clients pushing size-byte payloads at the station's mean rate,
+// per-op timeout probability is OverloadK·(1−1/ρ) once offered load ρ
+// exceeds 1 — and on a miss visits st with extra added to the service
+// time.
+func (r *WriteFlat) write(st *station.Station, size int, extra time.Duration) {
+	s := r.svc
+	n := max(st.Attached(), 1)
+	rho := float64(n) * float64(size) / st.MeanLatency(n).Seconds() / float64(s.cfg.IngestCapacity)
+	if rho > 1 && r.c.TimeoutHit(s.cfg.OverloadK*(1-1/rho)) {
+		r.rho = rho
+		r.c.Sleep(r.c.ServerTimeout(), r.afterTimeout)
 		return
 	}
-	r.a.Sleep(r.st.BeginVisit(0), r.afterVisit)
-}
-
-// begin runs admission; it reports whether the request is still alive. The
-// table pipeline has no latency stage, so admission never schedules a wake.
-func (r *WriteFlat) begin(a *sim.Actor, op string) bool {
-	if r.a != nil {
-		panic("tablesvc: WriteFlat already has a request in flight")
-	}
-	r.a = a
-	r.c.Begin(r.svc.pl, op, a.Now())
-	if _, _, err := r.c.AdmitPre(); err != nil {
-		r.finish(err)
-		return false
-	}
-	if err := r.c.AdmitPost(); err != nil {
-		r.finish(err)
-		return false
-	}
-	return true
-}
-
-// overload runs the flat split of overloaded: the same draw from the same
-// timeout stream, then the ServerTimeout burn armed on the actor. It
-// reports whether the request took the timeout path.
-func (r *WriteFlat) overload(size int) bool {
-	prob, rho := r.svc.overloadProb(r.st, size)
-	if prob <= 0 || !r.c.TimeoutHit(prob) {
-		return false
-	}
-	r.rho = rho
-	r.a.Sleep(r.c.ServerTimeout(), r.afterTimeout)
-	return true
+	r.c.Visit(st, extra, r.afterVisit)
 }
 
 func (r *WriteFlat) timedOut() {
-	// The blocking path counts the timeout after the burn, on return from
-	// TimeoutFault — mirror that here so Timeouts() agrees mid-run.
 	r.svc.timeouts++
 	r.finish(r.c.TimeoutErrf("partition ingest overloaded (rho=%.2f)", r.rho))
 }
 
 func (r *WriteFlat) visited() {
-	r.st.EndVisit()
+	r.c.EndVisit()
 	switch r.op {
 	case wInsert:
 		if _, exists := r.part[r.ent.RowKey]; exists {
@@ -272,7 +246,7 @@ func (r *WriteFlat) visited() {
 		}
 		r.part[r.ent.RowKey] = r.ent
 	case wDelete:
-		if _, ok := r.part[r.rk]; !ok {
+		if !r.found {
 			r.finish(r.c.Failf(storerr.CodeNotFound, "%s/%s", r.pk, r.rk))
 			return
 		}
@@ -282,48 +256,43 @@ func (r *WriteFlat) visited() {
 }
 
 func (r *WriteFlat) finish(err error) {
-	r.c.Finish(r.a.Now(), err)
+	r.c.Finish(err)
 	// Clear the in-flight state before the callback so the continuation can
 	// issue the next write immediately.
-	r.a, r.ent, r.part, r.st = nil, nil, nil, nil
+	r.ent, r.part = nil, nil
 	r.done(err)
 }
 
-// QueryFlat is caller-owned flat-mode state for property-filter partition
-// scans, the flat twin of QueryFilter. One request may be in flight at a
-// time.
+// QueryFlat is the request state for property-filter partition scans — the
+// non-indexed query the paper warns against (Section 6.1): scan latency
+// grows with partition size and concurrent scanners, and requests exceeding
+// the server timeout fail.
 //
-// Stage order replicates QueryFilter verbatim: admission → partition lookup
-// → scan registration → a zero-length yield (so a burst of simultaneous
-// scans registers before any member prices its cost) → the lognormal scan
-// draw → either the ServerTimeout burn and an OperationTimedOut reply, or
-// the scan sleep and collection. One deliberate divergence: the blocking
-// body walks the partition map in Go's randomised order, which a wire
-// response would observably leak, so the flat twin collects in ascending
-// RowKey order.
+// Stages: admission → partition lookup → scan registration → a zero-length
+// sleep (so a burst of simultaneous scans registers before any member
+// prices its cost) → the lognormal scan draw → either the ServerTimeout
+// burn and an OperationTimedOut reply, or the scan sleep and collection.
+// Matches are returned in ascending RowKey order.
 type QueryFlat struct {
 	svc *Service
-	a   *sim.Actor
 	c   reqpath.CtxFlat
 
-	table, pk string
-	pred      func(*Entity) bool
-	part      map[string]*Entity
-	out       []*Entity
-	done      func([]*Entity, error)
+	pred     func(*Entity) bool
+	part     map[string]*Entity
+	scanning bool // counted in the service's concurrent scans
+	out      []*Entity
+	done     func([]*Entity, error)
 
 	afterYield   func() // cached: runs after the registration yield
 	afterScan    func() // cached: runs when the scan sleep ends
 	afterTimeout func() // cached: runs when the timeout burn ends
 }
 
-// NewQueryFlat builds flat scan state against the service; done receives
-// every request's outcome (entities in ascending RowKey order).
+// NewQueryFlat builds scan state against the service; done receives every
+// request's outcome.
 func (s *Service) NewQueryFlat(done func([]*Entity, error)) *QueryFlat {
-	r := &QueryFlat{svc: s, done: done}
-	r.afterYield = r.yielded
-	r.afterScan = r.scanned
-	r.afterTimeout = r.timedOut
+	r := &QueryFlat{}
+	r.Init(s, done)
 	return r
 }
 
@@ -339,19 +308,12 @@ func (r *QueryFlat) Init(s *Service, done func([]*Entity, error)) {
 	r.afterTimeout = r.timedOut
 }
 
-// Begin issues one flat scan on actor a. A nil pred matches every entity —
-// the whole-partition query the wire facade serves.
+// Begin issues one scan on actor a. A nil pred matches every entity — the
+// whole-partition query the wire facade serves.
 func (r *QueryFlat) Begin(a *sim.Actor, table, pk string, pred func(*Entity) bool) {
-	if r.a != nil {
-		panic("tablesvc: QueryFlat already has a request in flight")
-	}
-	r.a, r.table, r.pk, r.pred = a, table, pk, pred
-	r.c.Begin(r.svc.pl, "table.QueryFilter", a.Now())
-	if _, _, err := r.c.AdmitPre(); err != nil {
-		r.finish(err)
-		return
-	}
-	if err := r.c.AdmitPost(); err != nil {
+	r.pred = pred
+	r.c.Begin(r.svc.pl, "table.QueryFilter", a)
+	if err := admit(&r.c); err != nil {
 		r.finish(err)
 		return
 	}
@@ -359,9 +321,27 @@ func (r *QueryFlat) Begin(a *sim.Actor, table, pk string, pred func(*Entity) boo
 		r.finish(r.c.Failf(storerr.CodeNotFound, "table %s", table))
 		return
 	}
-	r.svc.scans++
-	// The flat spelling of P.Yield(): one zero-length event, same seq cost.
-	a.Sleep(0, r.afterYield)
+	r.hold(true)
+	r.c.Sleep(0, r.afterYield)
+}
+
+// hold registers (or unregisters) the request as a concurrent scan.
+func (r *QueryFlat) hold(on bool) {
+	r.scanning = on
+	if on {
+		r.svc.scans++
+	} else {
+		r.svc.scans--
+	}
+}
+
+// abort is the kill path of a blocking scan: the scan registration is
+// withdrawn, then the context.
+func (r *QueryFlat) abort() {
+	if r.scanning {
+		r.hold(false)
+	}
+	r.c.Abort()
 }
 
 func (r *QueryFlat) yielded() {
@@ -369,34 +349,29 @@ func (r *QueryFlat) yielded() {
 	mean := float64(len(r.part)) * s.cfg.ScanSecPerEntity * (1 + float64(s.scans)/s.cfg.ScanConcurrencyN0)
 	lat := r.c.Sample(simrand.LogNormalMeanCV(mean, s.cfg.ScanCV))
 	if lat > s.cfg.ServerTimeout {
-		// As QueryFilter: the timeout is counted when the deadline is judged
-		// blown, before the burn; the scan stays registered until the burn
-		// ends (the deferred scans-- runs after Timeout's sleep).
+		// The timeout is counted when the deadline is judged blown, before
+		// the burn; the scan stays registered until the burn ends.
 		s.timeouts++
-		r.a.Sleep(r.c.ServerTimeout(), r.afterTimeout)
+		r.c.Sleep(r.c.ServerTimeout(), r.afterTimeout)
 		return
 	}
-	r.a.Sleep(lat, r.afterScan)
+	r.c.Sleep(lat, r.afterScan)
 }
 
 func (r *QueryFlat) timedOut() {
 	n := len(r.part)
-	r.svc.scans--
+	r.hold(false)
 	r.finish(r.c.TimeoutErrf("scan of %d entities timed out", n))
 }
 
 func (r *QueryFlat) scanned() {
-	rks := make([]string, 0, len(r.part))
-	for rk := range r.part {
-		rks = append(rks, rk)
-	}
-	sort.Strings(rks)
-	for _, rk := range rks {
-		if e := r.part[rk]; r.pred == nil || r.pred(e) {
+	for _, e := range r.part {
+		if r.pred == nil || r.pred(e) {
 			r.out = append(r.out, e)
 		}
 	}
-	r.svc.scans--
+	slices.SortFunc(r.out, func(a, b *Entity) int { return strings.Compare(a.RowKey, b.RowKey) })
+	r.hold(false)
 	r.finish(nil)
 }
 
@@ -405,9 +380,9 @@ func (r *QueryFlat) finish(err error) {
 	if err != nil {
 		out = nil
 	}
-	r.c.Finish(r.a.Now(), err)
+	r.c.Finish(err)
 	// Clear the in-flight state before the callback so the continuation can
 	// issue the next scan immediately.
-	r.a, r.part, r.pred, r.out = nil, nil, nil, nil
+	r.part, r.pred, r.out = nil, nil, nil
 	r.done(out, err)
 }

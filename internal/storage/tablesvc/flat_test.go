@@ -23,9 +23,10 @@ func rowKey(i int) string { return fmt.Sprintf("row-%04d", i) }
 func sortStrings(s []string) { sort.Strings(s) }
 
 // TestWriteFlatTraceMatchesBlocking runs the same write workload once on the
-// blocking API and once flat, and checks the kernel observables that define
-// a trace — per-op completion instants and outcomes, events fired, final
-// clock — match exactly.
+// blocking API (a process driving the state machine through sim.Proc.Drive)
+// and once on a kernel-driven actor, and checks the kernel observables that
+// define a trace — per-op completion instants and outcomes, events fired,
+// final clock — match exactly: the two drivers must cost the same events.
 func TestWriteFlatTraceMatchesBlocking(t *testing.T) {
 	ent := func(rk string, size int) *Entity { return PaddedEntity("pk", rk, size) }
 
@@ -97,7 +98,7 @@ func TestWriteFlatTraceMatchesBlocking(t *testing.T) {
 	}
 }
 
-// TestWriteFlatOverloadTimeout drives both paths into the ingest-overload
+// TestWriteFlatOverloadTimeout drives both drivers into the ingest-overload
 // timeout (prob ≥ 1, so no Bernoulli draw is consumed) and checks they burn
 // the same ServerTimeout, reply OperationTimedOut, and count one service
 // timeout each.
@@ -142,10 +143,9 @@ func TestWriteFlatOverloadTimeout(t *testing.T) {
 	}
 }
 
-// TestQueryFlatTraceMatchesBlocking compares a property-filter scan on both
-// paths: same completion instant, same events, and the same entity set (the
-// flat twin returns ascending RowKey order; the blocking map walk is
-// unordered, so the comparison sorts).
+// TestQueryFlatTraceMatchesBlocking compares a property-filter scan under
+// both drivers: same completion instant, same events, and the same entities
+// in ascending RowKey order.
 func TestQueryFlatTraceMatchesBlocking(t *testing.T) {
 	populate := func(svc *Service) {
 		svc.CreateTable("t")
@@ -210,7 +210,8 @@ func TestQueryFlatTraceMatchesBlocking(t *testing.T) {
 }
 
 // TestQueryFlatTimeoutMatchesBlocking forces the scan over the server
-// deadline on both paths and checks the identical burn, reply and counters.
+// deadline under both drivers and checks the identical burn, reply and
+// counters.
 func TestQueryFlatTimeoutMatchesBlocking(t *testing.T) {
 	cfg := Config{ScanSecPerEntity: 1e-2, ServerTimeout: 5 * time.Second}
 	populate := func(svc *Service) {

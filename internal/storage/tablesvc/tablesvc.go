@@ -22,7 +22,6 @@ import (
 	"azureobs/internal/simrand"
 	"azureobs/internal/storage/reqpath"
 	"azureobs/internal/storage/station"
-	"azureobs/internal/storage/storerr"
 )
 
 // PropKind tags an entity property type.
@@ -160,6 +159,9 @@ type Service struct {
 
 	scans    int // concurrent property-filter scans
 	timeouts uint64
+
+	// calls is the free list of blocking-call states (see call).
+	calls []*call
 }
 
 // New creates a table service.
@@ -262,155 +264,86 @@ func (s *Service) partition(table, pk string) map[string]*Entity {
 	return p
 }
 
-// overloadProb computes the ingest-overload timeout model for write-class
-// ops: with n concurrent clients pushing size-byte payloads at the station's
-// mean rate, per-op timeout probability is OverloadK·(1−1/ρ) once offered
-// load ρ exceeds 1, and zero otherwise. Shared by the blocking and flat
-// request paths so both price overload identically.
-func (s *Service) overloadProb(st *station.Station, size int) (prob, rho float64) {
-	n := st.Attached()
-	if n < 1 {
-		n = 1
-	}
-	offered := float64(n) * float64(size) / st.MeanLatency(n).Seconds()
-	rho = offered / float64(s.cfg.IngestCapacity)
-	if rho <= 1 {
-		return 0, rho
-	}
-	return s.cfg.OverloadK * (1 - 1/rho), rho
+// call is one blocking request: pooled request states for every op family
+// plus the result their completions deliver.
+type call struct {
+	svc   *Service
+	get   GetFlat
+	write WriteFlat
+	query QueryFlat
+	ent   *Entity
+	out   []*Entity
+	err   error
 }
 
-// overloaded applies overloadProb on the pipeline's timeout stage: the
-// Bernoulli draw, the ServerTimeout burn, and the timeout reply.
-func (s *Service) overloaded(c *reqpath.Ctx, st *station.Station, size int) error {
-	prob, rho := s.overloadProb(st, size)
-	if prob <= 0 {
-		return nil
+// call takes a blocking-call state from the service's free list.
+func (s *Service) call() *call {
+	if n := len(s.calls); n > 0 {
+		c := s.calls[n-1]
+		s.calls = s.calls[:n-1]
+		return c
 	}
-	if err := c.TimeoutFault(prob, "partition ingest overloaded (rho=%.2f)", rho); err != nil {
-		s.timeouts++
-		return err
-	}
-	return nil
+	c := &call{svc: s}
+	c.get.Init(s, c.gotEntity)
+	c.write.Init(s, c.wrote)
+	c.query.Init(s, c.scanned)
+	return c
+}
+
+func (c *call) gotEntity(e *Entity, err error)   { c.ent, c.err = e, err }
+func (c *call) wrote(err error)                  { c.err = err }
+func (c *call) scanned(out []*Entity, err error) { c.out, c.err = out, err }
+
+// release returns the call to the free list.
+func (c *call) release() {
+	c.ent, c.out, c.err = nil, nil, nil
+	c.svc.calls = append(c.svc.calls, c)
 }
 
 // Insert adds a new entity; inserting an existing (pk, rk) is a conflict.
 func (s *Service) Insert(p *sim.Proc, table string, e *Entity) error {
-	return s.pl.Do(p, "table.Insert", func(c *reqpath.Ctx) error {
-		part := s.partition(table, e.PartitionKey)
-		if part == nil {
-			return c.Failf(storerr.CodeNotFound, "table %s", table)
-		}
-		if err := s.overloaded(c, s.insert, e.Size()); err != nil {
-			return err
-		}
-		c.Station(s.insert, c.UploadCost(e.Size()))
-		if _, exists := part[e.RowKey]; exists {
-			return c.Failf(storerr.CodeConflict, "%s/%s exists", e.PartitionKey, e.RowKey)
-		}
-		part[e.RowKey] = e
-		return nil
-	})
+	c := s.call()
+	p.Drive(func(a *sim.Actor) { c.write.BeginInsert(a, table, e) }, c.write.c.Abort)
+	err := c.err
+	c.release()
+	return err
 }
 
 // Get retrieves one entity by partition and row key — the fast, indexed
 // query path of the paper's Query experiment.
-func (s *Service) Get(p *sim.Proc, table, pk, rk string) (ent *Entity, err error) {
-	err = s.pl.Do(p, "table.Query", func(c *reqpath.Ctx) error {
-		part := s.partition(table, pk)
-		if part == nil {
-			return c.Failf(storerr.CodeNotFound, "table %s", table)
-		}
-		e, ok := part[rk]
-		var respSize int
-		if ok {
-			respSize = e.Size()
-		}
-		c.Station(s.query, c.DownloadCost(respSize))
-		if !ok {
-			return c.Failf(storerr.CodeNotFound, "%s/%s", pk, rk)
-		}
-		ent = e
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ent, nil
+func (s *Service) Get(p *sim.Proc, table, pk, rk string) (*Entity, error) {
+	c := s.call()
+	p.Drive(func(a *sim.Actor) { c.get.Begin(a, table, pk, rk) }, c.get.c.Abort)
+	ent, err := c.ent, c.err
+	c.release()
+	return ent, err
 }
 
 // Update replaces an entity's properties unconditionally (no ETag check) —
 // the mode the paper tested so concurrent clients can hit one entity.
 func (s *Service) Update(p *sim.Proc, table string, e *Entity) error {
-	return s.pl.Do(p, "table.Update", func(c *reqpath.Ctx) error {
-		part := s.partition(table, e.PartitionKey)
-		if part == nil {
-			return c.Failf(storerr.CodeNotFound, "table %s", table)
-		}
-		c.Station(s.update, c.UploadCost(e.Size()))
-		if _, ok := part[e.RowKey]; !ok {
-			return c.Failf(storerr.CodeNotFound, "%s/%s", e.PartitionKey, e.RowKey)
-		}
-		part[e.RowKey] = e
-		return nil
-	})
+	c := s.call()
+	p.Drive(func(a *sim.Actor) { c.write.BeginUpdate(a, table, e) }, c.write.c.Abort)
+	err := c.err
+	c.release()
+	return err
 }
 
 // Delete removes one entity.
 func (s *Service) Delete(p *sim.Proc, table, pk, rk string) error {
-	return s.pl.Do(p, "table.Delete", func(c *reqpath.Ctx) error {
-		part := s.partition(table, pk)
-		if part == nil {
-			return c.Failf(storerr.CodeNotFound, "table %s", table)
-		}
-		e, ok := part[rk]
-		size := 0
-		if ok {
-			size = e.Size()
-		}
-		if err := s.overloaded(c, s.delete, size); err != nil {
-			return err
-		}
-		c.Station(s.delete, 0)
-		if !ok {
-			return c.Failf(storerr.CodeNotFound, "%s/%s", pk, rk)
-		}
-		delete(part, rk)
-		return nil
-	})
+	c := s.call()
+	p.Drive(func(a *sim.Actor) { c.write.BeginDelete(a, table, pk, rk) }, c.write.c.Abort)
+	err := c.err
+	c.release()
+	return err
 }
 
-// QueryFilter scans a partition evaluating pred on every entity — the
-// non-indexed property-filter query the paper warns against (Section 6.1):
-// scan latency grows with partition size and concurrent scanners, and
-// requests exceeding the server timeout fail.
-func (s *Service) QueryFilter(p *sim.Proc, table, pk string, pred func(*Entity) bool) (out []*Entity, err error) {
-	err = s.pl.Do(p, "table.QueryFilter", func(c *reqpath.Ctx) error {
-		part := s.partition(table, pk)
-		if part == nil {
-			return c.Failf(storerr.CodeNotFound, "table %s", table)
-		}
-		s.scans++
-		defer func() { s.scans-- }()
-		// Let simultaneously issued scans register before the cost is priced:
-		// a burst of filter queries slows every member of the burst.
-		c.P.Yield()
-		mean := float64(len(part)) * s.cfg.ScanSecPerEntity * (1 + float64(s.scans)/s.cfg.ScanConcurrencyN0)
-		lat := c.Sample(simrand.LogNormalMeanCV(mean, s.cfg.ScanCV))
-		if lat > s.cfg.ServerTimeout {
-			s.timeouts++
-			return c.Timeout("scan of %d entities timed out", len(part))
-		}
-		c.P.Sleep(lat)
-		for _, e := range part {
-			if pred(e) {
-				out = append(out, e)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+// QueryFilter scans a partition evaluating pred on every entity (see
+// QueryFlat) and returns the matches in ascending RowKey order.
+func (s *Service) QueryFilter(p *sim.Proc, table, pk string, pred func(*Entity) bool) ([]*Entity, error) {
+	c := s.call()
+	p.Drive(func(a *sim.Actor) { c.query.Begin(a, table, pk, pred) }, c.query.abort)
+	out, err := c.out, c.err
+	c.release()
+	return out, err
 }

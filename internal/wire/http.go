@@ -41,9 +41,16 @@ func (f *Facade) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Body != nil {
 		var err error
-		body, err = io.ReadAll(io.LimitReader(r.Body, maxBody))
+		// Read one byte past the bound: a body that reaches it is rejected
+		// whole rather than silently truncated.
+		body, err = io.ReadAll(io.LimitReader(r.Body, maxBody+1))
 		if err != nil {
 			writeErrorRaw(w, 400, "InvalidInput", "unreadable request body")
+			return
+		}
+		if len(body) > maxBody {
+			writeErrorRaw(w, http.StatusRequestEntityTooLarge, "RequestBodyTooLarge",
+				"request body exceeds the "+strconv.Itoa(maxBody)+"-byte limit")
 			return
 		}
 	}

@@ -453,3 +453,53 @@ func TestWireBadRequests(t *testing.T) {
 		}
 	}
 }
+
+// TestWireBodyLimit pins the request-body bound: a body of exactly maxBody
+// bytes is accepted whole, and one byte more is refused with 413 and the
+// RequestBodyTooLarge error envelope instead of being truncated.
+func TestWireBodyLimit(t *testing.T) {
+	ts := newTestServer(t)
+	ts.want("PUT", "/files", nil, 201)
+	put := func(name string, n int) (*http.Response, string) {
+		req, err := http.NewRequest("PUT", ts.srv.URL+"/files/"+name, strings.NewReader(strings.Repeat("x", n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("PUT %s: %v", name, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, string(body)
+	}
+
+	if resp, body := put("exact", maxBody); resp.StatusCode != 201 {
+		t.Fatalf("body of maxBody bytes: status %d (%q), want 201", resp.StatusCode, body)
+	}
+	var stored int64
+	ts.rt.Do(func() {
+		if b, ok := ts.cloud.Blob.Lookup("files", "exact"); ok {
+			stored = b.Size
+		}
+	})
+	if stored != maxBody {
+		t.Fatalf("stored blob of %d bytes, want %d", stored, maxBody)
+	}
+
+	resp, body := put("over", maxBody+1)
+	if resp.StatusCode != 413 {
+		t.Fatalf("body of maxBody+1 bytes: status %d, want 413", resp.StatusCode)
+	}
+	if resp.Header.Get("x-ms-error-code") != "RequestBodyTooLarge" || !strings.Contains(body, "<Code>RequestBodyTooLarge</Code>") {
+		t.Fatalf("413 envelope: code header %q, body %q", resp.Header.Get("x-ms-error-code"), body)
+	}
+	var reached bool
+	ts.rt.Do(func() { _, reached = ts.cloud.Blob.Lookup("files", "over") })
+	if reached {
+		t.Fatal("oversize body reached the blob service")
+	}
+}
