@@ -35,6 +35,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzGeoRoute$$' -fuzztime 30s ./internal/geo
 	go test -race -run '^$$' -fuzz '^FuzzDomainMailOrder$$' -fuzztime 30s ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzFabricChurn$$' -fuzztime 30s ./internal/netsim
+	go test -run '^$$' -fuzz '^FuzzParseOp$$' -fuzztime 30s ./internal/wire
 
 # Full timed microbenchmarks (internal/netsim flow churn + sweeps).
 bench:

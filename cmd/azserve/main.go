@@ -88,8 +88,8 @@ func main() {
 		rt.Close()
 	}()
 
-	// The RealTime serve loop is the engine's only driver; it returns once
-	// the signal handler closes it.
+	// Serve returns once the signal handler closes the RealTime; no request
+	// reaches the engine after that, so the arrival log is complete.
 	rt.Serve()
 
 	if rec != nil {

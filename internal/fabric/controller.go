@@ -98,12 +98,13 @@ func (c *Controller) CreateDeployment(p *sim.Proc, spec DeploymentSpec) (*Deploy
 	if spec.PackageMB <= 0 {
 		spec.PackageMB = defaultPackageMB
 	}
-	cores := spec.Instances * spec.Size.Cores()
-	if c.used+cores > c.Quota {
-		return nil, fmt.Errorf("%w: need %d cores, %d in use, quota %d",
-			ErrQuotaExceeded, cores, c.used, c.Quota)
+	// Compared by division: a huge instance count must not overflow past
+	// the quota.
+	if spec.Instances > (c.Quota-c.used)/spec.Size.Cores() {
+		return nil, fmt.Errorf("%w: need %d instances of %d cores, %d in use, quota %d",
+			ErrQuotaExceeded, spec.Instances, spec.Size.Cores(), c.used, c.Quota)
 	}
-	c.used += cores
+	c.used += spec.Instances * spec.Size.Cores()
 	stats := Params(spec.Role, spec.Size)
 	dur := stats.Create.Dist().Sample(c.rng) + createSecPerMB*(spec.PackageMB-defaultPackageMB)
 	if dur < 1 {
@@ -177,11 +178,11 @@ func (c *Controller) AddInstances(p *sim.Proc, d *Deployment, n int) error {
 	if !stats.HasAdd() {
 		return ErrAddUnsupported
 	}
-	cores := n * d.Spec.Size.Cores()
-	if c.used+cores > c.Quota {
-		return fmt.Errorf("%w: need %d more cores, %d in use, quota %d",
-			ErrQuotaExceeded, cores, c.used, c.Quota)
+	if n > (c.Quota-c.used)/d.Spec.Size.Cores() {
+		return fmt.Errorf("%w: need %d more instances of %d cores, %d in use, quota %d",
+			ErrQuotaExceeded, n, d.Spec.Size.Cores(), c.used, c.Quota)
 	}
+	cores := n * d.Spec.Size.Cores()
 	c.used += cores
 	if c.rng.Hit(startupFailureRate) {
 		p.Sleep(secs(simrand.Uniform{Lo: stats.Add.Avg, Hi: 2 * stats.Add.Avg}.Sample(c.rng)))

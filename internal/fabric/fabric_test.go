@@ -202,6 +202,11 @@ func TestQuotaEnforced(t *testing.T) {
 		if !errors.Is(err, ErrQuotaExceeded) {
 			t.Errorf("create 21 small = %v, want ErrQuotaExceeded", err)
 		}
+		// A count whose core product wraps past zero is still over quota.
+		_, err = ctl.CreateDeployment(p, DeploymentSpec{Name: "wrap", Role: Worker, Size: Medium, Instances: 1 << 62})
+		if !errors.Is(err, ErrQuotaExceeded) {
+			t.Errorf("create 2^62 medium = %v, want ErrQuotaExceeded", err)
+		}
 		// 2 XL (16 cores) fits; a third does not.
 		d, err := ctl.CreateDeployment(p, DeploymentSpec{Name: "xl", Role: Worker, Size: ExtraLarge, Instances: 2})
 		if err != nil {

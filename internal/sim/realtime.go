@@ -9,11 +9,11 @@ import (
 type RTMode int
 
 const (
-	// FreeRun drains the engine after each batch of submissions: virtual
-	// time jumps as far as the parked work requires and stands still
-	// otherwise. A submission's downstream effects (a parked request's
-	// completion) are visible by the time the next submission runs, which
-	// makes free-run serving deterministic given the arrival order.
+	// FreeRun drains the engine after each submission: virtual time jumps
+	// as far as the parked work requires and stands still otherwise. A
+	// submission's downstream effects (a parked request's completion) are
+	// visible by the time the next submission runs, which makes free-run
+	// serving deterministic given the arrival order.
 	FreeRun RTMode = iota
 	// Paced advances virtual time in step with the wall clock: every tick
 	// the engine runs up to the virtual instant corresponding to the wall
@@ -36,10 +36,15 @@ type rtSubmission struct {
 
 // RealTime bridges wall-clock callers — an HTTP server, a CLI — onto a
 // deterministic Engine. The engine is not safe for concurrent use, so
-// RealTime makes its Serve goroutine the engine's only driver: callers
-// submit closures with Do, Serve runs them between engine runs, and
-// everything the closure starts (actors, procs, events) executes on the
-// Serve goroutine too.
+// RealTime serialises every submission:
+//
+//   - In FreeRun mode the engine is owned by a mutex. Do runs the closure
+//     and the drain on the caller's goroutine while holding it, so
+//     everything the closure starts (actors, procs, events) executes there
+//     too, and the order in which callers take the lock is the arrival
+//     order. Serve only waits for Close.
+//   - In Paced mode Serve's goroutine is the engine's only driver: Do
+//     queues the closure and Serve runs it between clock ticks.
 //
 // The kernel itself never blocks on wall time; RealTime is strictly a
 // boundary adapter, and a simulation driven entirely by Do submissions in a
@@ -49,7 +54,7 @@ type RealTime struct {
 	mode RTMode
 	tick time.Duration
 
-	mu     sync.Mutex
+	mu     sync.Mutex // FreeRun: held by Do for the closure and the drain
 	inbox  []rtSubmission
 	closed bool
 
@@ -82,12 +87,29 @@ func (rt *RealTime) SetTick(d time.Duration) {
 	}
 }
 
-// Do runs fn on the Serve goroutine and returns once fn has executed (in
-// free-run mode, also once the engine has drained the work fn started). It
-// reports false if the RealTime is closed and fn was not run. Do must not
-// be called from inside a submission: fn blocks the only goroutine that
-// could serve it.
+// Do runs fn with exclusive use of the engine and reports whether it did;
+// it returns false, without running fn, once the RealTime is closed.
+//
+// In FreeRun mode fn and the drain of the work it starts run on the
+// calling goroutine under the engine mutex, so when Do returns the engine
+// has no foreground work left. A panic in fn or in that work propagates to
+// the caller. In Paced mode fn runs on the Serve goroutine and Do returns
+// once it has; the work it starts completes as virtual time catches up.
+//
+// Do must not be called from inside a submission: in FreeRun mode the
+// mutex is already held, and in Paced mode fn blocks the only goroutine
+// that could serve it.
 func (rt *RealTime) Do(fn func()) bool {
+	if rt.mode == FreeRun {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		if rt.closed {
+			return false
+		}
+		fn()
+		rt.eng.Run()
+		return true
+	}
 	sub := rtSubmission{fn: fn, done: make(chan struct{})}
 	rt.mu.Lock()
 	if rt.closed {
@@ -114,10 +136,16 @@ func (rt *RealTime) ring() {
 	}
 }
 
-// Serve drives the engine until Close. It is the engine's sole driver while
-// running and must be called exactly once, typically on its own goroutine.
+// Serve must be called exactly once, typically on its own goroutine, and
+// returns after Close. In Paced mode it is the engine's sole driver: it
+// runs queued submissions and advances virtual time with the wall clock
+// every tick. In FreeRun mode Do drives the engine, and Serve only waits.
 func (rt *RealTime) Serve() {
 	defer close(rt.done)
+	if rt.mode == FreeRun {
+		<-rt.wake // rung only by Close
+		return
+	}
 	wallEpoch := time.Now()
 	virtEpoch := rt.eng.Now()
 	for {
@@ -129,44 +157,26 @@ func (rt *RealTime) Serve() {
 
 		for i := range batch {
 			batch[i].fn()
-			if rt.mode == Paced {
-				close(batch[i].done)
-			}
+			close(batch[i].done)
 		}
-		switch rt.mode {
-		case FreeRun:
-			// Drain on demand: only a submission can create foreground work.
-			// The batch's callers are released only after the drain, so
-			// anything they observe next (an operation they poll) already
-			// reflects the work their submissions started.
-			if len(batch) > 0 {
-				rt.eng.Run()
-			}
-			for i := range batch {
-				close(batch[i].done)
-			}
-		case Paced:
-			rt.eng.RunUntil(virtEpoch + time.Since(wallEpoch))
-		}
+		rt.eng.RunUntil(virtEpoch + time.Since(wallEpoch))
 		if closed {
 			if len(batch) == 0 {
 				return
 			}
 			continue // sweep any submissions racing the close
 		}
-		if rt.mode == FreeRun {
-			<-rt.wake
-		} else {
-			select {
-			case <-rt.wake:
-			case <-time.After(rt.tick):
-			}
+		select {
+		case <-rt.wake:
+		case <-time.After(rt.tick):
 		}
 	}
 }
 
-// Close stops Serve after it sweeps any pending submissions, and waits for
-// it to return. Later Do calls report false. Close is idempotent.
+// Close stops Serve and waits for it to return; later Do calls report
+// false. In FreeRun mode Close takes the engine mutex, so a Do already
+// running finishes first; in Paced mode Serve first sweeps the submissions
+// already queued. Close is idempotent.
 func (rt *RealTime) Close() {
 	rt.mu.Lock()
 	already := rt.closed

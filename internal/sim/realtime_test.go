@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -40,8 +42,8 @@ func TestRealTimeFreeRunDrains(t *testing.T) {
 
 // TestRealTimeFreeRunDoReturnsAfterDrain pins the other half of the
 // free-run contract: Do itself returns only once the work its submission
-// started has drained, so a caller that reads state the work publishes off
-// the engine goroutine (a polled operation) right after Do sees it done.
+// started has drained, so a caller that reads state the work publishes
+// outside the engine (a polled operation) right after Do sees it done.
 func TestRealTimeFreeRunDoReturnsAfterDrain(t *testing.T) {
 	eng := NewEngine()
 	rt := NewRealTime(eng, FreeRun)
@@ -142,7 +144,7 @@ func TestRealTimeCloseRejectsLateDo(t *testing.T) {
 }
 
 // TestRealTimeConcurrentDo hammers Do from many goroutines and checks every
-// accepted submission ran exactly once on the serve goroutine.
+// accepted submission ran exactly once.
 func TestRealTimeConcurrentDo(t *testing.T) {
 	eng := NewEngine()
 	rt := NewRealTime(eng, FreeRun)
@@ -177,5 +179,104 @@ func TestRealTimeConcurrentDo(t *testing.T) {
 			t.Fatalf("submission %d ran twice", v)
 		}
 		seen[v] = true
+	}
+}
+
+// TestRealTimeCloseRacesDo closes a free-run RealTime while 8 goroutines
+// submit to it. Every Do either ran its closure and drained the work it
+// started, or reported false without running it; every closure finds the
+// engine empty; Serve returns; and no goroutine outlives the RealTime.
+func TestRealTimeCloseRacesDo(t *testing.T) {
+	base := runtime.NumGoroutine()
+	eng := NewEngine()
+	rt := NewRealTime(eng, FreeRun)
+	served := make(chan struct{})
+	go func() {
+		rt.Serve()
+		close(served)
+	}()
+
+	const workers, perWorker = 8, 50
+	var ran atomic.Int64
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			refused := false
+			for i := 0; i < perWorker; i++ {
+				var didRun, drained, empty bool
+				ok := rt.Do(func() {
+					didRun = true
+					empty = eng.Pending() == 0 && eng.LiveProcs() == 0
+					ran.Add(1)
+					eng.Spawn("w", func(p *Proc) {
+						p.Sleep(time.Millisecond)
+						drained = true
+					})
+				})
+				switch {
+				case ok && !(didRun && drained):
+					t.Errorf("Do reported true: ran %v, drained %v", didRun, drained)
+				case ok && refused:
+					t.Error("Do accepted after an earlier Do was refused")
+				case ok && !empty:
+					t.Error("a submission found work left by an earlier one")
+				case !ok && didRun:
+					t.Error("Do reported false after running its closure")
+				}
+				refused = refused || !ok
+			}
+		}()
+	}
+	close(start)
+	for ran.Load() < workers {
+		runtime.Gosched()
+	}
+	rt.Close()
+	wg.Wait()
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return after Close")
+	}
+	if eng.Pending() != 0 || eng.LiveProcs() != 0 {
+		t.Fatalf("engine left with %d pending events, %d live procs", eng.Pending(), eng.LiveProcs())
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the RealTime", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestRealTimeFreeRunDoLeavesNothingPending pins the drain half of the
+// free-run contract on the engine itself: once Do returns, no event is
+// left for work that involves no daemon.
+func TestRealTimeFreeRunDoLeavesNothingPending(t *testing.T) {
+	eng := NewEngine()
+	rt := NewRealTime(eng, FreeRun)
+	go rt.Serve()
+	defer rt.Close()
+
+	for _, work := range []func(){
+		func() { eng.After(time.Second, func() {}) },
+		func() { eng.Spawn("p", func(p *Proc) { p.Sleep(time.Minute) }) },
+		func() {
+			var a Actor
+			a.Bind(eng, "a")
+			a.Go(func() { a.Sleep(time.Hour, a.Finish) })
+		},
+	} {
+		pending := -1
+		rt.Do(work)
+		rt.Do(func() { pending = eng.Pending() })
+		if pending != 0 {
+			t.Fatalf("%d events pending after a free-run Do", pending)
+		}
 	}
 }

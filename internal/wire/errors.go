@@ -78,9 +78,9 @@ func writeError(w http.ResponseWriter, err error) {
 func writeErrorRaw(w http.ResponseWriter, status int, code, msg string) {
 	body := ErrorXML(code, msg)
 	h := w.Header()
-	h.Set("Content-Type", "application/xml")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	h.Set("x-ms-error-code", code)
+	h["Content-Type"] = ctypeXML
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
+	h["X-Ms-Error-Code"] = []string{code}
 	w.WriteHeader(status)
 	io.WriteString(w, body) //nolint:errcheck
 }

@@ -2,7 +2,7 @@ package wire
 
 import (
 	"fmt"
-	"net/url"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,7 +33,7 @@ type operation struct {
 }
 
 // mgmtState tracks operations and deployments. The ops map is read by HTTP
-// poll handlers off the engine goroutine, hence the mutex; deployments are
+// poll handlers outside the gate, hence the mutex; deployments are
 // engine-side only.
 type mgmtState struct {
 	mu     sync.Mutex
@@ -101,35 +101,40 @@ func operationXML(o operation) string {
 	return b.String()
 }
 
+// maxPackageMB bounds a deployment's declared package: far above any real
+// package, and low enough that the create phase's virtual duration cannot
+// overflow.
+const maxPackageMB = 1 << 20
+
 // parseMgmtOp routes /management/deployments... paths:
 //
 //	POST   /management/deployments?name=X&role=worker&size=small&instances=4&package=20
 //	POST   /management/deployments/<name>/add?count=N
 //	POST   /management/deployments/<name>/suspend
 //	DELETE /management/deployments/<name>
-func parseMgmtOp(op *wireOp, method string, segs []string, q url.Values) {
+func parseMgmtOp(op *wireOp, method string, segs []string, query string) {
 	if len(segs) < 2 || segs[1] != "deployments" {
-		op.invalid = "unknown management path"
+		op.reject("InvalidUri", "unknown management path")
 		return
 	}
 	switch {
 	case len(segs) == 2 && method == "POST":
 		op.kind = opMgmtDeploy
 		op.spec = deploySpec{
-			name:      q.Get("name"),
-			instances: qInt(q, "instances", 0),
-			packageMB: qFloat(q, "package"),
+			name:      queryValue(query, "name"),
+			instances: qInt(query, "instances", 0),
+			packageMB: qFloat(query, "package"),
 		}
-		switch q.Get("role") {
+		switch queryValue(query, "role") {
 		case "", "worker":
 			op.spec.role = fabric.Worker
 		case "web":
 			op.spec.role = fabric.Web
 		default:
-			op.invalid = "role must be worker or web"
+			op.reject("InvalidUri", "role must be worker or web")
 			return
 		}
-		switch q.Get("size") {
+		switch queryValue(query, "size") {
 		case "", "small":
 			op.spec.size = fabric.Small
 		case "medium":
@@ -139,11 +144,13 @@ func parseMgmtOp(op *wireOp, method string, segs []string, q url.Values) {
 		case "extralarge":
 			op.spec.size = fabric.ExtraLarge
 		default:
-			op.invalid = "unknown VM size " + q.Get("size")
+			op.reject("InvalidUri", "unknown VM size "+queryValue(query, "size"))
 			return
 		}
 		if op.spec.name == "" {
-			op.invalid = "deployment name required"
+			op.reject("InvalidUri", "deployment name required")
+		} else if math.IsNaN(op.spec.packageMB) || op.spec.packageMB > maxPackageMB {
+			op.reject("InvalidInput", "package size out of range")
 		}
 	case len(segs) == 3 && method == "DELETE":
 		op.kind = opMgmtDelete
@@ -151,17 +158,20 @@ func parseMgmtOp(op *wireOp, method string, segs []string, q url.Values) {
 	case len(segs) == 4 && method == "POST" && segs[3] == "add":
 		op.kind = opMgmtAdd
 		op.spec.name = segs[2]
-		op.count = qInt(q, "count", 1)
+		op.count = qInt(query, "count", 1)
+		if op.count < 1 {
+			op.reject("InvalidInput", "count must be positive")
+		}
 	case len(segs) == 4 && method == "POST" && segs[3] == "suspend":
 		op.kind = opMgmtSuspend
 		op.spec.name = segs[2]
 	default:
-		op.invalid = "unknown management path"
+		op.reject("InvalidUri", "unknown management path")
 	}
 }
 
-func qInt(q url.Values, key string, def int) int {
-	n, err := strconv.Atoi(q.Get(key))
+func qInt(query, key string, def int) int {
+	n, err := strconv.Atoi(queryValue(query, key))
 	if err != nil {
 		return def
 	}

@@ -26,7 +26,8 @@ type Arrival struct {
 }
 
 // Recorder captures arrivals as they pass through the facade. It is
-// engine-side state: record runs only on the gate goroutine, so no lock.
+// engine-side state: record runs only under the gate's serialisation, so
+// no lock.
 type Recorder struct {
 	arrivals []Arrival
 }
@@ -47,12 +48,17 @@ func (r *Recorder) Arrivals() []Arrival { return r.arrivals }
 //
 //	<at_ns> <method> <uri> <size> <body-escaped|->
 //
-// The body is query-escaped so the line stays whitespace-delimited.
+// The body is query-escaped so the line stays whitespace-delimited; a
+// body of exactly "-" is written %2D, so it does not read back as empty.
 func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 	var n int64
 	for _, a := range r.arrivals {
 		body := "-"
-		if a.Body != "" {
+		switch a.Body {
+		case "":
+		case "-":
+			body = "%2D"
+		default:
 			body = url.QueryEscape(a.Body)
 		}
 		m, err := fmt.Fprintf(w, "%d %s %s %d %s\n", a.At.Nanoseconds(), a.Method, a.URI, a.Size, body)

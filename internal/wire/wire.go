@@ -10,10 +10,12 @@
 // uses, via the flat (actor) request twins, and every storage error renders
 // through the single storerr.Class table into the classic XML envelope.
 // HTTP arrives on arbitrary goroutines; a Gate (normally sim.RealTime)
-// serialises each request onto the engine, where it runs as a flat
-// continuation on a pooled connection actor — no goroutine per request
-// enters the kernel, and a recorded arrival order replays bit-identically
-// (see Replay).
+// gives one request at a time the engine, and the request runs as a flat
+// continuation on a pooled connection actor. In free-run mode that happens
+// on the handler's own goroutine, under the engine mutex; in paced mode on
+// the serve loop. No goroutine is created per request, and the order the
+// gate admits requests in is the arrival order, which replays
+// bit-identically (see Replay).
 package wire
 
 import (
@@ -32,9 +34,10 @@ import (
 	"azureobs/internal/storage/tablesvc"
 )
 
-// Gate serialises closures onto the engine goroutine. Do runs fn (and, for
-// free-run gates, drains the virtual work it started) and reports false if
-// the gate is closed. sim.RealTime implements it.
+// Gate serialises closures' use of the engine: no two run at once, and the
+// order they run in is the arrival order the recorder sees. Do runs fn
+// (and, for free-run gates, drains the virtual work it started) and reports
+// false if the gate is closed. sim.RealTime implements it.
 type Gate interface {
 	Do(fn func()) bool
 }
@@ -94,6 +97,17 @@ const (
 	opFaultsSet
 )
 
+// Declared-size limits of the 2009 storage services. A request declaring
+// more is refused at parse time, before any size reaches a service.
+const (
+	maxBlobSize    = 200 << 30 // one blob
+	maxEntitySize  = 1 << 20   // one table entity
+	maxMessageSize = 8 << 10   // one queue message
+)
+
+// maxSegs is the longest routed path, in segments (/table/<t>/<pk>/<rk>).
+const maxSegs = 4
+
 // wireOp is one parsed request in canonical form: everything is derived
 // from (method, uri, size, body), which is exactly what the recorder
 // persists, so a replayed arrival dispatches identically to the live one.
@@ -121,20 +135,29 @@ type wireOp struct {
 	faults  reqpath.FaultConfig
 	reset   bool
 
-	invalid string // non-empty: reject with 400 and this message
+	invalid *wireError // non-nil: reject with this 400
 }
 
 // parseOp builds the canonical op. It never touches the engine.
 func parseOp(method, uri string, size int64, body string) *wireOp {
-	op := &wireOp{kind: opInvalid, method: method, uri: uri, size: size, body: body, overwrite: true}
-	u, err := url.ParseRequestURI(uri)
-	if err != nil {
-		op.invalid = "unparseable request URI"
-		return op
+	op := new(wireOp)
+	op.parse(method, uri, size, body)
+	return op
+}
+
+// parse overwrites op with the canonical form of one request. Names in op
+// are substrings of uri, so parsing a well-formed request allocates
+// nothing.
+func (op *wireOp) parse(method, uri string, size int64, body string) {
+	*op = wireOp{kind: opInvalid, method: method, uri: uri, size: size, body: body, overwrite: true}
+	path, query, ok := splitRequestURI(uri)
+	if !ok {
+		op.reject("InvalidUri", "unparseable request URI")
+		return
 	}
-	segs := splitPath(u.Path)
-	q := u.Query()
-	if s := q.Get("size"); s != "" {
+	var buf [maxSegs]string
+	segs := splitPath(buf[:0], path)
+	if s := queryValue(query, "size"); s != "" {
 		if n, err := strconv.ParseInt(s, 10, 64); err == nil && n >= 0 {
 			op.size = n
 		}
@@ -142,39 +165,117 @@ func parseOp(method, uri string, size int64, body string) *wireOp {
 	if op.size == 0 {
 		op.size = int64(len(body))
 	}
-	if q.Get("ifabsent") == "1" {
+	if queryValue(query, "ifabsent") == "1" {
 		op.overwrite = false
 	}
 	if len(segs) == 0 {
-		op.invalid = "empty path"
-		return op
+		op.reject("InvalidUri", "empty path")
+		return
 	}
 	switch segs[0] {
 	case "table":
-		parseTableOp(op, method, segs, q)
+		parseTableOp(op, method, segs)
 	case "queue":
-		parseQueueOp(op, method, segs, q)
+		parseQueueOp(op, method, segs, query)
 	case "management":
-		parseMgmtOp(op, method, segs, q)
+		parseMgmtOp(op, method, segs, query)
 	case "control":
-		parseControlOp(op, method, segs, q)
+		parseControlOp(op, method, segs, query)
 	case "healthz", "operations":
 		// Served directly by ServeHTTP; reaching the router is a mistake.
-		op.invalid = "reserved path"
+		op.reject("InvalidUri", "reserved path")
 	default:
 		parseBlobOp(op, method, segs)
 	}
-	return op
+	if op.invalid == nil {
+		op.checkSize()
+	}
 }
 
-func splitPath(p string) []string {
-	var segs []string
-	for _, s := range strings.Split(p, "/") {
-		if s != "" {
-			segs = append(segs, s)
+func (op *wireOp) reject(code, msg string) {
+	op.invalid = &wireError{status: 400, code: code, msg: msg}
+}
+
+// checkSize refuses a size no 2009 service accepts. Only a hand-written
+// arrival log can carry a negative one: live sizes are declared
+// non-negative or counted from the body.
+func (op *wireOp) checkSize() {
+	if op.size < 0 {
+		op.reject("InvalidInput", "negative size")
+		return
+	}
+	var limit int64
+	switch op.kind {
+	case opBlobPut:
+		limit = maxBlobSize
+	case opEntityInsert, opEntityUpdate:
+		limit = maxEntitySize
+	case opMsgPut:
+		limit = maxMessageSize
+	default:
+		return
+	}
+	if op.size > limit {
+		op.reject("InvalidInput", "size "+strconv.FormatInt(op.size, 10)+
+			" exceeds the "+strconv.FormatInt(limit, 10)+"-byte limit")
+	}
+}
+
+// splitRequestURI splits a request URI into its decoded path and raw query
+// exactly as url.ParseRequestURI does. The common form, an absolute path
+// with no escapes and no control bytes, is split in place.
+func splitRequestURI(uri string) (path, query string, ok bool) {
+	path, query, _ = strings.Cut(uri, "?")
+	if strings.HasPrefix(path, "/") && strings.IndexByte(path, '%') < 0 && !hasCTL(uri) {
+		return path, query, true
+	}
+	u, err := url.ParseRequestURI(uri)
+	if err != nil {
+		return "", "", false
+	}
+	return u.Path, u.RawQuery, true
+}
+
+func hasCTL(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < ' ' || s[i] == 0x7f {
+			return true
 		}
 	}
-	return segs
+	return false
+}
+
+// queryValue returns the first value of key in a raw query, by the rules
+// of url.ParseQuery: pairs split on '&', keys and values are
+// query-unescaped, and a pair holding ';' or a bad escape is skipped.
+func queryValue(query, key string) string {
+	for query != "" {
+		var pair string
+		pair, query, _ = strings.Cut(query, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
+// splitPath appends p's non-empty segments to dst.
+func splitPath(dst []string, p string) []string {
+	for p != "" {
+		var s string
+		s, p, _ = strings.Cut(p, "/")
+		if s != "" {
+			dst = append(dst, s)
+		}
+	}
+	return dst
 }
 
 func parseBlobOp(op *wireOp, method string, segs []string) {
@@ -193,14 +294,14 @@ func parseBlobOp(op *wireOp, method string, segs []string) {
 		case "DELETE":
 			op.kind = opBlobDelete
 		default:
-			op.invalid = "unsupported blob method " + method
+			op.reject("InvalidUri", "unsupported blob method "+method)
 		}
 	default:
-		op.invalid = "blob path must be /<container>/<blob>"
+		op.reject("InvalidUri", "blob path must be /<container>/<blob>")
 	}
 }
 
-func parseTableOp(op *wireOp, method string, segs []string, q url.Values) {
+func parseTableOp(op *wireOp, method string, segs []string) {
 	switch {
 	case len(segs) == 2 && method == "PUT":
 		op.kind, op.table = opTableCreate, segs[1]
@@ -218,14 +319,14 @@ func parseTableOp(op *wireOp, method string, segs []string, q url.Values) {
 		case "DELETE":
 			op.kind = opEntityDelete
 		default:
-			op.invalid = "unsupported entity method " + method
+			op.reject("InvalidUri", "unsupported entity method "+method)
 		}
 	default:
-		op.invalid = "table path must be /table/<name>[/<pk>[/<rk>]]"
+		op.reject("InvalidUri", "table path must be /table/<name>[/<pk>[/<rk>]]")
 	}
 }
 
-func parseQueueOp(op *wireOp, method string, segs []string, q url.Values) {
+func parseQueueOp(op *wireOp, method string, segs []string, query string) {
 	switch {
 	case len(segs) == 2 && method == "PUT":
 		op.kind, op.queue = opQueueCreate, segs[1]
@@ -235,44 +336,44 @@ func parseQueueOp(op *wireOp, method string, segs []string, q url.Values) {
 		case "POST":
 			op.kind = opMsgPut
 		case "GET":
-			if q.Get("peekonly") == "true" {
+			if queryValue(query, "peekonly") == "true" {
 				op.kind = opMsgPeek
 			} else {
 				op.kind = opMsgGet
-				if s := q.Get("visibilitytimeout"); s != "" {
+				if s := queryValue(query, "visibilitytimeout"); s != "" {
 					if sec, err := strconv.ParseFloat(s, 64); err == nil && sec > 0 {
 						op.visibility = time.Duration(sec * float64(time.Second))
 					}
 				}
 			}
 		default:
-			op.invalid = "unsupported messages method " + method
+			op.reject("InvalidUri", "unsupported messages method "+method)
 		}
 	case len(segs) == 4 && segs[2] == "messages" && method == "DELETE":
 		op.kind, op.queue, op.receipt = opMsgDelete, segs[1], segs[3]
 	default:
-		op.invalid = "queue path must be /queue/<name>/messages[/<popreceipt>]"
+		op.reject("InvalidUri", "queue path must be /queue/<name>/messages[/<popreceipt>]")
 	}
 }
 
-func parseControlOp(op *wireOp, method string, segs []string, q url.Values) {
+func parseControlOp(op *wireOp, method string, segs []string, query string) {
 	if len(segs) == 2 && segs[1] == "faults" && method == "POST" {
 		op.kind = opFaultsSet
-		op.service = q.Get("service")
-		op.reset = q.Get("reset") == "1"
+		op.service = queryValue(query, "service")
+		op.reset = queryValue(query, "reset") == "1"
 		op.faults = reqpath.FaultConfig{
-			ConnFailProb:    qFloat(q, "conn"),
-			ServerBusyProb:  qFloat(q, "busy"),
-			ReadFailProb:    qFloat(q, "read"),
-			CorruptReadProb: qFloat(q, "corrupt"),
+			ConnFailProb:    qFloat(query, "conn"),
+			ServerBusyProb:  qFloat(query, "busy"),
+			ReadFailProb:    qFloat(query, "read"),
+			CorruptReadProb: qFloat(query, "corrupt"),
 		}
 		return
 	}
-	op.invalid = "unknown control path"
+	op.reject("InvalidUri", "unknown control path")
 }
 
-func qFloat(q url.Values, key string) float64 {
-	v, err := strconv.ParseFloat(q.Get(key), 64)
+func qFloat(query, key string) float64 {
+	v, err := strconv.ParseFloat(queryValue(query, key), 64)
 	if err != nil {
 		return 0
 	}
@@ -284,10 +385,10 @@ func qFloat(q url.Values, key string) float64 {
 // else and renders as the XML error envelope via storerr.Class.
 type wireResult struct {
 	status   int
-	location string // Location header (mgmt 202s)
-	reqID    string // x-ms-request-id
-	popRcpt  string // x-ms-popreceipt
-	ctype    string
+	location string   // Location header (mgmt 202s)
+	reqID    string   // x-ms-request-id
+	popRcpt  string   // x-ms-popreceipt
+	ctype    []string // Content-Type header value, one of the shared ctype slices
 	body     string
 	bodySize int64 // stream this many zero bytes instead of body
 	err      error
@@ -334,15 +435,15 @@ func (f *Facade) Cloud() *azure.Cloud { return f.cloud }
 // install before serving.
 func (f *Facade) SetRecorder(rec *Recorder) { f.rec = rec }
 
-// start dispatches one canonical op on the engine goroutine; deliver is
-// called exactly once with the outcome, at the virtual instant the request
-// completes.
+// start dispatches one canonical op under the gate's serialisation;
+// deliver is called exactly once with the outcome, at the virtual instant
+// the request completes.
 func (f *Facade) start(op *wireOp, deliver func(wireResult)) {
 	if f.rec != nil {
 		f.rec.record(f.cloud.Engine.Now(), op)
 	}
-	if op.invalid != "" {
-		deliver(wireResult{err: &wireError{status: 400, code: "InvalidUri", msg: op.invalid}})
+	if op.invalid != nil {
+		deliver(wireResult{err: op.invalid})
 		return
 	}
 	switch op.kind {
@@ -575,7 +676,7 @@ func (c *conn) blobSizeDone(n int64, err error) {
 		return
 	}
 	if c.op.kind == opBlobGet {
-		c.finish(wireResult{status: 200, ctype: "application/octet-stream", bodySize: n})
+		c.finish(wireResult{status: 200, ctype: ctypeOctet, bodySize: n})
 		return
 	}
 	c.finish(wireResult{status: 201})
@@ -606,7 +707,8 @@ func (c *conn) entDone(e *tablesvc.Entity, err error) {
 		c.finishErr(err)
 		return
 	}
-	c.finish(wireResult{status: 200, ctype: "application/json", body: entityJSON(e)})
+	var buf [128]byte
+	c.finish(wireResult{status: 200, ctype: ctypeJSON, body: string(appendEntityJSON(buf[:0], e))})
 }
 
 func (c *conn) entsDone(es []*tablesvc.Entity, err error) {
@@ -614,16 +716,15 @@ func (c *conn) entsDone(es []*tablesvc.Entity, err error) {
 		c.finishErr(err)
 		return
 	}
-	var b strings.Builder
-	b.WriteByte('[')
+	b := []byte{'['}
 	for i, e := range es {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(entityJSON(e))
+		b = appendEntityJSON(b, e)
 	}
-	b.WriteByte(']')
-	c.finish(wireResult{status: 200, ctype: "application/json", body: b.String()})
+	b = append(b, ']')
+	c.finish(wireResult{status: 200, ctype: ctypeJSON, body: string(b)})
 }
 
 func (c *conn) writeDone(err error) {
@@ -643,10 +744,11 @@ func (c *conn) addDone(id uint64, err error) {
 		c.finishErr(err)
 		return
 	}
-	c.finish(wireResult{
-		status: 201, ctype: "application/xml",
-		body: xmlHeader + "<QueueMessage><MessageId>" + strconv.FormatUint(id, 10) + "</MessageId></QueueMessage>",
-	})
+	var buf [128]byte
+	b := append(buf[:0], xmlHeader+"<QueueMessage><MessageId>"...)
+	b = strconv.AppendUint(b, id, 10)
+	b = append(b, "</MessageId></QueueMessage>"...)
+	c.finish(wireResult{status: 201, ctype: ctypeXML, body: string(b)})
 }
 
 func (c *conn) peekDone(m *queuesvc.Message, ok bool, err error) {
@@ -658,7 +760,7 @@ func (c *conn) peekDone(m *queuesvc.Message, ok bool, err error) {
 		c.finishErr(storerr.New(storerr.CodeNotFound, "queue.Peek", "no visible messages"))
 		return
 	}
-	c.finish(wireResult{status: 200, ctype: "application/xml", body: messagesXML(m, "")})
+	c.finish(wireResult{status: 200, ctype: ctypeXML, body: messagesXML(m, "")})
 }
 
 func (c *conn) recvDone(m *queuesvc.Message, rcpt queuesvc.Receipt, ok bool, err error) {
@@ -670,7 +772,7 @@ func (c *conn) recvDone(m *queuesvc.Message, rcpt queuesvc.Receipt, ok bool, err
 		c.finishErr(storerr.New(storerr.CodeNotFound, "queue.Receive", "no visible messages"))
 		return
 	}
-	c.finish(wireResult{status: 200, ctype: "application/xml", popRcpt: rcpt.String(), body: messagesXML(m, rcpt.String())})
+	c.finish(wireResult{status: 200, ctype: ctypeXML, popRcpt: rcpt.String(), body: messagesXML(m, rcpt.String())})
 }
 
 func (c *conn) qDelDone(err error) {
@@ -681,8 +783,14 @@ func (c *conn) qDelDone(err error) {
 	c.finish(wireResult{status: 204})
 }
 
-func entityJSON(e *tablesvc.Entity) string {
-	return fmt.Sprintf(`{"PartitionKey":%q,"RowKey":%q,"Size":%d}`, e.PartitionKey, e.RowKey, e.Size())
+func appendEntityJSON(b []byte, e *tablesvc.Entity) []byte {
+	b = append(b, `{"PartitionKey":`...)
+	b = strconv.AppendQuote(b, e.PartitionKey)
+	b = append(b, `,"RowKey":`...)
+	b = strconv.AppendQuote(b, e.RowKey)
+	b = append(b, `,"Size":`...)
+	b = strconv.AppendInt(b, int64(e.Size()), 10)
+	return append(b, '}')
 }
 
 func messagesXML(m *queuesvc.Message, popReceipt string) string {

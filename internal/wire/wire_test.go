@@ -2,8 +2,10 @@ package wire
 
 import (
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -501,5 +503,79 @@ func TestWireBodyLimit(t *testing.T) {
 	ts.rt.Do(func() { _, reached = ts.cloud.Blob.Lookup("files", "over") })
 	if reached {
 		t.Fatal("oversize body reached the blob service")
+	}
+}
+
+// TestWireDeclaredSizeLimits pins the parse-time caps on declared sizes:
+// each service takes its 2009 limit exactly and refuses one byte more with
+// 400 InvalidInput, whether the size comes from x-ms-size, ?size= or the
+// body, and a refused write never reaches the service.
+func TestWireDeclaredSizeLimits(t *testing.T) {
+	ts := newTestServer(t)
+	ts.want("PUT", "/c", nil, 201)
+	ts.want("PUT", "/table/t", nil, 201)
+	ts.want("PUT", "/queue/q", nil, 201)
+	ts.want("POST", "/table/t/p/existing", nil, 201)
+	size := func(n int64) map[string]string { return map[string]string{"x-ms-size": strconv.FormatInt(n, 10)} }
+
+	for _, tc := range []struct {
+		method, path string
+		header       map[string]string
+		body         string
+		want         int
+	}{
+		{"PUT", "/c/at-limit", size(maxBlobSize), "", 201},
+		{"PUT", "/c/over", size(maxBlobSize + 1), "", 400},
+		{"PUT", "/c/exabyte", size(math.MaxInt64), "", 400},
+		{"PUT", "/c/query-over?size=" + strconv.Itoa(maxBlobSize+1), nil, "", 400},
+		{"POST", "/table/t/p/at-limit", size(maxEntitySize), "", 201},
+		{"POST", "/table/t/p/over", size(maxEntitySize + 1), "", 400},
+		{"PUT", "/table/t/p/existing", size(maxEntitySize + 1), "", 400},
+		{"POST", "/queue/q/messages", size(maxMessageSize), "", 201},
+		{"POST", "/queue/q/messages?size=" + strconv.Itoa(maxMessageSize+1), nil, "", 400},
+		{"POST", "/queue/q/messages", nil, strings.Repeat("m", maxMessageSize+1), 400},
+		// Reads take no declared size: a large one is ignored.
+		{"HEAD", "/c/at-limit", size(math.MaxInt64), "", 200},
+	} {
+		var body io.Reader
+		if tc.body != "" {
+			body = strings.NewReader(tc.body)
+		}
+		req, err := http.NewRequest(tc.method, ts.srv.URL+tc.path, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range tc.header {
+			req.Header.Set(k, v)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s %v: status %d, want %d", tc.method, tc.path, tc.header, resp.StatusCode, tc.want)
+			continue
+		}
+		if tc.want == 400 && resp.Header.Get("x-ms-error-code") != "InvalidInput" {
+			t.Errorf("%s %s: error code %q, want InvalidInput", tc.method, tc.path, resp.Header.Get("x-ms-error-code"))
+		}
+	}
+
+	var blobs []string
+	var rows, msgs int
+	ts.rt.Do(func() {
+		for _, name := range []string{"at-limit", "over", "exabyte", "query-over"} {
+			if _, ok := ts.cloud.Blob.Lookup("c", name); ok {
+				blobs = append(blobs, name)
+			}
+		}
+		rows = ts.cloud.Table.PartitionSize("t", "p")
+		if q, ok := ts.cloud.Queue.GetQueue("q"); ok {
+			msgs = q.Len()
+		}
+	})
+	if len(blobs) != 1 || blobs[0] != "at-limit" || rows != 2 || msgs != 1 {
+		t.Fatalf("stored blobs %v, %d rows, %d messages; want [at-limit], 2 rows, 1 message", blobs, rows, msgs)
 	}
 }
