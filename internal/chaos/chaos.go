@@ -203,21 +203,39 @@ func (e *Engine) Start() {
 	}
 }
 
-// spawnProcess runs one stochastic fault process as a daemon: Poisson gaps
-// on the class's own stream, one injection per arrival.
+// spawnProcess runs one stochastic fault process as a daemon actor:
+// Poisson gaps on the class's own stream, one injection per arrival.
 func (e *Engine) spawnProcess(label string, proc Process, inject func(rng *simrand.RNG, repair time.Duration)) {
-	rng := e.rng.Fork(label)
-	e.cloud.Engine.SpawnDaemon(label, func(p *sim.Proc) {
-		for {
-			gap := simrand.Duration(simrand.Exponential{
-				Rate: 1 / proc.MeanInterarrival.Seconds()}, rng)
-			p.Sleep(gap)
-			if e.cfg.Horizon > 0 && p.Now() > e.cfg.Horizon {
-				return
-			}
-			inject(rng, proc.repair(rng))
-		}
-	})
+	f := &faultProcess{e: e, proc: proc, rng: e.rng.Fork(label), inject: inject}
+	f.a.BindDaemon(e.cloud.Engine, label)
+	f.onArrival = f.arrive
+	f.a.Go(f.wait)
+}
+
+// faultProcess is one stochastic fault process's state machine.
+type faultProcess struct {
+	a      sim.Actor
+	e      *Engine
+	proc   Process
+	rng    *simrand.RNG
+	inject func(rng *simrand.RNG, repair time.Duration)
+
+	onArrival func() // cached: injects when the gap ends
+}
+
+func (f *faultProcess) wait() {
+	gap := simrand.Duration(simrand.Exponential{
+		Rate: 1 / f.proc.MeanInterarrival.Seconds()}, f.rng)
+	f.a.Sleep(gap, f.onArrival)
+}
+
+func (f *faultProcess) arrive() {
+	if h := f.e.cfg.Horizon; h > 0 && f.a.Now() > h {
+		f.a.Finish()
+		return
+	}
+	f.inject(f.rng, f.proc.repair(f.rng))
+	f.wait()
 }
 
 // pickHost draws a host index and linearly probes to the next live host, so

@@ -119,31 +119,51 @@ func DefaultDegradation() DegradationConfig {
 	}
 }
 
-// startDegradation runs the episode process forever on the engine.
+// startDegradation runs the episode process forever on the engine, as a
+// daemon actor: it holds no goroutine, so an engine abandoned at its
+// horizon leaves nothing parked behind.
 func (dc *Datacenter) startDegradation(cfg DegradationConfig) {
-	rng := dc.rng.Fork("degradation")
-	dc.eng.SpawnDaemon("degradation", func(p *sim.Proc) {
-		for {
-			gap := simrand.Duration(simrand.Exponential{Rate: 1 / cfg.MeanInterarrival.Seconds()}, rng)
-			p.Sleep(gap)
-			frac := simrand.Uniform{Lo: cfg.FracLo, Hi: cfg.FracHi}.Sample(rng)
-			slow := simrand.Uniform{Lo: cfg.SlowLo, Hi: cfg.SlowHi}.Sample(rng)
-			dur := simrand.Duration(simrand.Uniform{
-				Lo: cfg.DurLo.Seconds(), Hi: cfg.DurHi.Seconds()}, rng)
-			victims := dc.pickHosts(rng, frac)
-			for _, h := range victims {
-				h.slowdown = slow
+	d := &degrader{dc: dc, cfg: cfg, rng: dc.rng.Fork("degradation")}
+	d.a.BindDaemon(dc.eng, "degradation")
+	d.onEpisode = d.episode
+	d.a.Go(d.wait)
+}
+
+// degrader is the episode process's state machine: wait an exponential
+// gap, strike, repeat.
+type degrader struct {
+	a   sim.Actor
+	dc  *Datacenter
+	cfg DegradationConfig
+	rng *simrand.RNG
+
+	onEpisode func() // cached: strikes when the gap ends
+}
+
+func (d *degrader) wait() {
+	gap := simrand.Duration(simrand.Exponential{Rate: 1 / d.cfg.MeanInterarrival.Seconds()}, d.rng)
+	d.a.Sleep(gap, d.onEpisode)
+}
+
+func (d *degrader) episode() {
+	cfg, rng := &d.cfg, d.rng
+	frac := simrand.Uniform{Lo: cfg.FracLo, Hi: cfg.FracHi}.Sample(rng)
+	slow := simrand.Uniform{Lo: cfg.SlowLo, Hi: cfg.SlowHi}.Sample(rng)
+	dur := simrand.Duration(simrand.Uniform{
+		Lo: cfg.DurLo.Seconds(), Hi: cfg.DurHi.Seconds()}, rng)
+	victims := d.dc.pickHosts(rng, frac)
+	for _, h := range victims {
+		h.slowdown = slow
+	}
+	d.dc.episodes++
+	d.dc.eng.AfterDaemon(dur, func() {
+		for _, h := range victims {
+			if h.slowdown == slow {
+				h.slowdown = 1
 			}
-			dc.episodes++
-			p.Engine().AfterDaemon(dur, func() {
-				for _, h := range victims {
-					if h.slowdown == slow {
-						h.slowdown = 1
-					}
-				}
-			})
 		}
 	})
+	d.wait()
 }
 
 // pickHosts samples ⌈frac×N⌉ distinct hosts.

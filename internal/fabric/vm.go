@@ -80,8 +80,11 @@ func (vm *VM) State() VMState { return vm.state }
 // setState moves the instance through its lifecycle, checking the transition
 // against legalVMNext when invariants are enabled.
 func (vm *VM) setState(eng *sim.Engine, s VMState) {
-	eng.Invariants().Checkf(legalVMTransition(vm.state, s),
-		"fabric: illegal VM transition %v -> %v (%s)", vm.state, s, vm.Name)
+	// Test before calling Checkf: its variadic arguments box on every call.
+	if !legalVMTransition(vm.state, s) {
+		eng.Invariants().Checkf(false,
+			"fabric: illegal VM transition %v -> %v (%s)", vm.state, s, vm.Name)
+	}
 	vm.state = s
 }
 

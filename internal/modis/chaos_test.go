@@ -138,7 +138,7 @@ func TestCrashAbortNotCountedAsFalseKill(t *testing.T) {
 		script = append(script, chaos.ScriptEvent{
 			At:     time.Duration(6+i*7) * time.Hour,
 			Class:  chaos.ClassHostCrash,
-			Host:   probe.workers[i].Host.ID,
+			Host:   probe.fleet.vms[i].Host.ID,
 			Repair: time.Hour,
 		})
 	}

@@ -15,7 +15,6 @@ import (
 	"azureobs/internal/simrand"
 	"azureobs/internal/storage/queuesvc"
 	"azureobs/internal/storage/reqpath"
-	"azureobs/internal/storage/storerr"
 	"azureobs/internal/storage/tablesvc"
 )
 
@@ -207,8 +206,9 @@ type Campaign struct {
 	// bit-identical.
 	retry azure.RetryPolicy
 
-	queue   *taskQueue
-	workers []*fabric.VM
+	// fleet is the serial campaign's worker side; nil when sharded, where
+	// every shard runs its own.
+	fleet *fleet
 
 	// Request intake (Fig. 6): portal → request table + service queue →
 	// service manager.
@@ -218,19 +218,8 @@ type Campaign struct {
 	nextTaskID uint64
 	nextReqID  uint64
 
-	// Chaos machinery (all nil/empty when cfg.Chaos is off). procs, current
-	// and execStart are indexed by worker slot; vmSlot maps a live worker VM
-	// back to its slot so a host-crash callback can find who died.
-	chaos     *chaos.Engine
-	procs     []*sim.Proc
-	current   []*Task
-	execStart []time.Duration
-	vmSlot    map[*fabric.VM]int
-	reacqRNG  *simrand.RNG
-	respawns  int
-
 	// Conservation counters (checked against the invariant harness at the
-	// end of Run): finishes counts finishTask calls (legacy mode) or
+	// end of Run): finishes counts finishTask calls (serial mode) or
 	// applied finish notes (sharded mode).
 	finishes uint64
 
@@ -249,25 +238,6 @@ type Campaign struct {
 	inboxArmed       bool
 	dispatchSeq      uint64
 	applied          [numNoteKinds]uint64
-}
-
-// taskQueue couples the real Azure queue service with an instant wakeup
-// channel so idle workers do not busy-poll across months of simulated time.
-// (The production system polled; the token queue reproduces the same FIFO
-// delivery without 10^8 empty polls.) do is the owner's storage-operation
-// wrapper (the campaign's in legacy mode, a shard's in sharded mode), so
-// retries and errors are tallied against the right books.
-type taskQueue struct {
-	do     func(p *sim.Proc, name string, op func() error) error
-	cloud  *azure.Cloud
-	q      *queuesvc.Queue
-	tokens *sim.Queue[uint64]
-	tasks  map[uint64]*Task
-
-	// delivered counts tasks handed to workers — one side of the
-	// delivered == executions + crash-aborted + in-flight conservation
-	// equation checked at the end of a run.
-	delivered uint64
 }
 
 // withDefaults fills zero fields from DefaultConfig and normalises the
@@ -351,18 +321,21 @@ func NewCampaign(cfg Config) *Campaign {
 		cloud:    cloud,
 		rng:      simrand.New(cfg.Seed).Fork("modis"),
 		Stats:    newCampaignStats(cfg.Days),
-		workers:  cloud.Controller.ReadyFleet(cfg.Workers, fabric.Worker, fabric.Small),
 		Log:      oplog.New(256),
 		Analyzer: oplog.NewTaxonomyAnalyzer(string(OutcomeVMTimeout)),
 	}
 	c.retry = azure.DefaultRetryPolicy().WithJitter(0.5, c.rng.Fork("retry"))
 	c.Log.Subscribe(c.Analyzer.Sink())
-	c.queue = &taskQueue{
-		do:     c.storageDo,
-		cloud:  cloud,
-		q:      cloud.Queue.CreateQueue("modis-tasks"),
-		tokens: sim.NewQueue[uint64](),
-		tasks:  make(map[uint64]*Task),
+	c.fleet = &fleet{
+		camp:  c,
+		eng:   cloud.Engine,
+		cloud: cloud,
+		rng:   c.rng,
+		retry: c.retry,
+		stats: c.Stats,
+		log:   c.Log,
+		vms:   cloud.Controller.ReadyFleet(cfg.Workers, fabric.Worker, fabric.Small),
+		queue: newTaskQueue(cloud),
 	}
 	// The request path of Fig. 6: the portal stores each request in an
 	// Azure table and enqueues it on a service queue watched by the
@@ -378,8 +351,8 @@ func NewCampaign(cfg Config) *Campaign {
 		// The chaos root is forked from the campaign seed by label, exactly
 		// like every other subsystem stream: with chaos off, nothing below
 		// draws from it and every other stream is untouched.
-		c.chaos = chaos.New(cloud, simrand.New(cfg.Seed).Fork("chaos"), ch)
-		c.reacqRNG = c.rng.Fork("reacquire")
+		c.fleet.chaos = chaos.New(cloud, simrand.New(cfg.Seed).Fork("chaos"), ch)
+		c.fleet.reacqRNG = c.rng.Fork("reacquire")
 	}
 	return c
 }
@@ -414,10 +387,10 @@ func (c *Campaign) ChaosReport() *chaos.Report {
 		rep.Violations = c.InvariantViolations()
 		return rep
 	}
-	if c.chaos == nil {
+	if c.fleet.chaos == nil {
 		return nil
 	}
-	return c.chaos.Report()
+	return c.fleet.chaos.Report()
 }
 
 // EnableInvariants turns on the kernel invariant harness for every engine
@@ -497,29 +470,12 @@ func (c *Campaign) Run() *Stats {
 	if c.group != nil {
 		return c.runSharded()
 	}
-	c.cloud.Engine.Spawn("portal", c.portal)
-	c.cloud.Engine.SpawnDaemon("service-manager", c.serviceManager)
-	c.procs = make([]*sim.Proc, len(c.workers))
-	c.current = make([]*Task, len(c.workers))
-	c.execStart = make([]time.Duration, len(c.workers))
-	for i, vm := range c.workers {
-		vm, i := vm, i
-		c.procs[i] = c.cloud.Engine.Spawn(fmt.Sprintf("worker%d", i), func(p *sim.Proc) {
-			c.workerLoop(p, vm, i, c.rng.ForkN("worker", i))
-		})
-	}
-	if c.chaos != nil {
-		c.vmSlot = make(map[*fabric.VM]int, len(c.workers))
-		for i, vm := range c.workers {
-			c.vmSlot[vm] = i
-		}
-		c.cloud.DC.OnHostDown(c.onHostDown)
-		c.chaos.Start()
-	}
+	c.startIntake()
+	c.fleet.start()
 	c.cloud.Engine.RunUntil(time.Duration(c.cfg.Days) * 24 * time.Hour)
 	c.checkConservation()
-	if c.chaos != nil {
-		c.chaos.Report().Violations = c.cloud.Engine.Invariants().ViolationCount()
+	if ch := c.fleet.chaos; ch != nil {
+		ch.Report().Violations = c.cloud.Engine.Invariants().ViolationCount()
 	}
 	return c.Stats
 }
@@ -534,151 +490,170 @@ func (c *Campaign) checkConservation() {
 	if inv == nil {
 		return
 	}
-	var inFlight uint64
-	for _, t := range c.current {
-		if t != nil {
-			inFlight++
-		}
-	}
+	inFlight := c.fleet.inFlight()
 	execs := c.Stats.TotalExecs()
-	inv.Checkf(c.queue.delivered == execs+c.Stats.CrashAborted+inFlight,
+	inv.Checkf(c.fleet.queue.delivered == execs+c.Stats.CrashAborted+inFlight,
 		"task conservation: %d delivered != %d executions + %d crash-aborted + %d in flight",
-		c.queue.delivered, execs, c.Stats.CrashAborted, inFlight)
+		c.fleet.queue.delivered, execs, c.Stats.CrashAborted, inFlight)
 	inv.Checkf(execs == c.finishes+c.Stats.Retries,
 		"execution conservation: %d executions != %d finishes + %d retries",
 		execs, c.finishes, c.Stats.Retries)
 }
 
-// onHostDown is the campaign's crash handler (kernel context, fired inside
-// CrashHost). For each failed worker VM it kills the worker process,
-// re-enqueues whatever task it was executing (crediting the lost work to the
-// chaos report), and schedules the fabric re-acquisition of a replacement
-// worker.
-func (c *Campaign) onHostDown(_ *fabric.Host, failed []*fabric.VM) {
-	for _, vm := range failed {
-		slot, ok := c.vmSlot[vm]
-		if !ok {
-			continue // not one of ours (or already handled)
-		}
-		delete(c.vmSlot, vm)
-		if t := c.current[slot]; t != nil {
-			c.chaos.Report().AddWorkLost(c.cloud.Engine.Now() - c.execStart[slot])
-			t.lost = true
-			c.current[slot] = nil
-			c.Stats.CrashAborted++
-			// Re-enqueueing needs a process (it is a storage operation);
-			// the monitor-side reclaim runs as its own short-lived proc.
-			c.cloud.Engine.Spawn(fmt.Sprintf("reclaim/%d", t.ID), func(p *sim.Proc) {
-				c.queue.enqueue(p, t)
-			})
-		}
-		if c.procs[slot] != nil {
-			c.procs[slot].Kill()
-			c.procs[slot] = nil
-		}
-		c.respawns++
-		gen := c.respawns
-		c.cloud.Engine.Spawn(fmt.Sprintf("reacquire/%d", gen), func(p *sim.Proc) {
-			// Fabric re-acquisition delay: the gap the paper observed
-			// between a node failure and its capacity coming back.
-			p.Sleep(simrand.Duration(simrand.Uniform{
-				Lo: (10 * time.Minute).Seconds(), Hi: (45 * time.Minute).Seconds()}, c.reacqRNG))
-			nvm := c.cloud.Controller.ReplacementVM(fabric.Worker, fabric.Small)
-			c.workers[slot] = nvm
-			c.vmSlot[nvm] = slot
-			c.Stats.ReplacementVMs++
-			rng := c.rng.ForkN("worker-r", gen)
-			c.procs[slot] = c.cloud.Engine.Spawn(fmt.Sprintf("worker%d/r%d", slot, gen), func(p2 *sim.Proc) {
-				c.workerLoop(p2, nvm, slot, rng)
-			})
-		})
+// startIntake starts the request path of Fig. 6 on the coordinator's
+// engine: the portal and the service manager.
+func (c *Campaign) startIntake() {
+	p := &portal{
+		c:        c,
+		gap:      simrand.Exponential{Rate: 1 / c.cfg.MeanRequestGap.Seconds()},
+		sizeDist: simrand.LogNormalMeanCV(c.cfg.MeanTasksPerRequest, 1.0),
+		horizon:  time.Duration(c.cfg.Days) * 24 * time.Hour,
 	}
+	p.init(c.cloud, "portal", false, c.Stats, c.retry)
+	p.onWake = p.submit
+	p.onInserted = p.inserted
+	p.onAdded = p.added
+	p.a.Go(p.first)
+
+	m := &manager{c: c}
+	m.init(c.cloud, "service-manager", true, c.Stats, c.retry)
+	m.get.Bind(&m.a)
+	m.onLoop = m.loop
+	m.onRequest = m.request
+	m.onReceived = m.received
+	m.onDeleted = m.deleted
+	m.a.Go(m.first)
 }
 
-// portal generates user requests for the campaign horizon.
-func (c *Campaign) portal(p *sim.Proc) {
-	gap := simrand.Exponential{Rate: 1 / c.cfg.MeanRequestGap.Seconds()}
-	sizeDist := simrand.LogNormalMeanCV(c.cfg.MeanTasksPerRequest, 1.0)
-	rng := c.rng.Fork("portal")
-	horizon := time.Duration(c.cfg.Days) * 24 * time.Hour
-	for {
-		next := simrand.Duration(gap, rng)
-		if p.Now()+next >= horizon {
-			return
-		}
-		p.Sleep(next)
-		c.submitRequest(p, rng, sizeDist)
-	}
+// portal generates user requests for the campaign horizon. Each request
+// takes the portal's side of Fig. 6: persist the request in the Azure
+// table, enqueue it on the service queue, and wake the service manager.
+type portal struct {
+	agent
+	c        *Campaign
+	gap      simrand.Exponential
+	sizeDist simrand.Dist
+	rng      *simrand.RNG
+	horizon  time.Duration
+	req      *Request
+
+	onWake              func()
+	onInserted, onAdded func(error)
 }
 
-// submitRequest performs the portal's side of Fig. 6: persist the request
-// in the Azure table, enqueue it on the service queue, and wake the service
-// manager.
-func (c *Campaign) submitRequest(p *sim.Proc, rng *simrand.RNG, sizeDist simrand.Dist) {
+func (p *portal) first() {
+	p.rng = p.c.rng.Fork("portal")
+	p.next()
+}
+
+// next sleeps until the next arrival, or finishes when it would fall past
+// the horizon.
+func (p *portal) next() {
+	gap := simrand.Duration(p.gap, p.rng)
+	if p.a.Now()+gap >= p.horizon {
+		p.a.Finish()
+		return
+	}
+	p.a.Sleep(gap, p.onWake)
+}
+
+func (p *portal) submit() {
+	c := p.c
 	c.nextReqID++
-	req := &Request{ID: c.nextReqID, submitted: p.Now()}
-	nReproj := int(sizeDist.Sample(rng))
+	req := &Request{ID: c.nextReqID, submitted: p.a.Now()}
+	nReproj := int(p.sizeDist.Sample(p.rng))
 	if nReproj < 1 {
 		nReproj = 1
 	}
 	req.planned = nReproj
-	reqEntity := &tablesvc.Entity{
+	p.req = req
+	p.insert("modis-requests", &tablesvc.Entity{
 		PartitionKey: "requests",
 		RowKey:       fmt.Sprintf("req-%08d", req.ID),
 		Props: map[string]tablesvc.Prop{
 			"Reprojections": tablesvc.IntProp(int64(nReproj)),
 			"Status":        tablesvc.StrProp("submitted"),
 		},
-	}
-	if err := c.storageDo(p, "table.Insert", func() error {
-		return c.cloud.Table.Insert(p, "modis-requests", reqEntity)
-	}); err != nil {
-		return // request lost at the portal; tallied in StorageErrors
-	}
-	if err := c.storageDo(p, "queue.Add", func() error {
-		_, err := c.cloud.Queue.Add(p, c.reqQueue, fmt.Sprintf("%d", req.ID), 512)
-		return err
-	}); err != nil {
+	}, p.onInserted)
+}
+
+func (p *portal) inserted(err error) {
+	if err != nil {
+		p.req = nil // request lost at the portal; tallied in StorageErrors
+		p.next()
 		return
 	}
-	c.reqTokens.Put(req)
-	c.Stats.Requests++
+	p.add(p.c.reqQueue, strconv.FormatUint(p.req.ID, 10), 512, p.onAdded)
 }
 
-// serviceManager drains the service queue, expanding each request into its
-// staged task set and releasing the first stage — the "service manager
-// which manages the execution of the requests and their associated tasks"
-// of Section 5.1.
-func (c *Campaign) serviceManager(p *sim.Proc) {
-	rng := c.rng.Fork("manager")
-	for {
-		req := c.reqTokens.Get(p)
-		var msg *queuesvc.Message
-		var rcpt queuesvc.Receipt
-		var ok bool
-		if err := c.storageDo(p, "queue.Receive", func() error {
-			var err error
-			msg, rcpt, ok, err = c.cloud.Queue.Receive(p, c.reqQueue, 2*time.Hour)
-			return err
-		}); err != nil {
-			continue // request stranded in the service queue; tallied
-		}
-		if !ok {
-			continue
-		}
-		// A failed delete leaves the message to reappear after its
-		// visibility window; the request itself still proceeds.
-		c.storageDo(p, "queue.Delete", func() error {
-			return c.cloud.Queue.Delete(p, c.reqQueue, rcpt)
-		})
-		_ = msg
-		c.expandRequest(p, req, rng)
+func (p *portal) added(err error) {
+	req := p.req
+	p.req = nil
+	if err == nil {
+		p.c.reqTokens.Put(req)
+		p.c.Stats.Requests++
 	}
+	p.next()
 }
 
-// expandRequest turns a request into staged tasks and releases the first
-// stage.
-func (c *Campaign) expandRequest(p *sim.Proc, req *Request, rng *simrand.RNG) {
+// manager is the service manager: it drains the service queue, expanding
+// each request into its staged task set and releasing the first stage —
+// the "service manager which manages the execution of the requests and
+// their associated tasks" of Section 5.1. It waits for work forever, so it
+// is a daemon.
+type manager struct {
+	agent
+	c   *Campaign
+	get sim.Getter[*Request]
+	rng *simrand.RNG
+	req *Request
+
+	onLoop                func()
+	onRequest             func(*Request)
+	onReceived, onDeleted func(error)
+}
+
+func (m *manager) first() {
+	m.rng = m.c.rng.Fork("manager")
+	m.loop()
+}
+
+func (m *manager) loop() { m.c.reqTokens.GetFlat(&m.get, m.onRequest) }
+
+func (m *manager) request(req *Request) {
+	m.req = req
+	m.receive(m.c.reqQueue, m.onReceived)
+}
+
+func (m *manager) received(err error) {
+	if err != nil || !m.ok {
+		// Request stranded in the service queue (tallied), or no message.
+		m.req, m.msg = nil, nil
+		m.loop()
+		return
+	}
+	// A failed delete leaves the message to reappear after its visibility
+	// window; the request itself still proceeds.
+	m.del(m.c.reqQueue, m.got, m.onDeleted)
+}
+
+func (m *manager) deleted(error) {
+	c, req := m.c, m.req
+	m.req, m.msg = nil, nil
+	c.expandRequest(req, m.rng)
+	tasks := c.releaseStage(m.a.Now(), req, 0)
+	if c.group != nil {
+		for _, t := range tasks {
+			c.dispatchTask(t)
+		}
+		m.loop()
+		return
+	}
+	m.enqueueRun(c.fleet.queue, tasks, m.onLoop)
+}
+
+// expandRequest turns a request into staged tasks.
+func (c *Campaign) expandRequest(req *Request, rng *simrand.RNG) {
 	nReproj := req.planned
 	counts := [numTaskTypes]int{}
 	counts[SourceDownload] = int(float64(nReproj)*downloadPerReproj + rng.Float64())
@@ -701,64 +676,13 @@ func (c *Campaign) expandRequest(p *sim.Proc, req *Request, rng *simrand.RNG) {
 		req.remaining[ty] = counts[ty]
 		c.Stats.DistinctTasks += uint64(counts[ty])
 	}
-	c.releaseStage(p, req, 0)
 }
 
 // stageOrder is the pipeline order: collection precedes reprojection, which
 // precedes aggregation, which precedes reduction (Section 5.1).
-func stageOrder() []TaskType {
-	return []TaskType{SourceDownload, Reprojection, Aggregation, Reduction}
-}
-
-// releaseStage enqueues the first non-empty stage at or after idx. When no
-// stage remains the request is complete: the user is notified and the
-// turnaround recorded ("upon completion ... an email is sent to the user",
-// Section 5.1).
-func (c *Campaign) releaseStage(p *sim.Proc, req *Request, idx int) {
-	c.releaseStageAt(p, p.Now(), req, idx)
-}
-
-// releaseStageAt is releaseStage with the clock passed explicitly: sharded
-// completions apply at the coordinator's inbox drain, an event with no
-// process (p is nil there; sharded release dispatches mail, which needs no
-// process either).
-func (c *Campaign) releaseStageAt(p *sim.Proc, now time.Duration, req *Request, idx int) {
-	order := stageOrder()
-	for ; idx < len(order); idx++ {
-		ty := order[idx]
-		if req.remaining[ty] > 0 {
-			for _, t := range req.tasks[ty] {
-				if c.group != nil {
-					c.dispatchTask(t)
-				} else {
-					c.queue.enqueue(p, t)
-				}
-			}
-			return
-		}
-	}
-	c.Stats.CompletedRequests++
-	c.Stats.TurnaroundHours.Add((now - req.submitted).Hours())
-}
-
-// storageDo runs one storage operation under the campaign's retry policy —
-// the "robust retry mechanisms" the paper found indispensable (Section 5.2)
-// in place of the original panic-on-error plumbing. Retries and terminal
-// failures are tallied; the terminal error (nil on success) is returned so
-// call sites can shed the affected work instead of crashing the campaign.
-func (c *Campaign) storageDo(p *sim.Proc, name string, op func() error) error {
-	attempts := 0
-	err := c.retry.Do(p, func() error {
-		attempts++
-		return op()
-	})
-	if attempts > 1 {
-		c.Stats.StorageRetries += uint64(attempts - 1)
-	}
-	if err != nil {
-		c.Stats.StorageErrors.Inc(name+"/"+string(storerr.CodeOf(err)), 1)
-	}
-	return err
+// It returns an array, so callers iterate a copy and allocate nothing.
+func stageOrder() [numTaskTypes]TaskType {
+	return [...]TaskType{SourceDownload, Reprojection, Aggregation, Reduction}
 }
 
 // stageIndex returns a type's position in the pipeline order.
@@ -771,186 +695,33 @@ func stageIndex(ty TaskType) int {
 	return -1
 }
 
-// workerLoop pulls tasks forever; RunUntil bounds the campaign. A host crash
-// kills the loop's process; the crash handler respawns it on a replacement
-// VM with a fresh stream.
-func (c *Campaign) workerLoop(p *sim.Proc, vm *fabric.VM, id int, rng *simrand.RNG) {
-	for {
-		task := c.queue.dequeue(p)
-		c.execute(p, vm, task, rng, id)
+// releaseStage returns the first non-empty stage at or after idx, for the
+// caller to enqueue (serial) or dispatch (sharded). When no stage remains
+// the request is complete: the user is notified and the turnaround
+// recorded ("upon completion ... an email is sent to the user", Section
+// 5.1), and releaseStage returns nil.
+func (c *Campaign) releaseStage(now time.Duration, req *Request, idx int) []*Task {
+	order := stageOrder()
+	for ; idx < len(order); idx++ {
+		if ty := order[idx]; req.remaining[ty] > 0 {
+			return req.tasks[ty]
+		}
 	}
+	c.Stats.CompletedRequests++
+	c.Stats.TurnaroundHours.Add((now - req.submitted).Hours())
+	return nil
 }
 
-// execute runs one task execution on a VM and records its outcome.
-func (c *Campaign) execute(p *sim.Proc, vm *fabric.VM, task *Task, rng *simrand.RNG, id int) {
-	task.Attempts++
-	// The in-flight marker is how the crash handler knows what this worker
-	// was doing; it is cleared the instant the execution sleep returns, so a
-	// monitor kill and a host crash landing on the same execution can never
-	// both account for it (the FalseKills double-count hazard).
-	c.current[id] = task
-	c.execStart[id] = p.Now()
-	day := int(p.Now() / (24 * time.Hour))
-	if day >= len(c.Stats.DailyExecs) {
-		day = len(c.Stats.DailyExecs) - 1
-	}
-
-	// Status-tracking overhead per execution (queue delete, table update):
-	// folded into the execution time to keep the event count linear.
-	overhead := simrand.Duration(simrand.LogNormalMeanCV(0.4, 0.3), rng)
-
-	// Execution time: the task's nominal work, dilated by the host's
-	// current slowdown, with small per-execution noise. The monitor kills
-	// at KillMultiple x the task's own expected duration ("4x the average
-	// completion time for that task", Section 5.2), plus detection latency
-	// — so on healthy hosts nothing is killed, and a 4-6.5x degraded host
-	// pushes most of its tasks past the threshold.
-	noise := simrand.LogNormalMeanCV(1, 0.08).Sample(rng)
-	dilated := time.Duration(float64(task.Work) * vm.Host.Slowdown() * noise)
-	threshold := time.Duration(c.cfg.KillMultiple * float64(task.Work) *
-		simrand.Uniform{Lo: c.cfg.DetectLo, Hi: c.cfg.DetectHi}.Sample(rng))
-
-	var outcome Outcome
-	if dilated > threshold {
-		// The task monitor kills the execution at the threshold and
-		// reschedules the task (Section 5.2).
-		p.Sleep(threshold + overhead)
-		c.current[id] = nil
-		outcome = OutcomeVMTimeout
-		c.Stats.DailyTimeouts[day]++
-		c.Stats.recordKill(threshold, !vm.Host.Degraded())
-	} else {
-		p.Sleep(dilated + overhead)
-		c.current[id] = nil
-		outcome = sampleOutcome(task.Type, rng)
-	}
-	if task.lost && c.chaos != nil && outcome.Completes() {
-		// A crash had interrupted an earlier attempt of this task; its
-		// nominal work is now recovered through re-execution.
-		c.chaos.Report().AddWorkRecovered(task.Work)
-		task.lost = false
-	}
-	// Executions are recorded on completion (as the production system's
-	// logs were); the day bucket is the start day, where the bulk of the
-	// execution ran.
-	c.Stats.TaskExecs.Inc(task.Type.String(), 1)
-	c.Stats.DailyExecs[day]++
-	c.Stats.Outcomes.Inc(string(outcome), 1)
-	sev := oplog.Info
-	if !outcome.Completes() {
-		sev = oplog.Error
-	}
-	c.Log.Emit(oplog.Record{
-		Time:     p.Now(),
-		Severity: sev,
-		Source:   vm.Name,
-		Category: task.Type.String(),
-		Event:    string(outcome),
-		Detail:   fmt.Sprintf("task %d attempt %d", task.ID, task.Attempts),
-	})
-
-	switch {
-	case outcome.Completes():
-		c.finishTask(p, task)
-	case outcome.Retryable() && task.Attempts < c.cfg.MaxAttempts:
-		c.Stats.Retries++
-		c.queue.enqueue(p, task)
-	default:
-		// Terminal failure: the pipeline gives up on this task; the request
-		// still progresses (partial products, as in the real system).
-		c.finishTask(p, task)
-	}
-}
-
-// finishTask retires a task and releases the next stage when its stage
-// drains.
-func (c *Campaign) finishTask(p *sim.Proc, task *Task) {
+// finishTask retires a task and, when its stage drains, returns the next
+// stage's tasks (see releaseStage).
+func (c *Campaign) finishTask(now time.Duration, task *Task) []*Task {
 	c.finishes++
 	req := task.Request
 	req.remaining[task.Type]--
+	var next []*Task
 	if req.remaining[task.Type] == 0 {
-		c.releaseStage(p, req, stageIndex(task.Type)+1)
+		next = c.releaseStage(now, req, stageIndex(task.Type)+1)
 	}
 	req.tasks[task.Type] = nil // allow the task memory to be reclaimed
-}
-
-// enqueue adds a task to the service queue and wakes one worker. A task
-// whose Add fails terminally is lost (its stage never drains) — the
-// production hazard the explicit status tables were built to detect.
-func (b *taskQueue) enqueue(p *sim.Proc, t *Task) {
-	b.tasks[t.ID] = t
-	if err := b.do(p, "queue.Add", func() error {
-		_, err := b.cloud.Queue.Add(p, b.q, strconv.FormatUint(t.ID, 10), 1024)
-		return err
-	}); err != nil {
-		delete(b.tasks, t.ID)
-		return
-	}
-	b.tokens.Put(t.ID)
-}
-
-// dequeue blocks until a task is available, then performs the real queue
-// receive + delete (explicit status tracking makes the visibility timeout a
-// backstop only).
-func (b *taskQueue) dequeue(p *sim.Proc) *Task {
-	for {
-		tok := b.tokens.Get(p)
-		if t := b.tryReceive(p, tok); t != nil {
-			return t
-		}
-	}
-}
-
-// tryReceive spends one wakeup token on receiving a task. A worker killed by
-// a host crash mid-receive restores the token on its unwind path, so the
-// message the token paired with is eventually delivered to another worker
-// instead of stranding until nobody is left to ask for it.
-func (b *taskQueue) tryReceive(p *sim.Proc, tok uint64) *Task {
-	credited := true
-	defer func() {
-		if rec := recover(); rec != nil {
-			if credited {
-				b.tokens.Put(tok)
-			}
-			panic(rec)
-		}
-	}()
-	for {
-		var msg *queuesvc.Message
-		var rcpt queuesvc.Receipt
-		var ok bool
-		if err := b.do(p, "queue.Receive", func() error {
-			var err error
-			msg, rcpt, ok, err = b.cloud.Queue.Receive(p, b.q, 2*time.Hour)
-			return err
-		}); err != nil {
-			credited = false // token spent; message stranded until its visibility backstop
-			return nil
-		}
-		if !ok {
-			credited = false // token raced a message already consumed
-			return nil
-		}
-		// A failed delete means this message reappears after its
-		// visibility window — the stale-redelivery hazard of
-		// Section 5.2. The reappearance is handled below.
-		b.do(p, "queue.Delete", func() error {
-			return b.cloud.Queue.Delete(p, b.q, rcpt)
-		})
-		id, err := strconv.ParseUint(msg.Body, 10, 64)
-		if err != nil {
-			panic(err)
-		}
-		t, live := b.tasks[id]
-		if !live {
-			// Stale redelivery of a message whose earlier delete failed:
-			// its task already ran. Discard and receive again on the
-			// same token, which still has a live message to pair with.
-			continue
-		}
-		delete(b.tasks, id)
-		credited = false
-		b.delivered++
-		return t
-	}
+	return next
 }

@@ -41,7 +41,6 @@ import (
 	"azureobs/internal/oplog"
 	"azureobs/internal/sim"
 	"azureobs/internal/simrand"
-	"azureobs/internal/storage/storerr"
 )
 
 // defaultShards is the fixed shard count: wide enough that the 8-rung bench
@@ -79,32 +78,14 @@ type taskNote struct {
 	kind  noteKind
 }
 
-// shard is one partition of the campaign's workload: a slice of the worker
-// fleet on its own cloud, with its own task queue, RNG streams, stats and
-// (under chaos) fault engine. Fields mirror the legacy Campaign's
-// worker-side state; only this shard's engine goroutine touches them.
+// shard is one partition of the campaign's workload: a fleet on its own
+// cloud, with its own task queue, RNG streams, stats and (under chaos)
+// fault engine, fed by a dispatcher. Only this shard's engine goroutine
+// touches it.
 type shard struct {
-	camp *Campaign
-	idx  int
-	eng  *sim.Engine
-
-	cloud *azure.Cloud
-	rng   *simrand.RNG
-	retry azure.RetryPolicy
-	stats *Stats
-	log   *oplog.Log
-
-	queue     *taskQueue
+	fleet
+	idx       int
 	dispatchQ *sim.Queue[*Task]
-	workers   []*fabric.VM
-
-	procs     []*sim.Proc
-	current   []*Task
-	execStart []time.Duration
-	vmSlot    map[*fabric.VM]int
-	reacqRNG  *simrand.RNG
-	respawns  int
-	chaos     *chaos.Engine
 
 	// noteSeq stamps outbound notes; sent counts them by kind for the
 	// conservation books.
@@ -185,24 +166,22 @@ func (c *Campaign) newShard(s int, dcfg fabric.DegradationConfig, ch *chaos.Conf
 
 	root := c.rng.ForkDomain(s)
 	sh := &shard{
-		camp:      c,
+		fleet: fleet{
+			camp:  c,
+			name:  fmt.Sprintf("shard%d/", s),
+			eng:   eng,
+			cloud: cloud,
+			rng:   root,
+			retry: azure.DefaultRetryPolicy().WithJitter(0.5, root.Fork("retry")),
+			stats: newCampaignStats(cfg.Days),
+			log:   oplog.New(256),
+			vms:   cloud.Controller.ReadyFleet(n, fabric.Worker, fabric.Small),
+		},
 		idx:       s,
-		eng:       eng,
-		cloud:     cloud,
-		rng:       root,
-		retry:     azure.DefaultRetryPolicy().WithJitter(0.5, root.Fork("retry")),
-		stats:     newCampaignStats(cfg.Days),
-		log:       oplog.New(256),
 		dispatchQ: sim.NewQueue[*Task](),
-		workers:   cloud.Controller.ReadyFleet(n, fabric.Worker, fabric.Small),
 	}
-	sh.queue = &taskQueue{
-		do:     sh.storageDo,
-		cloud:  cloud,
-		q:      cloud.Queue.CreateQueue("modis-tasks"),
-		tokens: sim.NewQueue[uint64](),
-		tasks:  make(map[uint64]*Task),
-	}
+	sh.shard = sh
+	sh.queue = newTaskQueue(cloud)
 	if ch != nil {
 		scc := *ch
 		if s != 0 {
@@ -219,9 +198,7 @@ func (c *Campaign) newShard(s int, dcfg fabric.DegradationConfig, ch *chaos.Conf
 
 // runSharded executes the sharded campaign for its horizon.
 func (c *Campaign) runSharded() *Stats {
-	eng0 := c.group.Domain(0)
-	eng0.Spawn("portal", c.portal)
-	eng0.SpawnDaemon("service-manager", c.serviceManager)
+	c.startIntake()
 	for _, sh := range c.shards {
 		sh.start()
 	}
@@ -235,27 +212,16 @@ func (c *Campaign) runSharded() *Stats {
 	return c.Stats
 }
 
-// start spawns the shard's actors on its engine: the dispatcher daemon
-// (mail → real queue), the worker fleet, and the chaos engine.
+// start starts the shard's actors on its engine: the dispatcher, then the
+// fleet.
 func (sh *shard) start() {
-	sh.eng.SpawnDaemon(fmt.Sprintf("shard%d/dispatcher", sh.idx), sh.dispatcherLoop)
-	sh.procs = make([]*sim.Proc, len(sh.workers))
-	sh.current = make([]*Task, len(sh.workers))
-	sh.execStart = make([]time.Duration, len(sh.workers))
-	for i, vm := range sh.workers {
-		vm, i := vm, i
-		sh.procs[i] = sh.eng.Spawn(fmt.Sprintf("shard%d/worker%d", sh.idx, i), func(p *sim.Proc) {
-			sh.workerLoop(p, vm, i, sh.rng.ForkN("worker", i))
-		})
-	}
-	if sh.chaos != nil {
-		sh.vmSlot = make(map[*fabric.VM]int, len(sh.workers))
-		for i, vm := range sh.workers {
-			sh.vmSlot[vm] = i
-		}
-		sh.cloud.DC.OnHostDown(sh.onHostDown)
-		sh.chaos.Start()
-	}
+	d := &dispatcher{sh: sh}
+	d.init(sh.cloud, sh.name+"dispatcher", true, sh.stats, sh.retry)
+	d.get.Bind(&d.a)
+	d.onLoop = d.loop
+	d.onTask = d.task
+	d.a.Go(d.loop)
+	sh.fleet.start()
 }
 
 // dispatchTask routes a task to the next shard in round-robin order and
@@ -269,16 +235,23 @@ func (c *Campaign) dispatchTask(t *Task) {
 }
 
 // recvDispatch lands a mailed task on the shard (boundary event) and hands
-// it to the dispatcher daemon, which owns the storage side of enqueueing.
+// it to the dispatcher, which owns the storage side of enqueueing.
 func (sh *shard) recvDispatch(t *Task) { sh.dispatchQ.Put(t) }
 
-// dispatcherLoop drains mailed tasks into the shard's real Azure queue —
-// the storage operation the coordinator cannot perform from an event.
-func (sh *shard) dispatcherLoop(p *sim.Proc) {
-	for {
-		sh.queue.enqueue(p, sh.dispatchQ.Get(p))
-	}
+// dispatcher drains mailed tasks into the shard's real Azure queue — the
+// storage operation the coordinator cannot perform from an event. It waits
+// for work forever, so it is a daemon.
+type dispatcher struct {
+	agent
+	sh  *shard
+	get sim.Getter[*Task]
+
+	onLoop func()
+	onTask func(*Task)
 }
+
+func (d *dispatcher) loop()        { d.sh.dispatchQ.GetFlat(&d.get, d.onTask) }
+func (d *dispatcher) task(t *Task) { d.enqueueOne(d.sh.queue, t, d.onLoop) }
 
 // sendNote mails a notification to the coordinator. Shard kernel context
 // only.
@@ -334,141 +307,11 @@ func (c *Campaign) drainInbox() {
 	}
 }
 
-// applyFinish retires a task at the coordinator — the sharded counterpart
-// of finishTask, applied at inbox-drain time.
+// applyFinish retires a task at the coordinator — finishTask applied at
+// inbox-drain time, with the next stage dispatched.
 func (c *Campaign) applyFinish(now time.Duration, task *Task) {
-	c.finishes++
-	req := task.Request
-	req.remaining[task.Type]--
-	if req.remaining[task.Type] == 0 {
-		c.releaseStageAt(nil, now, req, stageIndex(task.Type)+1)
-	}
-	req.tasks[task.Type] = nil
-}
-
-// storageDo mirrors Campaign.storageDo against the shard's books.
-func (sh *shard) storageDo(p *sim.Proc, name string, op func() error) error {
-	attempts := 0
-	err := sh.retry.Do(p, func() error {
-		attempts++
-		return op()
-	})
-	if attempts > 1 {
-		sh.stats.StorageRetries += uint64(attempts - 1)
-	}
-	if err != nil {
-		sh.stats.StorageErrors.Inc(name+"/"+string(storerr.CodeOf(err)), 1)
-	}
-	return err
-}
-
-// workerLoop pulls tasks from the shard queue forever; RunUntil bounds the
-// campaign, a host crash kills the process.
-func (sh *shard) workerLoop(p *sim.Proc, vm *fabric.VM, slot int, rng *simrand.RNG) {
-	for {
-		task := sh.queue.dequeue(p)
-		sh.execute(p, vm, task, rng, slot)
-	}
-}
-
-// execute runs one task execution on a shard VM — the same model as the
-// legacy Campaign.execute, with outcomes tallied in the shard's books and
-// the completion/retry verdict mailed to the coordinator instead of applied
-// in place.
-func (sh *shard) execute(p *sim.Proc, vm *fabric.VM, task *Task, rng *simrand.RNG, slot int) {
-	task.Attempts++
-	sh.current[slot] = task
-	sh.execStart[slot] = p.Now()
-	day := int(p.Now() / (24 * time.Hour))
-	if day >= len(sh.stats.DailyExecs) {
-		day = len(sh.stats.DailyExecs) - 1
-	}
-
-	overhead := simrand.Duration(simrand.LogNormalMeanCV(0.4, 0.3), rng)
-	noise := simrand.LogNormalMeanCV(1, 0.08).Sample(rng)
-	dilated := time.Duration(float64(task.Work) * vm.Host.Slowdown() * noise)
-	threshold := time.Duration(sh.camp.cfg.KillMultiple * float64(task.Work) *
-		simrand.Uniform{Lo: sh.camp.cfg.DetectLo, Hi: sh.camp.cfg.DetectHi}.Sample(rng))
-
-	var outcome Outcome
-	if dilated > threshold {
-		p.Sleep(threshold + overhead)
-		sh.current[slot] = nil
-		outcome = OutcomeVMTimeout
-		sh.stats.DailyTimeouts[day]++
-		sh.stats.recordKill(threshold, !vm.Host.Degraded())
-	} else {
-		p.Sleep(dilated + overhead)
-		sh.current[slot] = nil
-		outcome = sampleOutcome(task.Type, rng)
-	}
-	if task.lost && sh.chaos != nil && outcome.Completes() {
-		sh.chaos.Report().AddWorkRecovered(task.Work)
-		task.lost = false
-	}
-	sh.stats.TaskExecs.Inc(task.Type.String(), 1)
-	sh.stats.DailyExecs[day]++
-	sh.stats.Outcomes.Inc(string(outcome), 1)
-	sev := oplog.Info
-	if !outcome.Completes() {
-		sev = oplog.Error
-	}
-	sh.log.Emit(oplog.Record{
-		Time:     p.Now(),
-		Severity: sev,
-		Source:   vm.Name,
-		Category: task.Type.String(),
-		Event:    string(outcome),
-		Detail:   fmt.Sprintf("task %d attempt %d", task.ID, task.Attempts),
-	})
-
-	switch {
-	case outcome.Retryable() && !outcome.Completes() && task.Attempts < sh.camp.cfg.MaxAttempts:
-		sh.stats.Retries++
-		sh.sendNote(noteRetry, task)
-	default:
-		// Completions and terminal failures both retire the task at the
-		// coordinator (partial products, as in the real system).
-		sh.sendNote(noteFinish, task)
-	}
-}
-
-// onHostDown is the shard's crash handler (kernel context, fired inside
-// CrashHost): kill the worker, mail the interrupted task back to the
-// coordinator for re-enqueue — the cross-domain re-enqueue path — and
-// schedule the fabric re-acquisition of a replacement.
-func (sh *shard) onHostDown(_ *fabric.Host, failed []*fabric.VM) {
-	for _, vm := range failed {
-		slot, ok := sh.vmSlot[vm]
-		if !ok {
-			continue // not one of ours (or already handled)
-		}
-		delete(sh.vmSlot, vm)
-		if t := sh.current[slot]; t != nil {
-			sh.chaos.Report().AddWorkLost(sh.eng.Now() - sh.execStart[slot])
-			t.lost = true
-			sh.current[slot] = nil
-			sh.stats.CrashAborted++
-			sh.sendNote(noteCrash, t)
-		}
-		if sh.procs[slot] != nil {
-			sh.procs[slot].Kill()
-			sh.procs[slot] = nil
-		}
-		sh.respawns++
-		gen := sh.respawns
-		sh.eng.Spawn(fmt.Sprintf("shard%d/reacquire/%d", sh.idx, gen), func(p *sim.Proc) {
-			p.Sleep(simrand.Duration(simrand.Uniform{
-				Lo: (10 * time.Minute).Seconds(), Hi: (45 * time.Minute).Seconds()}, sh.reacqRNG))
-			nvm := sh.cloud.Controller.ReplacementVM(fabric.Worker, fabric.Small)
-			sh.workers[slot] = nvm
-			sh.vmSlot[nvm] = slot
-			sh.stats.ReplacementVMs++
-			rng := sh.rng.ForkN("worker-r", gen)
-			sh.procs[slot] = sh.eng.Spawn(fmt.Sprintf("shard%d/worker%d/r%d", sh.idx, slot, gen), func(p2 *sim.Proc) {
-				sh.workerLoop(p2, nvm, slot, rng)
-			})
-		})
+	for _, t := range c.finishTask(now, task) {
+		c.dispatchTask(t)
 	}
 }
 
@@ -513,12 +356,7 @@ func (c *Campaign) checkShardedConservation() {
 	}
 	var sent [numNoteKinds]uint64
 	for _, sh := range c.shards {
-		var inFlight uint64
-		for _, t := range sh.current {
-			if t != nil {
-				inFlight++
-			}
-		}
+		inFlight := sh.inFlight()
 		execs := sh.stats.TotalExecs()
 		inv.Checkf(sh.queue.delivered == execs+sh.stats.CrashAborted+inFlight,
 			"shard %d task conservation: %d delivered != %d executions + %d crash-aborted + %d in flight",

@@ -26,18 +26,20 @@ import "time"
 //
 // A process can drive the same continuations itself (Proc.Drive): its
 // actor's wakes then resume the process instead of running a trampoline, so
-// a flat state machine doubles as the body of a blocking call. Actors
-// driven by the kernel have no Kill; a process killed while parked in
-// Drive runs the abort it was given (see Proc.Drive).
+// a flat state machine doubles as the body of a blocking call. A process
+// killed while parked in Drive runs the abort it was given (see
+// Proc.Drive); an actor driven by the kernel is withdrawn by its owner with
+// Cancel, the flat mirror of Proc.Kill.
 type Actor struct {
-	eng    *Engine
-	name   string
-	daemon bool
-	live   bool // started (Go) and not yet finished
-	armed  bool // a continuation is registered for the next wake
-	next   func()
-	wake   *Event // pending wake event, nil while externally parked
-	onWake func() // cached trampoline; the only closure an actor allocates
+	eng      *Engine
+	name     string
+	daemon   bool
+	live     bool // started (Go) and not yet finished
+	armed    bool // a continuation is registered for the next wake
+	canceled bool // Cancel ran; the unwind event is pending
+	next     func()
+	wake     *Event // pending wake event, nil while externally parked
+	onWake   func() // cached trampoline; the only closure an actor allocates
 
 	// waiter is the actor's embedded signal waiter, reused across WaitFlat
 	// registrations so parking on a signal allocates nothing. One signal
@@ -58,6 +60,15 @@ func (a *Actor) Bind(e *Engine, name string) {
 	a.eng = e
 	a.name = name
 	a.onWake = a.step
+}
+
+// BindDaemon is Bind for a daemon actor: like a daemon process, it runs
+// while the simulation is alive, but neither its wakes nor its liveness
+// keep Run going. Environment activities (fault injectors, dispatchers
+// that wait forever for work) use it.
+func (a *Actor) BindDaemon(e *Engine, name string) {
+	a.Bind(e, name)
+	a.daemon = true
 }
 
 // Engine returns the engine the actor is bound to.
@@ -86,6 +97,7 @@ func (a *Actor) GoAt(at time.Duration, first func()) {
 		panic("sim: Actor " + a.name + " started twice")
 	}
 	a.live = true
+	a.canceled = false
 	if !a.daemon {
 		a.eng.flats++
 	}
@@ -112,6 +124,51 @@ func (a *Actor) Finish() {
 		a.eng.flats--
 	}
 }
+
+// Cancel withdraws a live actor at its owner's request — the flat mirror
+// of Proc.Kill on a parked process. The pending wake (a sleep, the start
+// event, or a wake a Fire or Put already scheduled) is cancelled, a pending
+// Signal.WaitFlat registration is dropped, and the armed continuation is
+// discarded; then one event is scheduled at the current instant that runs
+// unwind (may be nil) and finishes the actor — the same event, at the same
+// sequence number, at which a killed process unwinds its deferred calls.
+//
+// unwind releases what the actor holds at its current stage: the abort of
+// an in-flight storage op (reqpath.CtxFlat.Abort), a queue item a Put had
+// already handed over (Getter.Reput), a token it must give back. A queue
+// registration must be withdrawn before Cancel returns (Getter.Cancel), so
+// no Put hands an item to the withdrawn actor. Cancelling an actor that is
+// finished or already cancelled is a no-op. Cancel is called from outside
+// the actor's own steps, as Kill on another process is; process-driven
+// actors are withdrawn by killing their process.
+func (a *Actor) Cancel(unwind func()) {
+	if !a.live || a.canceled {
+		return
+	}
+	if a.proc != nil {
+		panic("sim: Cancel of actor " + a.name + ", which a process drives; Kill the process")
+	}
+	a.canceled = true
+	if a.wake != nil {
+		// Engine-owned: the lazy pop recycles it.
+		a.eng.Cancel(a.wake)
+		a.wake = nil
+	}
+	// A Fire skips released waiters, so this detaches a pending flat signal
+	// wait without knowing which signal holds it.
+	a.waiter.released = true
+	a.armed, a.next = false, nil
+	a.armEvent(a.eng.now, func() {
+		if unwind != nil {
+			unwind()
+		}
+		a.Finish()
+	})
+}
+
+// Canceled reports whether Cancel has withdrawn the actor (until it is
+// started again).
+func (a *Actor) Canceled() bool { return a.canceled }
 
 // armEvent registers then and schedules the wake that runs it.
 func (a *Actor) armEvent(at time.Duration, then func()) {

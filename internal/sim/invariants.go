@@ -64,9 +64,10 @@ func (e *Engine) Invariants() *Invariants { return e.inv }
 
 // Checkf records a violation when ok is false. In fail-fast mode it panics
 // with the formatted message; in recording mode it appends to the violation
-// log. A nil receiver (checking disabled) does nothing — but callers should
-// still keep condition evaluation cheap, since arguments are evaluated either
-// way.
+// log. A nil receiver (checking disabled) does nothing — but arguments are
+// evaluated either way, and the variadic ones are boxed into interfaces on
+// every call, passing or not. Hot-path callers therefore test the
+// condition themselves and call Checkf(false, ...) only when it fails.
 func (inv *Invariants) Checkf(ok bool, format string, args ...any) {
 	if inv == nil || ok {
 		return

@@ -128,8 +128,11 @@ func (r *Resource) grant() {
 // (a killed waiter returning a pre-empted grant) are the historically fragile
 // spots this guards.
 func (r *Resource) check() {
-	r.eng.Invariants().Checkf(r.inUse >= 0 && r.inUse <= r.capacity,
-		"resource %q level %d outside [0, %d]", r.name, r.inUse, r.capacity)
+	// Test before calling Checkf: its variadic arguments box on every call.
+	if r.inUse < 0 || r.inUse > r.capacity {
+		r.eng.Invariants().Checkf(false,
+			"resource %q level %d outside [0, %d]", r.name, r.inUse, r.capacity)
+	}
 }
 
 func (r *Resource) remove(w *resWaiter) {

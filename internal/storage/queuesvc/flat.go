@@ -190,6 +190,18 @@ func (r *ReqFlat) visited() {
 
 func (r *ReqFlat) downloaded() { r.finish(nil) }
 
+// Abort withdraws the in-flight request at its current stage, for a caller
+// whose actor is cancelled: a station slot is given up without counting
+// the op, no hook sees the request and its completion never runs. The
+// state is then free for the next Begin. Aborting an idle state is a
+// no-op.
+func (r *ReqFlat) Abort() {
+	r.c.Abort()
+	r.q, r.m = nil, nil
+	r.body, r.rcpt = "", Receipt{}
+	r.addDone, r.peekDone, r.recvDone, r.delDone = nil, nil, nil, nil
+}
+
 func (r *ReqFlat) finish(err error) {
 	op, m, rcpt := r.op, r.m, r.rcpt
 	addDone, peekDone, recvDone, delDone := r.addDone, r.peekDone, r.recvDone, r.delDone

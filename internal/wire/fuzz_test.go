@@ -7,7 +7,6 @@ import (
 	"unicode"
 
 	"azureobs/internal/azure"
-	"azureobs/internal/fabric"
 )
 
 // fuzzSetup gives the fuzzed op something to act on: a container with a
@@ -19,15 +18,6 @@ var fuzzSetup = []Arrival{
 	{Method: "POST", URI: "/table/t/p/r", Size: 512},
 	{Method: "PUT", URI: "/queue/q"},
 	{Method: "POST", URI: "/queue/q/messages", Body: "m"},
-}
-
-// fuzzReplayConfig turns off host degradation: its process sleeps forever
-// on the engine, so every replayed cloud would keep a goroutine alive for
-// the rest of the fuzzing run.
-func fuzzReplayConfig() azure.Config {
-	cfg := azure.Config{Seed: 1, Fabric: fabric.DefaultConfig()}
-	cfg.Fabric.Degradation = false
-	return cfg
 }
 
 // loggable reports whether s can stand as one field of an arrival-log line.
@@ -86,7 +76,7 @@ func FuzzParseOp(f *testing.F) {
 				t.Fatalf("arrival %d: log gives %+v, recorded %+v", i, parsed[i], want[i])
 			}
 		}
-		cfg := fuzzReplayConfig()
+		cfg := azure.Config{Seed: 1}
 		if h1, h2 := TraceHash(Replay(cfg, want)), TraceHash(Replay(cfg, parsed)); h1 != h2 {
 			t.Fatalf("replay of the logged arrivals hashes %#x, of the recording %#x", h2, h1)
 		}

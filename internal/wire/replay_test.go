@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"azureobs/internal/azure"
 	"azureobs/internal/core"
@@ -117,5 +119,22 @@ func TestParseArrivalsRejectsMalformed(t *testing.T) {
 		if _, err := ParseArrivals(strings.NewReader(line)); err == nil {
 			t.Errorf("line %q parsed without error", line)
 		}
+	}
+}
+
+// TestReplayGoroutineBaseline replays a short session on the default
+// fabric, whose host-degradation process runs for the cloud's lifetime,
+// and checks that no goroutine outlives the replay.
+func TestReplayGoroutineBaseline(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		Replay(azure.Config{Seed: 1}, fuzzSetup)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after replaying, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
