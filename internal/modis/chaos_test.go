@@ -8,6 +8,7 @@ import (
 	"azureobs/internal/chaos"
 	"azureobs/internal/core"
 	"azureobs/internal/fabric"
+	"azureobs/internal/oplog"
 )
 
 // shortConfig is a small, fast campaign shared by the chaos tests.
@@ -169,5 +170,72 @@ func TestCrashAbortNotCountedAsFalseKill(t *testing.T) {
 	}
 	if rep.Violations != 0 {
 		t.Fatalf("invariant violations: %d", rep.Violations)
+	}
+}
+
+// Regression for the stage-release hazard: the worker whose execution
+// drains a stage enqueues the whole next stage, one queue op at a time. A
+// host crash in the middle of that run must not strand the rest of the
+// stage — its request would never complete. A probe run of a one-request
+// campaign finds the instant the download stage drains; the scripted run
+// crashes every worker host one second later, mid-release.
+func TestCrashDuringStageRelease(t *testing.T) {
+	mkConfig := func() Config {
+		return Config{
+			Seed:                32,
+			Days:                3,
+			Workers:             8,
+			MeanRequestGap:      20 * 24 * time.Hour,
+			MeanTasksPerRequest: 200,
+			// Degradation far past the horizon keeps every execution short.
+			Degradation: &fabric.DegradationConfig{
+				MeanInterarrival: 1e5 * time.Hour,
+				FracLo:           0.01, FracHi: 0.02,
+				SlowLo: 4, SlowHi: 5,
+				DurLo: time.Hour, DurHi: 2 * time.Hour,
+			},
+		}
+	}
+	probe := NewCampaign(mkConfig())
+	var drained time.Duration
+	reprojecting := false
+	probe.Log.Subscribe(func(r oplog.Record) {
+		switch r.Category {
+		case Reprojection.String():
+			reprojecting = true
+		case SourceDownload.String():
+			if !reprojecting {
+				drained = r.Time
+			}
+		}
+	})
+	var script []chaos.ScriptEvent
+	for _, h := range probe.Cloud().DC.Hosts() {
+		if h.Residents() > 0 {
+			script = append(script, chaos.ScriptEvent{
+				At: drained, Class: chaos.ClassHostCrash, Host: h.ID, Repair: time.Hour,
+			})
+		}
+	}
+	pst := probe.Run()
+	if pst.Requests != 1 || pst.CompletedRequests != 1 || drained == 0 {
+		t.Fatalf("probe: %d requests, %d completed, download stage drained at %v; want one request completing after a download stage",
+			pst.Requests, pst.CompletedRequests, drained)
+	}
+	for i := range script {
+		script[i].At = drained + time.Second
+	}
+
+	cfg := mkConfig()
+	cfg.Chaos = &chaos.Config{Script: script}
+	camp := NewCampaign(cfg)
+	camp.EnableInvariants(true)
+	st := camp.Run()
+	if st.ReplacementVMs == 0 {
+		t.Fatal("no worker was replaced: the scripted crashes missed the fleet")
+	}
+	if st.CompletedRequests != 1 {
+		t.Fatalf("request never completed: %d of %d tasks finished after a crash during the stage release",
+			camp.finishes, st.DistinctTasks)
 	}
 }

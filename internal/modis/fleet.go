@@ -96,7 +96,7 @@ func (f *fleet) onHostDown(_ *fabric.Host, failed []*fabric.VM) {
 			if f.shard != nil {
 				f.shard.sendNote(noteCrash, t)
 			} else {
-				f.reclaim(t)
+				f.reclaim([]*Task{t})
 			}
 		}
 		if w := f.workers[slot]; w != nil {
@@ -108,13 +108,13 @@ func (f *fleet) onHostDown(_ *fabric.Host, failed []*fabric.VM) {
 	}
 }
 
-// reclaim re-enqueues a crash-aborted task on a short-lived actor of its
-// own: re-enqueueing is a storage operation, and the crash handler runs in
-// kernel context.
-func (f *fleet) reclaim(t *Task) {
+// reclaim re-enqueues tasks a crash took from a worker on a short-lived
+// actor of its own: re-enqueueing is a storage operation, and the crash
+// path runs in kernel context.
+func (f *fleet) reclaim(tasks []*Task) {
 	r := &agent{}
-	r.init(f.cloud, "reclaim/"+strconv.FormatUint(t.ID, 10), false, f.stats, f.retry)
-	r.a.Go(func() { r.enqueueOne(f.queue, t, r.a.Finish) })
+	r.init(f.cloud, "reclaim/"+strconv.FormatUint(tasks[0].ID, 10), false, f.stats, f.retry)
+	r.a.Go(func() { r.enqueueRun(f.queue, tasks, r.a.Finish) })
 }
 
 // reacquire is the fabric re-acquisition of slot's worker: after the
@@ -356,12 +356,21 @@ func (w *worker) kill() {
 
 // unwind runs at the cancel's event and releases what the worker held: the
 // queue op in flight, a token a Put had already handed over, a token being
-// spent on a receive.
+// spent on a receive, and the unfinished part of an enqueue run — a retried
+// task, or the stage its execution released. The task whose Add was in
+// flight never reached the queue, and the rest were never tried, so all of
+// them go to the reclaim path; otherwise the stage would never drain and
+// its request never complete.
 func (w *worker) unwind() {
 	w.abort()
 	w.get.Reput()
 	if w.credited {
 		w.credited = false
 		w.f.queue.tokens.Put(w.tok)
+	}
+	if w.run != nil {
+		rest := append([]*Task(nil), w.run[w.runIdx:]...)
+		w.tq, w.run, w.runThen, w.one[0] = nil, nil, nil, nil
+		w.f.reclaim(rest)
 	}
 }
