@@ -138,6 +138,13 @@ func (f *fleet) reacquire(slot, gen int) {
 	})
 }
 
+// Per-execution noise: the status-tracking overhead in seconds, and the
+// multiplicative jitter on a task's dilated work.
+var (
+	execOverhead = simrand.LogNormalMeanCV(0.4, 0.3)
+	execNoise    = simrand.LogNormalMeanCV(1, 0.08)
+)
+
 // worker is one worker role instance: it pulls tasks forever (the horizon
 // bounds the campaign), executes each on its VM and passes the verdict on.
 // A host crash cancels the actor; the crash handler starts a replacement
@@ -258,7 +265,7 @@ func (w *worker) execute(task *Task) {
 
 	// Status-tracking overhead per execution (queue delete, table update):
 	// folded into the execution time to keep the event count linear.
-	overhead := simrand.Duration(simrand.LogNormalMeanCV(0.4, 0.3), w.rng)
+	overhead := simrand.Duration(execOverhead, w.rng)
 
 	// Execution time: the task's nominal work, dilated by the host's
 	// current slowdown, with small per-execution noise. The monitor kills
@@ -266,7 +273,7 @@ func (w *worker) execute(task *Task) {
 	// completion time for that task", Section 5.2), plus detection latency
 	// — so on healthy hosts nothing is killed, and a 4-6.5x degraded host
 	// pushes most of its tasks past the threshold.
-	noise := simrand.LogNormalMeanCV(1, 0.08).Sample(w.rng)
+	noise := execNoise.Sample(w.rng)
 	dilated := time.Duration(float64(task.Work) * w.vm.Host.Slowdown() * noise)
 	threshold := time.Duration(cfg.KillMultiple * float64(task.Work) *
 		simrand.Uniform{Lo: cfg.DetectLo, Hi: cfg.DetectHi}.Sample(w.rng))
