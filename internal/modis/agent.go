@@ -162,10 +162,6 @@ func (ag *agent) finished(err error) {
 	done(err)
 }
 
-// abort withdraws the queue op in flight, if any — the unwind of an actor
-// its owner cancels.
-func (ag *agent) abort() { ag.qr.Abort() }
-
 // taskQueue couples the real Azure queue service with an instant wakeup
 // queue so idle workers do not busy-poll across months of simulated time.
 // (The production system polled; the token queue reproduces the same FIFO

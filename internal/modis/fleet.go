@@ -157,10 +157,6 @@ type worker struct {
 	rng  *simrand.RNG
 	get  sim.Getter[uint64]
 
-	// started is set by the first step; dead marks a worker killed before
-	// it, whose first step then only finishes.
-	started, dead bool
-
 	// tok is the wakeup token being spent on a receive; credited while
 	// the token still pairs with an undelivered message, so a worker
 	// killed mid-receive gives it back.
@@ -189,17 +185,8 @@ func (f *fleet) newWorker(name string, vm *fabric.VM, slot int, rng *simrand.RNG
 	w.onToken = w.token
 	w.onReceived = w.received
 	w.onDeleted = w.deleted
-	w.a.Go(w.first)
+	w.a.Go(w.loop)
 	return w
-}
-
-func (w *worker) first() {
-	if w.dead {
-		w.a.Finish()
-		return
-	}
-	w.started = true
-	w.loop()
 }
 
 // loop waits for a wakeup token: one per enqueued task.
@@ -353,10 +340,6 @@ func (w *worker) executed() {
 // kill is the crash handler's cancel of the worker actor — the flat
 // counterpart of killing a worker process.
 func (w *worker) kill() {
-	if !w.started {
-		w.dead = true
-		return
-	}
 	w.get.Cancel()
 	w.a.Cancel(w.onUnwind)
 }
@@ -369,7 +352,7 @@ func (w *worker) kill() {
 // them go to the reclaim path; otherwise the stage would never drain and
 // its request never complete.
 func (w *worker) unwind() {
-	w.abort()
+	w.qr.Abort()
 	w.get.Reput()
 	if w.credited {
 		w.credited = false

@@ -507,22 +507,23 @@ func (c *Campaign) startIntake() {
 		c:        c,
 		gap:      simrand.Exponential{Rate: 1 / c.cfg.MeanRequestGap.Seconds()},
 		sizeDist: simrand.LogNormalMeanCV(c.cfg.MeanTasksPerRequest, 1.0),
+		rng:      c.rng.Fork("portal"),
 		horizon:  time.Duration(c.cfg.Days) * 24 * time.Hour,
 	}
 	p.init(c.cloud, "portal", false, c.Stats, c.retry)
 	p.onWake = p.submit
 	p.onInserted = p.inserted
 	p.onAdded = p.added
-	p.a.Go(p.first)
+	p.a.Go(p.next)
 
-	m := &manager{c: c}
+	m := &manager{c: c, rng: c.rng.Fork("manager")}
 	m.init(c.cloud, "service-manager", true, c.Stats, c.retry)
 	m.get.Bind(&m.a)
 	m.onLoop = m.loop
 	m.onRequest = m.request
 	m.onReceived = m.received
 	m.onDeleted = m.deleted
-	m.a.Go(m.first)
+	m.a.Go(m.loop)
 }
 
 // portal generates user requests for the campaign horizon. Each request
@@ -539,11 +540,6 @@ type portal struct {
 
 	onWake              func()
 	onInserted, onAdded func(error)
-}
-
-func (p *portal) first() {
-	p.rng = p.c.rng.Fork("portal")
-	p.next()
 }
 
 // next sleeps until the next arrival, or finishes when it would fall past
@@ -613,11 +609,6 @@ type manager struct {
 	onReceived, onDeleted func(error)
 }
 
-func (m *manager) first() {
-	m.rng = m.c.rng.Fork("manager")
-	m.loop()
-}
-
 func (m *manager) loop() { m.c.reqTokens.GetFlat(&m.get, m.onRequest) }
 
 func (m *manager) request(req *Request) {
@@ -680,9 +671,8 @@ func (c *Campaign) expandRequest(req *Request, rng *simrand.RNG) {
 
 // stageOrder is the pipeline order: collection precedes reprojection, which
 // precedes aggregation, which precedes reduction (Section 5.1).
-// It returns an array, so callers iterate a copy and allocate nothing.
-func stageOrder() [numTaskTypes]TaskType {
-	return [...]TaskType{SourceDownload, Reprojection, Aggregation, Reduction}
+func stageOrder() []TaskType {
+	return []TaskType{SourceDownload, Reprojection, Aggregation, Reduction}
 }
 
 // stageIndex returns a type's position in the pipeline order.

@@ -166,10 +166,6 @@ func (a *Actor) Cancel(unwind func()) {
 	})
 }
 
-// Canceled reports whether Cancel has withdrawn the actor (until it is
-// started again).
-func (a *Actor) Canceled() bool { return a.canceled }
-
 // armEvent registers then and schedules the wake that runs it.
 func (a *Actor) armEvent(at time.Duration, then func()) {
 	a.arm(then)
