@@ -17,8 +17,8 @@ import (
 // continuation where a process would block and returns to the kernel, so
 // the campaign runs on no goroutine but the one driving the engine. Each
 // stage schedules exactly the event a blocking process would (a sleep's
-// wake, a queue hand-over's wake, a station visit's end), so the traces
-// are the ones the process-driven campaign produced.
+// wake, a queue hand-over's wake, a station visit's end), in the same
+// order; TestCampaignGoldens pins the resulting traces.
 
 // recvVisibility is how long a received message stays hidden: explicit
 // status tracking deletes it long before, so the window is a backstop.

@@ -170,9 +170,9 @@ type worker struct {
 	threshold time.Duration
 	timedOut  bool
 
-	onLoop, onExecuted, onUnwind func()
-	onToken                      func(uint64)
-	onReceived, onDeleted        func(error)
+	onLoop, onExecuted    func()
+	onToken               func(uint64)
+	onReceived, onDeleted func(error)
 }
 
 func (f *fleet) newWorker(name string, vm *fabric.VM, slot int, rng *simrand.RNG) *worker {
@@ -181,7 +181,6 @@ func (f *fleet) newWorker(name string, vm *fabric.VM, slot int, rng *simrand.RNG
 	w.get.Bind(&w.a)
 	w.onLoop = w.loop
 	w.onExecuted = w.executed
-	w.onUnwind = w.unwind
 	w.onToken = w.token
 	w.onReceived = w.received
 	w.onDeleted = w.deleted
@@ -337,11 +336,11 @@ func (w *worker) executed() {
 	w.enqueueRun(f.queue, f.camp.finishTask(w.a.Now(), task), w.onLoop)
 }
 
-// kill is the crash handler's cancel of the worker actor — the flat
-// counterpart of killing a worker process.
+// kill withdraws the worker for the crash handler: its queue registration
+// at once, the rest at the cancel's unwind event.
 func (w *worker) kill() {
 	w.get.Cancel()
-	w.a.Cancel(w.onUnwind)
+	w.a.Cancel(w.unwind)
 }
 
 // unwind runs at the cancel's event and releases what the worker held: the

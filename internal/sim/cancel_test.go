@@ -22,9 +22,10 @@ func TestActorSize(t *testing.T) {
 
 // queueProgram runs one consumer/producer program on the process API or
 // flat, and returns its log plus the kernel observables that define a
-// trace. Two consumers park on the queue; items arrive at 1 s, 2 s and 3 s,
-// the third while both consumers are busy, so the first consumer's next
-// GetFlat finds it buffered and continues without parking.
+// trace. Two consumers park on the queue and are handed the items put at
+// 1 s and 2 s; the items put at 3 s and 4 s arrive while both hold theirs,
+// so each consumer's second GetFlat finds one buffered and continues
+// without parking.
 func queueProgram(flat bool) (log []string, fired, seq uint64) {
 	e := NewEngine()
 	q := NewQueue[int]()
