@@ -127,17 +127,20 @@ func (a *Actor) Finish() {
 
 // Cancel withdraws a live actor at its owner's request — the flat mirror
 // of Proc.Kill on a parked process. The pending wake (a sleep, the start
-// event, or a wake a Fire or Put already scheduled) is cancelled, a pending
-// Signal.WaitFlat registration is dropped, and the armed continuation is
-// discarded; then one event is scheduled at the current instant that runs
-// unwind (may be nil) and finishes the actor — the same event, at the same
-// sequence number, at which a killed process unwinds its deferred calls.
+// event, or a wake a Fire or Put already scheduled) is cancelled and the
+// armed continuation is discarded; then one event is scheduled at the
+// current instant that runs unwind (may be nil) and finishes the actor —
+// the same event, at the same sequence number, at which a killed process
+// unwinds its deferred calls.
 //
 // unwind releases what the actor holds at its current stage: the abort of
 // an in-flight storage op (reqpath.CtxFlat.Abort), a queue item a Put had
-// already handed over (Getter.Reput), a token it must give back. A queue
-// registration must be withdrawn before Cancel returns (Getter.Cancel), so
-// no Put hands an item to the withdrawn actor. Cancelling an actor that is
+// already handed over (Getter.Reput), a token it must give back. The owner
+// withdraws a parked registration first, as Kill does for a process: a
+// queue's with Getter.Cancel, so no Put hands an item to the withdrawn
+// actor, and a signal's with Signal.CancelFlat, so the signal drops the
+// actor's waiter; Cancel panics on an actor still parked on a signal.
+// Either way the actor may later start again. Cancelling an actor that is
 // finished or already cancelled is a no-op. Cancel is called from outside
 // the actor's own steps, as Kill on another process is; process-driven
 // actors are withdrawn by killing their process.
@@ -148,15 +151,15 @@ func (a *Actor) Cancel(unwind func()) {
 	if a.proc != nil {
 		panic("sim: Cancel of actor " + a.name + ", which a process drives; Kill the process")
 	}
+	if a.waiter.a != nil && !a.waiter.released {
+		panic("sim: Cancel of actor " + a.name + ", which is parked on a signal; withdraw it with Signal.CancelFlat first")
+	}
 	a.canceled = true
 	if a.wake != nil {
 		// Engine-owned: the lazy pop recycles it.
 		a.eng.Cancel(a.wake)
 		a.wake = nil
 	}
-	// A Fire skips released waiters, so this detaches a pending flat signal
-	// wait without knowing which signal holds it.
-	a.waiter.released = true
 	a.armed, a.next = false, nil
 	a.armEvent(a.eng.now, func() {
 		if unwind != nil {

@@ -103,7 +103,10 @@ func cancelProgram(flat bool) (log []string, fired, seq uint64) {
 
 		waiter.Bind(e, "waiter")
 		waiter.Go(func() { sig.WaitFlat(waiter, func() { note("waiter woke"); waiter.Finish() }) })
-		kill[1] = func() { waiter.Cancel(func() { note("waiter unwound") }) }
+		kill[1] = func() {
+			sig.CancelFlat(waiter)
+			waiter.Cancel(func() { note("waiter unwound") })
+		}
 
 		getter.Bind(e, "getter")
 		g := &Getter[int]{}
@@ -141,7 +144,12 @@ func cancelProgram(flat bool) (log []string, fired, seq uint64) {
 		note("survivor woke")
 	})
 	e.Schedule(time.Second, kill[0])
-	e.Schedule(2*time.Second, kill[1])
+	e.Schedule(2*time.Second, func() {
+		kill[1]()
+		// Like Kill, the withdrawal takes the waiter off the signal at
+		// once: only the survivor is left parked there.
+		note("%d waiting", sig.Waiting())
+	})
 	e.Schedule(3*time.Second, func() {
 		q.Put(7) // handed to the getter, whose wake the kill pre-empts
 		kill[2]()
@@ -169,6 +177,7 @@ func TestActorCancelMatchesKill(t *testing.T) {
 	}
 	want := []string{
 		"1s sleeper unwound",
+		"2s 0 waiting",
 		"2s waiter unwound",
 		"3s getter unwound",
 		"4s survivor got 8",
@@ -177,6 +186,44 @@ func TestActorCancelMatchesKill(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fl, want) {
 		t.Fatalf("log %v, want %v", fl, want)
+	}
+}
+
+// TestActorCancelRestart: an actor cancelled off one signal and started
+// again on another is woken only by the new one; the old signal holds
+// nothing of it. Cancel refuses an actor still parked on a signal.
+func TestActorCancelRestart(t *testing.T) {
+	e := NewEngine()
+	var old, fresh Signal
+	var a Actor
+	a.Bind(e, "victim")
+	var log []string
+	a.Go(func() { old.WaitFlat(&a, func() { log = append(log, "woke on old"); a.Finish() }) })
+	e.Schedule(time.Second, func() {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Cancel of an actor parked on a signal did not panic")
+				}
+			}()
+			a.Cancel(nil)
+		}()
+		old.CancelFlat(&a)
+		a.Cancel(nil)
+		if old.Waiting() != 0 {
+			t.Errorf("old signal still holds %d waiters after the cancel", old.Waiting())
+		}
+	})
+	e.Schedule(2*time.Second, func() {
+		a.Go(func() {
+			fresh.WaitFlat(&a, func() { log = append(log, fmt.Sprintf("%v woke on fresh", e.Now())); a.Finish() })
+		})
+	})
+	e.Schedule(3*time.Second, old.Fire)
+	e.Schedule(4*time.Second, fresh.Fire)
+	e.Run()
+	if want := []string{"4s woke on fresh"}; !reflect.DeepEqual(log, want) || a.Live() {
+		t.Fatalf("log %v live=%v, want %v", log, a.Live(), want)
 	}
 }
 

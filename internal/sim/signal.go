@@ -113,11 +113,24 @@ func (s *Signal) WaitFlat(a *Actor, then func()) {
 	s.waiters = append(s.waiters, &a.waiter)
 }
 
-func (s *Signal) remove(w *sigWaiter) {
+// CancelFlat withdraws a's pending WaitFlat registration on s, so that the
+// owner can then withdraw the actor with Actor.Cancel; it is the signal's
+// counterpart of Getter.Cancel and removes the waiter as Proc.Kill does for
+// a parked process. It does nothing if a is not waiting on s (a Fire already
+// released it, or it never waited).
+func (s *Signal) CancelFlat(a *Actor) {
+	if w := &a.waiter; !w.released && s.remove(w) {
+		w.released = true
+	}
+}
+
+// remove takes w off the waiter list and reports whether it was there.
+func (s *Signal) remove(w *sigWaiter) bool {
 	for i, q := range s.waiters {
 		if q == w {
 			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-			return
+			return true
 		}
 	}
+	return false
 }
