@@ -36,6 +36,7 @@ fuzz-smoke:
 	go test -race -run '^$$' -fuzz '^FuzzDomainMailOrder$$' -fuzztime 30s ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzFabricChurn$$' -fuzztime 30s ./internal/netsim
 	go test -run '^$$' -fuzz '^FuzzParseOp$$' -fuzztime 30s ./internal/wire
+	go test -run '^$$' -fuzz '^FuzzParseArrivals$$' -fuzztime 30s ./internal/wire
 
 # Full timed microbenchmarks (internal/netsim flow churn + sweeps).
 bench:

@@ -419,3 +419,21 @@ func TestPairBandwidthDistribution(t *testing.T) {
 		t.Fatalf("max pair bandwidth %.1f exceeds GigE", s.Quantile(1))
 	}
 }
+
+// Regression: at a mean gap of 1e6 hours (114 years) the first gap seed 7
+// draws lies past 292 years, which simrand.Duration used to wrap to a
+// negative duration, panicking "sim: negative sleep" in the degradation
+// process.
+func TestDegradationLongMeanGap(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := DefaultConfig()
+	cfg.Degradation = true
+	custom := DefaultDegradation()
+	custom.MeanInterarrival = 1e6 * time.Hour
+	cfg.DegradationConfig = &custom
+	dc := New(eng, simrand.New(7), cfg)
+	eng.RunUntil(24 * time.Hour)
+	if dc.Episodes() != 0 {
+		t.Fatalf("%d degradation episodes in a day at a mean gap of 1e6 hours", dc.Episodes())
+	}
+}

@@ -27,10 +27,19 @@ func fig1Topology(fab *Fabric, clients int) (trunk *Link, nics []*Link) {
 	return trunk, nics
 }
 
+// uncheckedEngines turns off, for the rest of the benchmark, the invariant
+// checking TestMain enables for every engine: benchmarks time the path
+// production runs, and the solver's check alone costs about a solve.
+func uncheckedEngines(b *testing.B) {
+	sim.SetDefaultInvariants(false)
+	b.Cleanup(func() { sim.SetDefaultInvariants(true) })
+}
+
 // BenchmarkFlowChurn measures one arrival+departure churn cycle against a
 // standing population of n-1 flows — the hot path of every closed-loop
 // client sweep. Each iteration is two reallocations (one per churn event).
 func BenchmarkFlowChurn(b *testing.B) {
+	uncheckedEngines(b)
 	for _, n := range []int{1, 32, 192} {
 		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) {
 			eng := sim.NewEngine()
@@ -53,6 +62,7 @@ func BenchmarkFlowChurn(b *testing.B) {
 // BenchmarkFlowChurnStaggered is the same churn measured while the engine
 // clock advances, so settle/reschedule run against nonzero elapsed time.
 func BenchmarkFlowChurnStaggered(b *testing.B) {
+	uncheckedEngines(b)
 	const n = 192
 	eng := sim.NewEngine()
 	fab := NewFabric(eng)
@@ -78,44 +88,58 @@ func BenchmarkFlowChurnStaggered(b *testing.B) {
 // beside 1,000 uploads that cross a private session link and one shared
 // ingress trunk. That is 33 disjoint components. Each iteration replaces
 // one download and one upload (four reallocations), so the cost a change
-// pays for components it cannot reach shows directly.
+// pays for components it cannot reach shows directly. The clock never moves
+// and the ingress has no capacity profile, so settling costs nothing here;
+// BenchmarkFlowChurnComponentsTimed covers that.
 func BenchmarkFlowChurnComponents(b *testing.B) {
-	const (
-		groups    = 32
-		perGroup  = 30
-		uploaders = 1000
-	)
+	uncheckedEngines(b)
 	eng := sim.NewEngine()
 	fab := NewFabric(eng)
 	ingress := fab.NewLink("blob-ingress", 125*MBps)
-	egress := make([]*Link, groups)
+	egress := make([]*Link, churnGroups)
 	for g := range egress {
 		egress[g] = fab.NewLink("blob-egress", 400*MBps)
 	}
-	down := make([]*Link, groups*perGroup)
+	down := make([]*Link, churnGroups*churnPerGroup)
 	downs := make([]*Flow, len(down))
 	for i := range down {
 		down[i] = fab.NewLink("client-down", 13*MBps)
-		downs[i] = fab.StartFlow(1000*GB, egress[i%groups], down[i])
+		downs[i] = fab.StartFlow(1000*GB, egress[i%churnGroups], down[i])
 	}
-	up := make([]*Link, uploaders)
-	ups := make([]*Flow, uploaders)
+	up := make([]*Link, churnUploaders)
+	ups := make([]*Flow, churnUploaders)
 	for i := range up {
 		up[i] = fab.NewLink("client-up", 6.5*MBps)
 		ups[i] = fab.StartFlow(1000*GB, up[i], ingress)
 	}
-	if got := fab.Components(); got != groups+1 {
-		b.Fatalf("%d components, want %d", got, groups+1)
+	if got := fab.Components(); got != churnGroups+1 {
+		b.Fatalf("%d components, want %d", got, churnGroups+1)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := i % len(downs)
 		fab.abandon(downs[d])
-		downs[d] = fab.StartFlow(1000*GB, egress[d%groups], down[d])
-		u := i % uploaders
+		downs[d] = fab.StartFlow(1000*GB, egress[d%churnGroups], down[d])
+		u := i % churnUploaders
 		fab.abandon(ups[u])
 		ups[u] = fab.StartFlow(1000*GB, up[u], ingress)
+	}
+}
+
+// BenchmarkFlowChurnComponentsTimed measures one completion of the timed
+// churn: a flow leaves and its session's next flow joins (two
+// reallocations) while about 2,000 flows are in flight and the clock moves.
+func BenchmarkFlowChurnComponentsTimed(b *testing.B) {
+	uncheckedEngines(b)
+	c := newTimedChurn()
+	for c.fab.ActiveFlows() < len(c.slots) {
+		c.eng.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.eng.Step()
 	}
 }
 
@@ -123,6 +147,7 @@ func BenchmarkFlowChurnComponents(b *testing.B) {
 // every client repeatedly transfers through the shared trunk, so the
 // benchmark covers the full event loop (schedule, settle, solve, complete).
 func BenchmarkSweepTransfers(b *testing.B) {
+	uncheckedEngines(b)
 	for _, n := range []int{32, 192} {
 		b.Run(fmt.Sprintf("clients=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

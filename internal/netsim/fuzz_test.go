@@ -193,11 +193,11 @@ func (m *settleModel) check(f *Fabric) string {
 		if r == nil {
 			return "an active flow the reference never saw start"
 		}
-		if fl.remaining != r.remaining || fl.updated != r.updated {
+		if fl.st().remaining != r.remaining || f.settledAt != r.updated {
 			return fmt.Sprintf("flow settled to %v bytes at %v, reference %v at %v",
-				fl.remaining, fl.updated, r.remaining, r.updated)
+				fl.st().remaining, f.settledAt, r.remaining, r.updated)
 		}
-		r.rate = fl.rate
+		r.rate = fl.st().rate
 		next[fl] = r
 	}
 	m.flows = next
@@ -209,8 +209,8 @@ func nextCompletion(f *Fabric) (time.Duration, bool) {
 	var next time.Duration
 	ok := false
 	for _, fl := range f.flows {
-		if fl.complete != nil && (!ok || fl.complete.Time() < next) {
-			next, ok = fl.complete.Time(), true
+		if fl.st().complete != nil && (!ok || fl.st().complete.Time() < next) {
+			next, ok = fl.st().complete.Time(), true
 		}
 	}
 	return next, ok
@@ -250,7 +250,9 @@ func scratchComponents(f *Fabric) int {
 }
 
 // checkMembership verifies that each link's flow list holds exactly the
-// active flows whose path crosses it, once each.
+// active flows whose path crosses it, once each, that every flow knows its
+// position in each list, and that its hops carry the capacity of exactly
+// the links it crosses alone.
 func checkMembership(f *Fabric, links []*Link) string {
 	want := map[*Link]int{}
 	for _, fl := range f.flows {
@@ -259,17 +261,23 @@ func checkMembership(f *Fabric, links []*Link) string {
 		}
 	}
 	for _, l := range links {
-		n := 0
-		for m := l.flows; m != nil; m = m.next {
-			if m.fl.index < 0 || f.flows[m.fl.index] != m.fl {
+		for p, i := range l.flows {
+			if int(i) >= len(f.flows) || f.flows[i].index != int(i) {
 				return "a link lists a finished flow"
 			}
-			if *m.pprev != m {
-				return "a membership's back-pointer is broken"
+			h := f.hopOf(i, l)
+			if h.pos != int32(p) {
+				return "a flow's position in a link's list is stale"
 			}
-			n++
+			cap1 := 0.0
+			if len(l.flows) == 1 {
+				cap1 = float64(l.effectiveCap(1))
+			}
+			if h.cap1 != cap1 {
+				return "a flow's hop disagrees with its link"
+			}
 		}
-		if n != want[l] || l.nflows != want[l] {
+		if len(l.flows) != want[l] {
 			return "a link's flow list disagrees with the active flows"
 		}
 	}

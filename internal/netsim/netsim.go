@@ -13,27 +13,48 @@
 //
 // # Allocation fast path
 //
-// The closed-loop sweeps of Sections 3.1–3.3 churn hundreds of concurrent
-// flows through one fabric, and every arrival or completion triggers a
-// reallocation, so this is the simulator's hottest path. The solver is
-// component-local: every link keeps an intrusive list of the flows crossing
-// it, and a reallocation walks from the links whose flow set changed through
-// that membership to mark exactly the connected component(s) the change can
-// reach. Only those flows are re-solved; flows in untouched components keep
-// their rates. Per-link solver state lives on the Link itself, stamped with
-// a walk epoch instead of rebuilt in a map. Completion events are only
-// re-created when the predicted completion time actually moved, and retired
-// events are recycled through the kernel's event pool.
+// The closed-loop sweeps of Sections 3.1–3.3 churn hundreds to thousands of
+// concurrent flows through one fabric, and every arrival or completion
+// triggers a reallocation, so this is the simulator's hottest path. The
+// solver is component-local: every link lists the fabric slots of the flows
+// crossing it, and a reallocation walks from the links whose flow set
+// changed through that membership to mark exactly the connected
+// component(s) the change can reach. Only those flows are re-solved; flows
+// in untouched components keep their rates.
+//
+// A reallocation touches each flow's memory as few times as it can. The
+// per-flow state every pass reads (remaining bytes, rate, the pending
+// completion event and its time, the walk mark) sits in one array parallel
+// to the flow list, and each flow's path sits at a fixed stride in a second
+// array, so the passes stream through contiguous memory instead of chasing
+// a pointer per flow. Every active flow was settled at the previous
+// reallocation instant, so one settle step (now-last).Seconds() serves
+// them all, and each flow is settled once. A link crossed by a single
+// flow carries no solver state: its fair share is its capacity for one
+// flow, cached in the flow's hop, so the walk does not queue it and the
+// filling pass never charges it. A shared link's fair share is computed
+// once per filling round, and while some shared link's share lies below
+// every private capacity in the component, the scan for the bottleneck
+// stops at the first hop on such a link. Per-link solver state lives on the
+// Link itself, stamped with a walk epoch instead of rebuilt in a map.
+// Completion events are only moved when the predicted completion time
+// actually changed, and retired events are recycled through the kernel's
+// event pool.
 //
 // The fast path is bit-exact with the from-scratch progressive-filling
 // solver: components never interact (a flow's rate depends only on links it
-// can reach through shared flows), the marked flows are taken in arrival
-// order so tie-breaking between equally-loaded links is unchanged, every
-// flow is settled exactly once per reallocation at the rate it held, and
-// kept events fire at exactly the time a recomputation would have produced.
-// The property tests and FuzzFabricChurn cross-check incremental against
-// from-scratch allocations on random churn sequences, and internal/core's
-// trace goldens pin whole experiment runs to the bit.
+// can reach through shared flows), the marked flows are taken in fabric
+// order and their hops in path order so tie-breaking between equally-loaded
+// links is unchanged, a private link's cached share equals capRem/1
+// exactly, every flow is settled exactly once per reallocation at the rate
+// it held, and kept events fire at exactly the time a recomputation would
+// have produced. The property tests and FuzzFabricChurn cross-check
+// incremental against from-scratch allocations on random churn sequences,
+// TestTimedChurnHash pins a clock-advancing churn of about 2,000 flows, and
+// internal/core's trace goldens pin whole experiment runs to the bit. With
+// invariants enabled, every solve also checks that rates are non-negative
+// and that no link of the solved component carries more than its effective
+// capacity.
 package netsim
 
 import (
@@ -65,30 +86,28 @@ const GB int64 = 1_000_000_000
 // Link is one capacity-constrained network segment: a VM NIC, a storage
 // front-end's egress trunk, a rack uplink.
 type Link struct {
+	fab   *Fabric
 	name  string
 	cap   Bandwidth
 	capFn func(nflows int) Bandwidth
 
-	nflows int     // active flows crossing this link
-	flows  *member // head of the list of those flows' memberships
+	// flows holds the fabric slots of the active flows crossing this link,
+	// in no particular order; each flow's hop records its position here, so
+	// joining and leaving are O(1) and allocation-free in steady state. A
+	// link that never carries two flows at once keeps its list in flowBuf.
+	flows   []int32
+	flowBuf [1]int32
 
-	// Solver scratch, owned by the fabric. unfix and capRem are valid only
-	// for the walk whose epoch matches, which is what lets the solver skip
-	// rebuilding per-link state in a map on every call.
+	// Solver scratch, owned by the fabric and kept only while the link is
+	// shared (more than one flow): a private link's fair share is its
+	// capacity, which its flow carries in its hop. unfix, capRem and share
+	// are valid only for the walk whose epoch matches, which is what lets
+	// the solver skip rebuilding per-link state in a map on every call.
 	epoch  uint64  // walk that last reached this link
-	unfix  int     // flows crossing this link not yet fixed by the solver
 	capRem float64 // capacity not yet claimed by fixed flows
+	share  float64 // capRem/unfix as of the current filling round
+	unfix  int32   // flows crossing this link not yet fixed by the solver
 	dirty  bool    // flow set changed since the last solve
-}
-
-// member threads one flow onto the flow list of one link of its path. The
-// list is doubly linked through pprev (the address of the pointer that points
-// at this member), so insertion and removal are O(1) and allocation-free:
-// members live inline in their Flow.
-type member struct {
-	fl    *Flow
-	next  *member
-	pprev **member
 }
 
 // Name returns the link name.
@@ -98,15 +117,20 @@ func (l *Link) Name() string { return l.name }
 func (l *Link) Capacity() Bandwidth { return l.cap }
 
 // Flows returns the number of active flows crossing the link.
-func (l *Link) Flows() int { return l.nflows }
+func (l *Link) Flows() int { return len(l.flows) }
 
 // SetCapacityFn installs a concurrency-dependent effective capacity. When
 // set, it overrides the nominal capacity whenever at least one flow is
-// active. Effective capacity must be positive for every n ≥ 1; the solver
-// validates this at allocation time and panics with the link name on a
-// curve that dips to zero or below, since such a link would otherwise stall
-// every flow crossing it forever.
-func (l *Link) SetCapacityFn(fn func(nflows int) Bandwidth) { l.capFn = fn }
+// active. fn must be a pure function of n: the fabric may evaluate it once
+// per change of the link's flow count rather than on every solve. Effective
+// capacity must be positive for every n ≥ 1; the fabric validates each value
+// it evaluates and panics with the link name on a curve that dips to zero
+// or below, since such a link would otherwise stall every flow crossing it
+// forever.
+func (l *Link) SetCapacityFn(fn func(nflows int) Bandwidth) {
+	l.capFn = fn
+	l.refreshPrivate()
+}
 
 // effectiveCap returns the capacity available to n concurrent flows.
 func (l *Link) effectiveCap(n int) Bandwidth {
@@ -116,45 +140,100 @@ func (l *Link) effectiveCap(n int) Bandwidth {
 	return l.cap
 }
 
-// Flow is one active transfer.
-type Flow struct {
-	// Every reallocation reads these for every flow, so they lead the
-	// struct, packed together.
-	epoch     uint64  // walk that last reached this flow
-	remaining float64 // bytes
-	rate      float64 // bytes/sec, assigned by the solver
-	updated   time.Duration
-	complete  *sim.Event
-	path      []*Link
-
-	// Short paths and their memberships live inline, so starting a flow
-	// allocates neither and the caller's variadic path stays on its stack.
-	pathBuf   [3]*Link
-	memb      []member // memb[i] threads the flow onto path[i]'s flow list
-	membBuf   [3]member
-	completed bool
-	done      sim.Signal
-	onFire    func() // cached completion callback (one closure per flow)
-	index     int    // position in Fabric.flows; -1 once removed
+// positiveCap returns l's effective capacity for its current flow count,
+// panicking with the link name if the capacity function gave a
+// non-positive value.
+func (l *Link) positiveCap() float64 {
+	c := float64(l.effectiveCap(len(l.flows)))
+	if !(c > 0) {
+		panic(fmt.Sprintf(
+			"netsim: link %q effective capacity %v with %d flows; capacity functions must be positive for every n ≥ 1",
+			l.name, Bandwidth(c), len(l.flows)))
+	}
+	return c
 }
 
-// Rate returns the flow's current max-min fair rate in bytes/sec.
-func (f *Flow) Rate() Bandwidth { return Bandwidth(f.rate) }
+// refreshPrivate brings the hop of a private link's one flow up to date
+// with the link's capacity; it is called whenever the link's flow count or
+// capacity changes.
+func (l *Link) refreshPrivate() {
+	if len(l.flows) == 1 {
+		l.fab.hopOf(l.flows[0], l).cap1 = l.positiveCap()
+	}
+}
+
+// Flow is one active transfer. The solver's view of it lives in its
+// fabric slot (Fabric.state and Fabric.hops), not here.
+type Flow struct {
+	fab   *Fabric
+	index int // slot in Fabric.flows and Fabric.state; -1 once removed
+	path  []*Link
+	// Short paths live inline, so starting a flow allocates nothing and the
+	// caller's variadic path stays on its stack.
+	pathBuf        [3]*Link
+	completed      bool
+	finalRate      float64 // the rate the flow left the fabric with
+	finalRemaining float64 // the bytes it left undelivered
+	done           sim.Signal
+	onFire         func() // cached completion callback (one closure per flow)
+}
+
+// hop is one link of a flow's path as the solver sees it. While the flow
+// is the link's only one, cap1 holds the link's effective capacity for one
+// flow, which is its fair share for as long as the flow is unfixed (exactly
+// what capRem/unfix would give), so the solver never touches the link;
+// on a shared link cap1 is 0.
+type hop struct {
+	l    *Link
+	cap1 float64
+	pos  int32 // the flow's position in l.flows
+	n    int32 // the length of the path
+}
+
+// flowState is the part of a flow that every reallocation reads. The fabric
+// keeps it in one array parallel to its flow list, so the per-flow passes
+// stream through contiguous memory instead of chasing a pointer per flow.
+// Every active flow is settled as of Fabric.settledAt, the instant of the
+// last reallocation, so the flow needs no clock of its own.
+type flowState struct {
+	remaining float64       // bytes
+	rate      float64       // bytes/sec, assigned by the solver
+	at        time.Duration // when complete fires
+	complete  *sim.Event
+	epoch     uint64 // walk that last reached this flow
+}
+
+// st returns the state of an active flow.
+func (f *Flow) st() *flowState { return &f.fab.state[f.index] }
+
+// Rate returns the flow's current max-min fair rate in bytes/sec; once the
+// flow has finished, the rate it finished at.
+func (f *Flow) Rate() Bandwidth {
+	if f.index < 0 {
+		return Bandwidth(f.finalRate)
+	}
+	return Bandwidth(f.st().rate)
+}
 
 // Remaining returns the bytes not yet delivered (as of the last settle).
-func (f *Flow) Remaining() float64 { return f.remaining }
+func (f *Flow) Remaining() float64 {
+	if f.index < 0 {
+		return f.finalRemaining
+	}
+	return f.st().remaining
+}
 
-// settle credits the flow with the bytes moved at its current rate since it
-// was last settled.
-func (f *Flow) settle(now time.Duration) {
-	dt := (now - f.updated).Seconds()
-	if dt > 0 && f.rate > 0 {
-		f.remaining -= f.rate * dt
-		if f.remaining < 0 {
-			f.remaining = 0
+// settled returns the flow's remaining bytes after moving dt seconds at its
+// current rate.
+func (s *flowState) settled(dt float64) float64 {
+	rem := s.remaining
+	if dt > 0 && s.rate > 0 {
+		rem -= s.rate * dt
+		if rem < 0 {
+			rem = 0
 		}
 	}
-	f.updated = now
+	return rem
 }
 
 // Fabric owns the links and active flows of one simulated network and keeps
@@ -162,14 +241,51 @@ func (f *Flow) settle(now time.Duration) {
 type Fabric struct {
 	eng   *sim.Engine
 	flows []*Flow
+	state []flowState // state[i] belongs to flows[i]
+
+	// hops[i*stride:][:n] is the path of flows[i], n hops long; stride is
+	// the longest path seen, so every slot's hops sit at a fixed offset.
+	hops   []hop
+	stride int
+
+	// settledAt is the instant of the last reallocation, as of which every
+	// active flow is settled: flows started since have moved no bytes yet.
+	settledAt time.Duration
 
 	// Incremental-solver state: links whose flow set changed since the last
 	// solve, plus reusable scratch buffers so a reallocation allocates
 	// nothing in steady state.
 	epoch      uint64
 	dirtyLinks []*Link
-	reached    []*Link // links marked by the current walk, in visit order
-	unfixed    []*Flow
+	reached    []*Link // shared links marked by the current walk, in visit order
+	minCap1    float64 // smallest private-link capacity on the marked flows
+	unfixed    []int32 // slots of the flows being solved
+}
+
+// route returns the hops of the flow in slot i.
+func (f *Fabric) route(i int32) []hop {
+	base := int(i) * f.stride
+	return f.hops[base : base+int(f.hops[base].n)]
+}
+
+// hopOf returns the hop of the flow in slot i that crosses l.
+func (f *Fabric) hopOf(i int32, l *Link) *hop {
+	r := f.route(i)
+	for k := range r {
+		if r[k].l == l {
+			return &r[k]
+		}
+	}
+	panic("netsim: link not on flow path")
+}
+
+// widen re-lays the hop table out with room for n hops per slot.
+func (f *Fabric) widen(n int) {
+	hops := make([]hop, len(f.state)*n, cap(f.state)*n)
+	for i := range f.state {
+		copy(hops[i*n:], f.route(int32(i)))
+	}
+	f.hops, f.stride = hops, n
 }
 
 // NewFabric creates an empty network bound to the engine.
@@ -182,7 +298,9 @@ func (f *Fabric) NewLink(name string, capacity Bandwidth) *Link {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("netsim: link %q capacity %v", name, capacity))
 	}
-	return &Link{name: name, cap: capacity}
+	l := &Link{fab: f, name: name, cap: capacity}
+	l.flows = l.flowBuf[:0]
+	return l
 }
 
 // SetLinkCapacity changes a link's nominal capacity at runtime — the chaos
@@ -199,6 +317,7 @@ func (f *Fabric) SetLinkCapacity(l *Link, capacity Bandwidth) {
 		return
 	}
 	l.cap = capacity
+	l.refreshPrivate()
 	f.markDirty(l)
 	f.reallocate()
 }
@@ -244,36 +363,42 @@ func (f *Fabric) TransferFlat(a *sim.Actor, size int64, then func(), path ...*Li
 
 // StartFlow injects a flow without blocking. The returned flow's done signal
 // fires on completion. Most callers want Transfer; StartFlow exists for
-// event-driven users and tests. A path must name each link at most once.
+// event-driven users and tests. A path must name each link at most once,
+// and only links of this fabric.
 func (f *Fabric) StartFlow(size int64, path ...*Link) *Flow {
 	if len(path) == 0 {
 		panic("netsim: flow with empty path")
 	}
 	for i, l := range path {
+		if l.fab != f {
+			panic(fmt.Sprintf("netsim: link %q belongs to another fabric", l.name))
+		}
 		for _, prev := range path[:i] {
 			if prev == l {
 				panic(fmt.Sprintf("netsim: link %q appears twice in one flow path", l.name))
 			}
 		}
 	}
-	fl := &Flow{remaining: float64(size), updated: f.eng.Now()}
+	fl := &Flow{fab: f, index: len(f.flows)}
 	fl.onFire = func() { f.onComplete(fl) }
 	fl.path = append(fl.pathBuf[:0], path...)
-	if len(path) <= len(fl.membBuf) {
-		fl.memb = fl.membBuf[:len(path)]
-	} else {
-		fl.memb = make([]member, len(path))
+	if len(path) > f.stride {
+		f.widen(len(path))
 	}
-	fl.index = len(f.flows)
+	slot := int32(fl.index)
 	f.flows = append(f.flows, fl)
+	f.state = append(f.state, flowState{remaining: float64(size)})
+	f.hops = append(f.hops, make([]hop, f.stride)...)
+	r := f.hops[int(slot)*f.stride:][:len(path)]
 	for i, l := range path {
-		m := &fl.memb[i]
-		*m = member{fl: fl, next: l.flows, pprev: &l.flows}
-		if m.next != nil {
-			m.next.pprev = &m.next
+		r[i] = hop{l: l, pos: int32(len(l.flows)), n: int32(len(path))}
+		l.flows = append(l.flows, slot)
+		switch len(l.flows) {
+		case 1:
+			l.refreshPrivate()
+		case 2:
+			f.hopOf(l.flows[0], l).cap1 = 0
 		}
-		l.flows = m
-		l.nflows++
 		f.markDirty(l)
 	}
 	f.reallocate()
@@ -291,7 +416,8 @@ func (f *Fabric) abandon(fl *Flow) {
 	if fl.completed {
 		return
 	}
-	fl.settle(f.eng.Now())
+	s := &f.state[fl.index]
+	s.remaining = s.settled(f.step())
 	f.remove(fl)
 	f.reallocate()
 }
@@ -301,29 +427,40 @@ func (f *Fabric) remove(fl *Flow) {
 		return
 	}
 	fl.completed = true
-	if fl.complete != nil {
+	i, last := int32(fl.index), int32(len(f.flows)-1)
+	s := &f.state[i]
+	if s.complete != nil {
 		// Lazy cancel: the event stays queued until the kernel pops it, and
 		// CancelRecycle hands its allocation back to the pool at that point.
-		f.eng.CancelRecycle(fl.complete)
-		fl.complete = nil
+		f.eng.CancelRecycle(s.complete)
+		s.complete = nil
 	}
-	// O(1) swap-delete: the flow knows its own slot.
-	i, last := fl.index, len(f.flows)-1
-	f.flows[i] = f.flows[last]
-	f.flows[i].index = i
-	f.flows[last] = nil
-	f.flows = f.flows[:last]
-	fl.index = -1
-	for i, l := range fl.path {
-		m := &fl.memb[i]
-		*m.pprev = m.next
-		if m.next != nil {
-			m.next.pprev = m.pprev
+	fl.finalRate, fl.finalRemaining = s.rate, s.remaining
+	// Leave each link's flow list by swap-delete.
+	for _, h := range f.route(i) {
+		l, end := h.l, len(h.l.flows)-1
+		if moved := l.flows[end]; moved != i {
+			l.flows[h.pos] = moved
+			f.hopOf(moved, l).pos = h.pos
 		}
-		*m = member{}
-		l.nflows--
+		l.flows = l.flows[:end]
+		l.refreshPrivate()
 		f.markDirty(l)
 	}
+	// O(1) swap-delete of the slot: the last flow moves into it.
+	if i != last {
+		f.flows[i], f.state[i] = f.flows[last], f.state[last]
+		f.flows[i].index = int(i)
+		copy(f.hops[int(i)*f.stride:], f.hops[int(last)*f.stride:][:f.stride])
+		for _, h := range f.route(i) {
+			h.l.flows[h.pos] = i
+		}
+	}
+	f.flows[last], f.state[last] = nil, flowState{}
+	f.flows, f.state = f.flows[:last], f.state[:last]
+	clear(f.hops[int(last)*f.stride:])
+	f.hops = f.hops[:int(last)*f.stride]
+	fl.index = -1
 }
 
 // markDirty records that a link's flow set (and hence its effective
@@ -352,116 +489,235 @@ func (f *Fabric) reallocate() {
 		f.clearDirty()
 		return
 	}
+	step := f.step()
 	if len(f.dirtyLinks) > 0 {
-		f.solve()
+		f.solve(step)
 		f.clearDirty()
+		step = 0
 	}
-	f.reschedule()
+	f.reschedule(step)
+	f.settledAt = f.eng.Now()
 }
 
+// step is the time since the last reallocation in seconds: the one settle
+// step every active flow is due.
+func (f *Fabric) step() float64 { return (f.eng.Now() - f.settledAt).Seconds() }
+
 // solve recomputes max-min fair rates by progressive filling for every flow
-// whose connected component contains a dirty link. It walks from the dirty
-// links through link membership, so its cost is proportional to the
-// components a change can reach; flows of clean components are never
-// visited and keep their rates: allocations in one component are
-// independent of every other, so skipping them is exact, not an
-// approximation.
-func (f *Fabric) solve() {
+// whose connected component contains a dirty link, first settling every
+// flow by step seconds at the rate it held. It walks from the dirty links
+// through link membership, so its cost is proportional to the components a
+// change can reach; flows of clean components are never re-solved and keep
+// their rates: allocations in one component are independent of every
+// other, so skipping them is exact, not an approximation.
+func (f *Fabric) solve(step float64) {
 	// Mark the dirty components. Dirty links no longer crossed by any flow
 	// (a departed flow's private segment, an idle link whose capacity
-	// changed) start no walk.
-	f.epoch++
-	f.reached = f.reached[:0]
+	// changed) start no walk; a dirty private link starts it at its flow.
+	f.newWalk()
 	for _, l := range f.dirtyLinks {
-		if l.nflows > 0 && l.epoch != f.epoch {
+		switch {
+		case len(l.flows) == 1:
+			if i := l.flows[0]; f.state[i].epoch != f.epoch {
+				f.mark(i)
+			}
+		case len(l.flows) > 1 && l.epoch != f.epoch:
 			f.visit(l)
 		}
 	}
 	f.walk(0)
 	for _, l := range f.reached {
-		c := float64(l.effectiveCap(l.nflows))
-		if !(c > 0) {
-			panic(fmt.Sprintf(
-				"netsim: link %q effective capacity %v with %d flows; capacity functions must be positive for every n ≥ 1",
-				l.name, Bandwidth(c), l.nflows))
-		}
-		l.capRem = c
-		l.unfix = l.nflows
+		l.capRem = l.positiveCap()
+		l.unfix = int32(len(l.flows))
 	}
-	// Take the marked flows in arrival order, which is what keeps bottleneck
-	// tie-breaking identical to the from-scratch solver, settling each at the
-	// rate it is about to lose.
-	now := f.eng.Now()
+	// Take the marked flows in fabric order, which is what keeps bottleneck
+	// tie-breaking identical to the from-scratch solver. Every flow is
+	// settled here at the rate it is about to lose (or, outside the
+	// component, keeps).
 	f.unfixed = f.unfixed[:0]
-	for _, fl := range f.flows {
-		if fl.epoch == f.epoch {
-			fl.settle(now)
-			f.unfixed = append(f.unfixed, fl)
+	for i := range f.state {
+		s := &f.state[i]
+		s.remaining = s.settled(step)
+		if s.epoch == f.epoch {
+			f.unfixed = append(f.unfixed, int32(i))
 		}
 	}
-	// Progressive filling. Each round, the bottleneck is the link
-	// whose fair share for its unfixed flows is smallest — scanned in flow
-	// arrival order (not map order) so ties resolve stably — and every
-	// unfixed flow crossing it is fixed at that share.
+	// Progressive filling. Each round, the bottleneck is the link whose
+	// fair share for its unfixed flows is smallest — the first such hop in
+	// flow order (not map order), so ties resolve stably — and every
+	// unfixed flow crossing it is fixed at that share. A shared link's
+	// share is computed once per round; a private link's bottleneck is its
+	// one flow.
 	unfixed := f.unfixed
 	for len(unfixed) > 0 {
-		var bottleneck *Link
-		share := math.Inf(1)
-		for _, fl := range unfixed {
-			for _, l := range fl.path {
-				if l.unfix == 0 {
-					continue
-				}
-				s := l.capRem / float64(l.unfix)
-				if s < share {
-					share = s
-					bottleneck = l
-				}
-			}
-		}
-		if bottleneck == nil {
+		bottleneck, at, share := f.bottleneck(unfixed)
+		if at < 0 {
 			// No constraining link (cannot happen with non-empty paths).
-			for _, fl := range unfixed {
-				fl.rate = math.Inf(1)
+			for _, i := range unfixed {
+				f.state[i].rate = math.Inf(1)
 			}
 			break
 		}
 		if share < 0 {
 			share = 0
 		}
+		if bottleneck == nil {
+			i := unfixed[at]
+			f.fix(i, f.route(i), share)
+			unfixed = append(unfixed[:at], unfixed[at+1:]...)
+			continue
+		}
 		n := 0
-		for _, fl := range unfixed {
+		for _, i := range unfixed {
+			r := f.route(i)
 			onBottleneck := false
-			for _, l := range fl.path {
-				if l == bottleneck {
+			for _, h := range r {
+				if h.l == bottleneck {
 					onBottleneck = true
 					break
 				}
 			}
 			if !onBottleneck {
-				unfixed[n] = fl
+				unfixed[n] = i
 				n++
 				continue
 			}
-			fl.rate = share
-			for _, l := range fl.path {
-				l.capRem -= share
-				if l.capRem < 0 {
-					l.capRem = 0
-				}
-				l.unfix--
-			}
+			f.fix(i, r, share)
 		}
 		unfixed = unfixed[:n]
 	}
-	// Drop the scratch references so finished flows can be collected.
-	clear(f.unfixed)
+	if inv := f.eng.Invariants(); inv != nil {
+		f.checkSolve(inv)
+	}
 }
 
-// visit marks l as reached by the current walk and queues it.
+// bottleneck finds one filling round's bottleneck: the first hop, scanning
+// the unfixed flows in order and each flow's hops in path order, whose
+// fair share is smallest. It returns the hop's link, or nil for a private
+// link, the position in unfixed of the flow it was found on (-1 if no hop
+// constrains), and the share. When some shared link's share is below
+// every private capacity in the component, no private hop can win, so the
+// scan stops at the first hop on a link with that share.
+func (f *Fabric) bottleneck(unfixed []int32) (bottleneck *Link, at int, share float64) {
+	low := math.Inf(1)
+	for _, l := range f.reached {
+		if l.unfix > 0 {
+			l.share = l.capRem / float64(l.unfix)
+			if l.share < low {
+				low = l.share
+			}
+		}
+	}
+	if low < f.minCap1 {
+		for k, i := range unfixed {
+			for _, h := range f.route(i) {
+				if h.cap1 == 0 && h.l.unfix > 0 && h.l.share == low {
+					return h.l, k, h.l.share
+				}
+			}
+		}
+	}
+	at, share = -1, math.Inf(1)
+	for k, i := range unfixed {
+		for _, h := range f.route(i) {
+			s := h.cap1
+			if s == 0 {
+				if h.l.unfix == 0 {
+					continue
+				}
+				s = h.l.share
+			}
+			if s < share {
+				share, at = s, k
+				bottleneck = nil
+				if h.cap1 == 0 {
+					bottleneck = h.l
+				}
+			}
+		}
+	}
+	return bottleneck, at, share
+}
+
+// fix assigns the flow in slot i, whose hops are r, its final rate and
+// charges it to the shared links it crosses. Private links need no charge:
+// their flow is now fixed, so the solver never reads them again.
+func (f *Fabric) fix(i int32, r []hop, share float64) {
+	f.state[i].rate = share
+	for _, h := range r {
+		if h.cap1 == 0 {
+			l := h.l
+			l.capRem -= share
+			if l.capRem < 0 {
+				l.capRem = 0
+			}
+			l.unfix--
+		}
+	}
+}
+
+// checkSolve is the solver's invariant check, run after every solve when
+// the engine checks invariants: every rate is non-negative, and no link of
+// the solved component carries more than its effective capacity, up to a
+// relative rounding tolerance.
+func (f *Fabric) checkSolve(inv *sim.Invariants) {
+	const tol = 1e-9
+	for i := range f.state {
+		s := &f.state[i]
+		if !(s.rate >= 0) {
+			inv.Checkf(false, "netsim: flow rate %v is negative", s.rate)
+		}
+		if s.epoch != f.epoch {
+			continue
+		}
+		for _, h := range f.route(int32(i)) {
+			if l := h.l; len(l.flows) == 1 && s.rate > float64(l.effectiveCap(1))*(1+tol) {
+				inv.Checkf(false, "netsim: flow on private link %q at %v B/s, over its capacity %v",
+					l.name, s.rate, l.effectiveCap(1))
+			}
+		}
+	}
+	for _, l := range f.reached {
+		sum := 0.0
+		for _, i := range l.flows {
+			sum += f.state[i].rate
+		}
+		if c := float64(l.effectiveCap(len(l.flows))); sum > c*(1+tol) {
+			inv.Checkf(false, "netsim: link %q carries %v B/s over %d flows, over its capacity %v",
+				l.name, sum, len(l.flows), Bandwidth(c))
+		}
+	}
+}
+
+// newWalk starts a walk: nothing is marked under its fresh epoch.
+func (f *Fabric) newWalk() {
+	f.epoch++
+	f.reached = f.reached[:0]
+	f.minCap1 = math.Inf(1)
+}
+
+// visit marks the shared link l as reached by the current walk and queues
+// it.
 func (f *Fabric) visit(l *Link) {
 	l.epoch = f.epoch
 	f.reached = append(f.reached, l)
+}
+
+// mark marks the flow in slot i as reached by the current walk and queues
+// the shared links of its path. A private link leads to no other flow, so
+// it is not queued.
+func (f *Fabric) mark(i int32) {
+	f.state[i].epoch = f.epoch
+	for _, h := range f.route(i) {
+		switch {
+		case h.cap1 != 0:
+			if h.cap1 < f.minCap1 {
+				f.minCap1 = h.cap1
+			}
+		case h.l.epoch != f.epoch:
+			f.visit(h.l)
+		}
+	}
 }
 
 // walk marks every flow crossing a link queued at index i or later, queueing
@@ -469,16 +725,9 @@ func (f *Fabric) visit(l *Link) {
 // links are fully marked.
 func (f *Fabric) walk(i int) {
 	for ; i < len(f.reached); i++ {
-		for m := f.reached[i].flows; m != nil; m = m.next {
-			fl := m.fl
-			if fl.epoch == f.epoch {
-				continue
-			}
-			fl.epoch = f.epoch
-			for _, l := range fl.path {
-				if l.epoch != f.epoch {
-					f.visit(l)
-				}
+		for _, j := range f.reached[i].flows {
+			if f.state[j].epoch != f.epoch {
+				f.mark(j)
 			}
 		}
 	}
@@ -494,15 +743,14 @@ func (f *Fabric) walk(i int) {
 // component. The query walks link membership with its own epoch, so it
 // never disturbs allocation.
 func (f *Fabric) Components() int {
-	f.epoch++
-	f.reached = f.reached[:0]
+	f.newWalk()
 	n := 0
-	for _, fl := range f.flows {
-		if fl.epoch != f.epoch {
+	for i := range f.state {
+		if f.state[i].epoch != f.epoch {
 			n++
-			i := len(f.reached)
-			f.visit(fl.path[0])
-			f.walk(i)
+			j := len(f.reached)
+			f.mark(int32(i))
+			f.walk(j)
 		}
 	}
 	return n
@@ -516,37 +764,40 @@ func (f *Fabric) SameComponent(a, b *Flow) bool {
 	if a.index < 0 || b.index < 0 {
 		return false
 	}
-	f.epoch++
-	f.reached = f.reached[:0]
-	f.visit(a.path[0])
+	f.newWalk()
+	f.mark(int32(a.index))
 	f.walk(0)
-	return b.epoch == f.epoch
+	return f.state[b.index].epoch == f.epoch
 }
 
-// reschedule settles every flow solve did not (a no-op for those it did) and
-// brings its completion event in line with its remaining bytes and rate.
+// reschedule settles every flow by step seconds (0 when solve already
+// settled them) and brings its completion event in line with its remaining
+// bytes and rate.
 // Every flow is visited because every flow's remaining bytes moved: its
 // prediction is recomputed from the settled value, exactly as a
 // from-scratch pass would. An event is re-created only when the predicted
 // completion time actually moved; an unchanged prediction keeps the
 // already-scheduled event, and retired events return to the kernel pool.
-func (f *Fabric) reschedule() {
+func (f *Fabric) reschedule(step float64) {
 	now := f.eng.Now()
-	for _, fl := range f.flows {
-		fl.settle(now)
-		if fl.rate <= 0 {
+	for i := range f.state {
+		s := &f.state[i]
+		if step > 0 {
+			s.remaining = s.settled(step)
+		}
+		if s.rate <= 0 {
 			// Stalled; a future reallocate will revive it.
-			if fl.complete != nil {
-				f.eng.CancelRecycle(fl.complete)
-				fl.complete = nil
+			if s.complete != nil {
+				f.eng.CancelRecycle(s.complete)
+				s.complete = nil
 			}
 			continue
 		}
 		var at time.Duration
-		if math.IsInf(fl.rate, 1) || fl.remaining <= 0.5 {
+		if math.IsInf(s.rate, 1) || s.remaining <= 0.5 {
 			at = now
 		} else {
-			at = now + time.Duration(fl.remaining/fl.rate*float64(time.Second))
+			at = now + time.Duration(s.remaining/s.rate*float64(time.Second))
 			if at <= now {
 				// The prediction rounded down to a zero (or negative)
 				// duration while bytes remain outstanding. Scheduling at
@@ -557,8 +808,8 @@ func (f *Fabric) reschedule() {
 				at = now + 1
 			}
 		}
-		if fl.complete != nil {
-			if fl.complete.Time() == at {
+		if s.complete != nil {
+			if s.at == at {
 				continue
 			}
 			// Sift the pending event to its new slot in place. The event
@@ -566,31 +817,34 @@ func (f *Fabric) reschedule() {
 			// cancel/recycle/schedule round trip did, so traces stay
 			// bit-identical while the hot reallocation path skips the heap
 			// removal and free-list churn entirely.
-			f.eng.Reschedule(fl.complete, at)
-			continue
+			f.eng.Reschedule(s.complete, at)
+		} else {
+			s.complete = f.eng.Schedule(at, f.flows[i].onFire)
 		}
-		fl.complete = f.eng.Schedule(at, fl.onFire)
+		s.at = at
 	}
 }
 
 func (f *Fabric) onComplete(fl *Flow) {
-	ev := fl.complete
-	fl.complete = nil
+	s := &f.state[fl.index]
+	ev := s.complete
+	s.complete = nil
 	if ev != nil {
 		f.eng.Recycle(ev)
 	}
-	fl.settle(f.eng.Now())
-	if fl.remaining > 0.5 {
-		if !math.IsInf(fl.rate, 1) {
+	rem := s.settled(f.step())
+	if rem > 0.5 {
+		if !math.IsInf(s.rate, 1) {
 			// Prediction went stale (rates changed at this same instant);
-			// reallocate will reschedule.
+			// reallocate will settle the flow and reschedule it.
 			f.reallocate()
 			return
 		}
 		// An unconstrained flow delivers instantly; zero elapsed time moved
 		// no bytes in settle, so finish it by hand rather than ping-pong.
-		fl.remaining = 0
+		rem = 0
 	}
+	s.remaining = rem
 	f.remove(fl)
 	fl.done.Fire()
 	f.reallocate()

@@ -308,7 +308,7 @@ func TestDuplicateLinkPathPanics(t *testing.T) {
 	fab.StartFlow(MB, nic, pair, nic)
 }
 
-// Paths longer than the inline membership buffer thread and unthread like
+// Paths longer than the inline hop buffer join and leave their links like
 // short ones.
 func TestLongPathMembership(t *testing.T) {
 	eng := sim.NewEngine()
@@ -327,7 +327,7 @@ func TestLongPathMembership(t *testing.T) {
 	}
 	fab.Abandon(long)
 	for i, l := range links {
-		if l.flows != nil && l != links[4] {
+		if len(l.flows) != 0 && l != links[4] {
 			t.Fatalf("hop %d still lists a flow after the long flow left", i)
 		}
 	}

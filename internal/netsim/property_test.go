@@ -47,16 +47,16 @@ func TestPropertyMaxMinFeasibleAndLive(t *testing.T) {
 		_, flows, links := buildRandomScenario(seed, nl, nf)
 		loads := map[*Link]float64{}
 		for _, fl := range flows {
-			if fl.rate <= 0 {
+			if fl.st().rate <= 0 {
 				return false // starvation
 			}
 			for _, l := range fl.path {
-				loads[l] += fl.rate
+				loads[l] += fl.st().rate
 			}
 		}
 		for _, l := range links {
 			if load, ok := loads[l]; ok {
-				if load > float64(l.effectiveCap(l.nflows))*(1+1e-9) {
+				if load > float64(l.effectiveCap(len(l.flows)))*(1+1e-9) {
 					return false // oversubscribed
 				}
 			}
@@ -77,13 +77,13 @@ func TestPropertyEveryFlowBottlenecked(t *testing.T) {
 		loads := map[*Link]float64{}
 		for _, fl := range flows {
 			for _, l := range fl.path {
-				loads[l] += fl.rate
+				loads[l] += fl.st().rate
 			}
 		}
 		for _, fl := range flows {
 			saturated := false
 			for _, l := range fl.path {
-				if loads[l] >= float64(l.effectiveCap(l.nflows))*(1-1e-6) {
+				if loads[l] >= float64(l.effectiveCap(len(l.flows)))*(1-1e-6) {
 					saturated = true
 					break
 				}
@@ -112,9 +112,9 @@ func TestPropertyEqualPathEqualRate(t *testing.T) {
 		for i := range flows {
 			flows[i] = fab.StartFlow(int64(1+rng.IntN(100))*MB, a, b)
 		}
-		first := flows[0].rate
+		first := flows[0].st().rate
 		for _, fl := range flows[1:] {
-			if diff := fl.rate - first; diff > 1e-6*first || diff < -1e-6*first {
+			if diff := fl.st().rate - first; diff > 1e-6*first || diff < -1e-6*first {
 				return false
 			}
 		}
@@ -176,7 +176,7 @@ func scratchRates(f *Fabric) map[*Flow]float64 {
 		for _, l := range fl.path {
 			st := ls[l]
 			if st == nil {
-				st = &linkState{capRem: float64(l.effectiveCap(l.nflows))}
+				st = &linkState{capRem: float64(l.effectiveCap(len(l.flows)))}
 				ls[l] = st
 			}
 			st.unfix++
@@ -248,28 +248,28 @@ func scratchRates(f *Fabric) map[*Flow]float64 {
 func assertMatchesScratch(f *Fabric, now time.Duration) string {
 	want := scratchRates(f)
 	for _, fl := range f.flows {
-		if w := want[fl]; fl.rate != w {
-			return fmt.Sprintf("flow rate %v, from-scratch solver says %v (Δbits)", fl.rate, w)
+		if w := want[fl]; fl.st().rate != w {
+			return fmt.Sprintf("flow rate %v, from-scratch solver says %v (Δbits)", fl.st().rate, w)
 		}
-		if fl.rate <= 0 {
-			if fl.complete != nil {
+		if fl.st().rate <= 0 {
+			if fl.st().complete != nil {
 				return "stalled flow still holds a completion event"
 			}
 			continue
 		}
 		var at time.Duration
-		if math.IsInf(fl.rate, 1) || fl.remaining <= 0.5 {
+		if math.IsInf(fl.st().rate, 1) || fl.st().remaining <= 0.5 {
 			at = now
 		} else {
-			at = now + time.Duration(fl.remaining/fl.rate*float64(time.Second))
+			at = now + time.Duration(fl.st().remaining/fl.st().rate*float64(time.Second))
 			if at <= now {
 				at = now + 1
 			}
 		}
-		if fl.complete == nil {
+		if fl.st().complete == nil {
 			return "live flow has no completion event"
 		}
-		if got := fl.complete.Time(); got < at {
+		if got := fl.st().complete.Time(); got < at {
 			// A kept event may never be earlier than the fresh prediction;
 			// equal is the required case (reschedule recomputes every time).
 			return fmt.Sprintf("completion event at %v, fresh prediction %v", got, at)

@@ -118,13 +118,13 @@ func TestUnrelatedChurnKeepsCompletionEvent(t *testing.T) {
 	private := fab.NewLink("private", 10*MBps)
 	other := fab.NewLink("other", 10*MBps)
 	fl := fab.StartFlow(100*MB, private)
-	ev := fl.complete
+	ev := fl.st().complete
 	if ev == nil {
 		t.Fatal("no completion event scheduled")
 	}
 	tmp := fab.StartFlow(50*MB, other)
 	fab.abandon(tmp)
-	if fl.complete != ev {
+	if fl.st().complete != ev {
 		t.Fatal("churn on a disjoint component replaced an unchanged flow's completion event")
 	}
 	if got := ev.Time(); got != 10*time.Second {
@@ -133,5 +133,44 @@ func TestUnrelatedChurnKeepsCompletionEvent(t *testing.T) {
 	eng.Run()
 	if fab.ActiveFlows() != 0 {
 		t.Fatalf("flows left: %d", fab.ActiveFlows())
+	}
+}
+
+// The solver invariant flags an allocation that overloads a link or goes
+// negative, on private links as well as shared ones, so the private-link
+// shortcut is checked wherever invariants run.
+func TestSolveInvariantCatchesOverload(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		flow int // 0 and 1 share a link, 2 crosses one alone
+		rate float64
+		want string
+	}{
+		{"shared", 0, 8 * float64(MBps), `link "shared" carries`},
+		{"private", 2, 20 * float64(MBps), `private link "solo"`},
+		{"negative", 1, -1, "negative"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			fab := NewFabric(eng)
+			shared := fab.NewLink("shared", 10*MBps)
+			flows := []*Flow{
+				fab.StartFlow(10*MB, shared),
+				fab.StartFlow(10*MB, shared),
+				fab.StartFlow(10*MB, fab.NewLink("solo", 10*MBps)),
+			}
+			fl := flows[tc.flow]
+			fl.st().rate = tc.rate
+			// Mark the flow's component, as the solve that assigned the
+			// rate would have, and check it.
+			fab.SameComponent(fl, fl)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "invariant violated") || !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want an invariant violation naming %q", msg, tc.want)
+				}
+			}()
+			fab.checkSolve(eng.Invariants())
+		})
 	}
 }

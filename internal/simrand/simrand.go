@@ -66,12 +66,22 @@ type Dist interface {
 	Mean() float64
 }
 
+// MaxDuration bounds every Duration draw: about 146 years, far past any
+// simulated horizon, and small enough that a virtual clock below it plus a
+// draw can never overflow time.Duration.
+const MaxDuration = time.Duration(1 << 62)
+
 // Duration samples d (interpreted in seconds) and converts to time.Duration,
-// clamping at zero.
+// clamping to [0, MaxDuration]. Without the upper clamp a heavy-tailed or
+// very-long-mean draw past about 292 years would wrap to a negative
+// duration.
 func Duration(d Dist, r *RNG) time.Duration {
 	s := d.Sample(r)
-	if s < 0 {
-		s = 0
+	if !(s > 0) {
+		return 0
+	}
+	if s >= MaxDuration.Seconds() {
+		return MaxDuration
 	}
 	return time.Duration(s * float64(time.Second))
 }

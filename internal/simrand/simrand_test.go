@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 const samples = 200000
@@ -414,5 +415,27 @@ func TestPropertyHitRate(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A draw past the int64 nanosecond range used to wrap to a negative
+// duration, which the kernel rejects as a negative sleep.
+func TestDurationClampsLongDraws(t *testing.T) {
+	r := New(1)
+	const century = 100 * 365 * 24 * time.Hour
+	for _, secs := range []float64{1e10, 1e300, math.Inf(1)} {
+		got := Duration(Const(secs), r)
+		if got < century {
+			t.Fatalf("Duration(%g s) = %v, want a clamp past a century", secs, got)
+		}
+		if now := century; now+got < now {
+			t.Fatalf("Duration(%g s) = %v overflows a century-old clock", secs, got)
+		}
+	}
+	if got := Duration(Const(math.NaN()), r); got != 0 {
+		t.Fatalf("Duration(NaN) = %v, want 0", got)
+	}
+	if got := Duration(Const(1.5), r); got != 1500*time.Millisecond {
+		t.Fatalf("Duration(1.5 s) = %v, want 1.5s", got)
 	}
 }

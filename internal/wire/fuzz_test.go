@@ -82,3 +82,31 @@ func FuzzParseOp(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseArrivals checks the arrival-log parser on arbitrary text: every
+// input yields arrivals or an error, never a panic, and whatever parses
+// survives WriteTo and a second parse unchanged.
+func FuzzParseArrivals(f *testing.F) {
+	f.Fuzz(func(t *testing.T, log string) {
+		parsed, err := ParseArrivals(strings.NewReader(log))
+		if err != nil {
+			return
+		}
+		var out strings.Builder
+		if _, err := (&Recorder{arrivals: parsed}).WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseArrivals(strings.NewReader(out.String()))
+		if err != nil {
+			t.Fatalf("rewritten log does not parse: %v\n%s", err, out.String())
+		}
+		if len(again) != len(parsed) {
+			t.Fatalf("rewritten log holds %d arrivals, want %d\n%s", len(again), len(parsed), out.String())
+		}
+		for i := range parsed {
+			if again[i] != parsed[i] {
+				t.Fatalf("arrival %d: rewritten log gives %+v, parsed %+v", i, again[i], parsed[i])
+			}
+		}
+	})
+}

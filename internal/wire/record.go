@@ -70,12 +70,17 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
+// maxArrivalLine bounds one line of an arrival log. Query escaping can
+// triple a body of up to maxBody bytes, and the request URI, bounded by
+// net/http's 1 MiB header limit, shares the line with three short fields.
+const maxArrivalLine = 3*maxBody + 2<<20
+
 // ParseArrivals reads the WriteTo format. Blank lines and #-comments are
 // skipped; a malformed line is an error naming its number.
 func ParseArrivals(r io.Reader) ([]Arrival, error) {
 	var out []Arrival
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxArrivalLine)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
