@@ -103,11 +103,10 @@ type Link struct {
 	// capacity, which its flow carries in its hop. unfix, capRem and share
 	// are valid only for the walk whose epoch matches, which is what lets
 	// the solver skip rebuilding per-link state in a map on every call.
+	unfix  int32   // flows crossing this link not yet fixed by the solver
 	epoch  uint64  // walk that last reached this link
 	capRem float64 // capacity not yet claimed by fixed flows
 	share  float64 // capRem/unfix as of the current filling round
-	unfix  int32   // flows crossing this link not yet fixed by the solver
-	dirty  bool    // flow set changed since the last solve
 }
 
 // Name returns the link name.
@@ -465,18 +464,11 @@ func (f *Fabric) remove(fl *Flow) {
 
 // markDirty records that a link's flow set (and hence its effective
 // capacity) changed, so the component containing it must be re-solved.
+// Each change is followed by its own reallocation, which empties the list;
+// a link listed twice would start no second walk, as the first marked its
+// component.
 func (f *Fabric) markDirty(l *Link) {
-	if !l.dirty {
-		l.dirty = true
-		f.dirtyLinks = append(f.dirtyLinks, l)
-	}
-}
-
-func (f *Fabric) clearDirty() {
-	for _, l := range f.dirtyLinks {
-		l.dirty = false
-	}
-	f.dirtyLinks = f.dirtyLinks[:0]
+	f.dirtyLinks = append(f.dirtyLinks, l)
 }
 
 // reallocate brings rates and completion events up to date after a change.
@@ -486,13 +478,13 @@ func (f *Fabric) clearDirty() {
 // re-solves to bit-identical rates.
 func (f *Fabric) reallocate() {
 	if len(f.flows) == 0 {
-		f.clearDirty()
+		f.dirtyLinks = f.dirtyLinks[:0]
 		return
 	}
 	step := f.step()
 	if len(f.dirtyLinks) > 0 {
 		f.solve(step)
-		f.clearDirty()
+		f.dirtyLinks = f.dirtyLinks[:0]
 		step = 0
 	}
 	f.reschedule(step)
