@@ -72,16 +72,14 @@ type Dist interface {
 const MaxDuration = time.Duration(1 << 62)
 
 // Duration samples d (interpreted in seconds) and converts to time.Duration,
-// clamping to [0, MaxDuration]. Without the upper clamp a heavy-tailed or
-// very-long-mean draw past about 292 years would wrap to a negative
-// duration.
+// clamping to [0, MaxDuration] (up to a microsecond of rounding at the top).
+// Without the upper clamp a heavy-tailed or very-long-mean draw past about
+// 292 years would wrap to a negative duration. Duration is kept small
+// enough to inline, which keeps its callers' distributions off the heap.
 func Duration(d Dist, r *RNG) time.Duration {
-	s := d.Sample(r)
+	s := min(d.Sample(r), float64(MaxDuration)/float64(time.Second))
 	if !(s > 0) {
 		return 0
-	}
-	if s >= MaxDuration.Seconds() {
-		return MaxDuration
 	}
 	return time.Duration(s * float64(time.Second))
 }

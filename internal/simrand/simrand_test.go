@@ -439,3 +439,16 @@ func TestDurationClampsLongDraws(t *testing.T) {
 		t.Fatalf("Duration(1.5 s) = %v, want 1.5s", got)
 	}
 }
+
+// Duration must stay inlinable: inlined, a distribution literal its caller
+// passes stays on the stack; called, it escapes, and every draw in the
+// campaign and table-client loops allocates.
+func TestDurationAllocatesNothing(t *testing.T) {
+	r := New(1)
+	rate := 2.0
+	if n := testing.AllocsPerRun(100, func() {
+		_ = Duration(Exponential{Rate: rate}, r)
+	}); n != 0 {
+		t.Fatalf("Duration allocates %v times per draw", n)
+	}
+}
