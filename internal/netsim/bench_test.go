@@ -29,7 +29,8 @@ func fig1Topology(fab *Fabric, clients int) (trunk *Link, nics []*Link) {
 
 // uncheckedEngines turns off, for the rest of the benchmark, the invariant
 // checking TestMain enables for every engine: benchmarks time the path
-// production runs, and the solver's check alone costs about a solve.
+// production runs, and the solver's check adds about a third to a
+// reallocation.
 func uncheckedEngines(b *testing.B) {
 	sim.SetDefaultInvariants(false)
 	b.Cleanup(func() { sim.SetDefaultInvariants(true) })

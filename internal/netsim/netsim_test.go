@@ -308,8 +308,8 @@ func TestDuplicateLinkPathPanics(t *testing.T) {
 	fab.StartFlow(MB, nic, pair, nic)
 }
 
-// Paths longer than the inline hop buffer join and leave their links like
-// short ones.
+// Paths longer than the inline path buffer, which widen the fabric's hop
+// table, join and leave their links like short ones.
 func TestLongPathMembership(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := NewFabric(eng)
