@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"encoding/binary"
-	"hash"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -110,10 +109,10 @@ func TestTimedChurnHash(t *testing.T) {
 	const completions = 2000
 	c := newTimedChurn()
 	h := fnv.New64a()
-	put := func(h hash.Hash64, v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
 	}
 	n, ups := 0, 0
 	c.onDone = func(slot int, rate Bandwidth) {
@@ -121,13 +120,13 @@ func TestTimedChurnHash(t *testing.T) {
 		if slot >= churnGroups*churnPerGroup {
 			ups++
 		}
-		put(h, uint64(slot))
-		put(h, uint64(c.eng.Now()))
-		put(h, math.Float64bits(float64(rate)))
+		put(uint64(slot))
+		put(uint64(c.eng.Now()))
+		put(math.Float64bits(float64(rate)))
 		if n%200 == 0 {
 			for _, fl := range c.fab.flows {
-				put(h, math.Float64bits(float64(fl.Rate())))
-				put(h, math.Float64bits(fl.Remaining()))
+				put(math.Float64bits(float64(fl.Rate())))
+				put(math.Float64bits(fl.Remaining()))
 			}
 		}
 	}
