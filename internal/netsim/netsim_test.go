@@ -308,6 +308,26 @@ func TestDuplicateLinkPathPanics(t *testing.T) {
 	fab.StartFlow(MB, nic, pair, nic)
 }
 
+// A link lists the slots of its flows in its own fabric, so a path through
+// another fabric's link is rejected, naming the link, before touching any
+// state.
+func TestForeignLinkPathPanics(t *testing.T) {
+	eng := sim.NewEngine()
+	fab, other := NewFabric(eng), NewFabric(eng)
+	nic := fab.NewLink("vm-nic", 125*MBps)
+	trunk := other.NewLink("other-trunk", 100*MBps)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "other-trunk") {
+			t.Fatalf("panic %q does not name the foreign link", msg)
+		}
+		if fab.ActiveFlows() != 0 || nic.Flows() != 0 || trunk.Flows() != 0 {
+			t.Fatal("rejected flow left state behind")
+		}
+	}()
+	fab.StartFlow(MB, nic, trunk)
+}
+
 // Paths longer than the inline path buffer, which widen the fabric's hop
 // table, join and leave their links like short ones.
 func TestLongPathMembership(t *testing.T) {
