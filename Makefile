@@ -3,9 +3,9 @@
 # smoke-runs every benchmark once so the bench harness can never rot,
 # self-tests the perfbench module, and gives each fuzz target a short
 # live-fuzz burst beyond its seed corpus.
-.PHONY: check build vet test bench-smoke perfbench-selftest fuzz-smoke bench netbench storagebench schedbench simbench simbench-gate scalebench scalebench-smoke domainbench domainbench-smoke domainbench-gate geobench geobench-smoke geobench-gate campaignbench campaignbench-smoke campaignbench-gate validate serve wiresmoke
+.PHONY: check build vet test bench-smoke perfbench-selftest fuzz-smoke bench netbench storagebench schedbench simbench simbench-gate scalebench scalebench-smoke domainbench domainbench-smoke domainbench-gate geobench geobench-smoke geobench-smoke-gate geobench-gate campaignbench campaignbench-smoke campaignbench-gate validate serve wiresmoke
 
-check: build vet test bench-smoke perfbench-selftest fuzz-smoke scalebench-smoke domainbench-smoke geobench-smoke campaignbench-smoke wiresmoke
+check: build vet test bench-smoke perfbench-selftest fuzz-smoke scalebench-smoke domainbench-smoke geobench-smoke-gate campaignbench-smoke wiresmoke
 
 build:
 	go build ./...
@@ -73,10 +73,10 @@ scalebench:
 scalebench-smoke:
 	go run ./cmd/azbench -run scalebench -quick -benchout /tmp/BENCH_scale_smoke.json
 
-# Domain-sharded kernel ladder (domains 1/2/4/8 over the fig1 cell, fig2
-# sweep, and a 100k-client scale cell) refreshing the checked-in
-# BENCH_domains.json; every rung — including the legacy single-engine rows
-# and the windowed coordinator row — must produce the identical trace hash.
+# Domain-sharded kernel ladder (domains 1/2/4/8 over a 100k-client scale
+# cell split into 8 fixed shards) refreshing the checked-in
+# BENCH_domains.json; every rung — including the windowed coordinator row —
+# must produce the identical trace hash.
 domainbench:
 	go run ./cmd/azbench -run domainbench
 
@@ -86,9 +86,10 @@ domainbench:
 domainbench-smoke:
 	go run ./cmd/azbench -run domainbench -quick -benchout /tmp/BENCH_domains_smoke.json
 
-# Regression step in the simbench-gate convention: rerun the fig1 cell at
-# domains=1 (min of five) and fail on >10% slowdown — or any trace drift —
-# against the checked-in BENCH_domains.json.
+# Regression step through the gate the three domain ladders share: rerun
+# the scale cell at domains=1 (min of five) and fail on >10% slowdown — or
+# any trace drift — against the checked-in BENCH_domains.json. The row
+# prices the coordinator's single-domain overhead.
 domainbench-gate:
 	go run ./cmd/azbench -run domainbench -gate BENCH_domains.json
 
@@ -104,7 +105,13 @@ geobench:
 geobench-smoke:
 	go run ./cmd/azbench -run geobench -quick -benchout /tmp/BENCH_geo_smoke.json
 
-# Regression step in the domainbench-gate convention: rerun the fig8geo cell
+# The smoke capture is its own gate baseline: the gate must accept the file
+# just written (hash equality and the 10% wall band). A wall-clock bound, so
+# it runs here, alone, and not among the parallel packages of go test.
+geobench-smoke-gate: geobench-smoke
+	go run ./cmd/azbench -run geobench -gate /tmp/BENCH_geo_smoke.json
+
+# Regression step through the shared ladder gate: rerun the fig8geo cell
 # at domains=1 (min of five) and fail on >10% slowdown — or any trace drift —
 # against the checked-in BENCH_geo.json.
 geobench-gate:
@@ -123,7 +130,7 @@ campaignbench:
 campaignbench-smoke:
 	go run ./cmd/azbench -run campaignbench -quick -benchout /tmp/BENCH_campaign_smoke.json
 
-# Regression step in the domainbench-gate convention: rerun the campaign at
+# Regression step through the shared ladder gate: rerun the campaign at
 # domains=1 (min of five) and fail on >10% slowdown — or any fingerprint
 # drift — against the checked-in BENCH_campaign.json.
 campaignbench-gate:

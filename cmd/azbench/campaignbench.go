@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"azureobs/internal/modis"
@@ -15,15 +12,11 @@ import (
 // campaign: one quick campaign re-run at a ladder of sim.Domains widths,
 // with the campaign fingerprint — every Table 2 counter, daily series and
 // float tally, bit for bit — required identical at every rung. This is the
-// coupled-workload counterpart of domainbench's independent-cell ladders:
-// the campaign's shards talk through the shared task dispatch and the
-// coordinator, so the speedup column here prices the boundary-mail design,
-// not just GOMAXPROCS.
-//
-// On a single-CPU host GOMAXPROCS serializes the domain goroutines, so
-// speedup stays ~1 and the ladder certifies determinism; on an n-core
-// machine it approaches min(n, domains) scaled by the utilization column
-// (the coordinator round barrier is the tax).
+// coupled-workload counterpart of domainbench's scale cell: the campaign's
+// shards talk through the shared task dispatch and the coordinator, so the
+// speedup column here prices the boundary-mail design, not just GOMAXPROCS.
+// On an n-core machine it approaches min(n, domains) scaled by the
+// utilization column (the coordinator round barrier is the tax).
 
 // campaignBenchConfig is the quick-campaign cell: big enough that every
 // shard stays busy (and wall time dominates setup), small enough for CI.
@@ -51,8 +44,9 @@ func campaignLadder(quick bool) []int {
 	return []int{1, 2, 4, 8}
 }
 
-// runCampaignCell executes the quick campaign at one domain width.
-func runCampaignCell(seed uint64, quick bool, domains int) (string, *sim.DomainAccum, time.Duration, uint64) {
+// runCampaignCell executes the quick campaign at one domain width; its
+// events are task executions.
+func runCampaignCell(seed uint64, quick bool, domains int) rung {
 	var acc sim.DomainAccum
 	cfg := campaignBenchConfig(seed, quick, domains)
 	cfg.DomainStats = &acc
@@ -60,140 +54,27 @@ func runCampaignCell(seed uint64, quick bool, domains int) (string, *sim.DomainA
 	start := time.Now()
 	st := camp.Run()
 	wall := time.Since(start)
-	hash := fmt.Sprintf("%016x", st.Fingerprint())
-	return hash, &acc, wall, st.TotalExecs()
+	return rung{hash: fmt.Sprintf("%016x", st.Fingerprint()), acc: &acc, wall: wall, events: st.TotalExecs()}
 }
 
 func runCampaignBench(seed uint64, quick bool, out string) int {
-	rep := domainBenchReport{
-		Suite:      "campaign",
-		CapturedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		NumCPU:     runtime.NumCPU(),
-		Seed:       seed,
-		Quick:      quick,
-		Note: "domain-sharded ModisAzure campaign ladder: the same quick campaign " +
-			"(21 days, 64 workers; 7 days, 32 workers quick) re-run at domains ∈ " +
-			"{1,2,4,8} ({1,2} quick) over eight workload shards, with the identical " +
-			"campaign fingerprint (trace_hash) required at every rung. events_fired " +
-			"is task executions. speedup_vs_one is against the suite's domains=1 " +
-			"wall; utilization is busy/(domains*wall), the round-barrier tax on the " +
-			"coupled workload. Wall-clock speedup requires num_cpu > 1; on one CPU " +
-			"the ladder only certifies determinism. Profile one rung with " +
-			"-cpuprofile cpu.out: samples carry a per-domain pprof label.",
-	}
-
-	fail := false
-	var pts []domainPoint
-	baseWall := 0.0
-	for _, d := range campaignLadder(quick) {
-		hash, acc, wall, execs := runCampaignCell(seed, quick, d)
-		pt := domainPoint{
-			Suite:         "campaign",
-			Domains:       d,
-			WallMS:        float64(wall) / 1e6,
-			BusyMS:        float64(acc.Busy) / 1e6,
-			Utilization:   acc.Utilization(),
-			Rounds:        acc.Rounds,
-			Groups:        acc.Groups,
-			TraceHash:     hash,
-			Events:        execs,
-			ClampedGroups: acc.Clamped,
-		}
-		if acc.Clamped > 0 {
-			fmt.Printf("campaignbench: note: domains=%d: %d group(s) clamped below the requested width (shard count bounds the useful width)\n",
-				d, acc.Clamped)
-		}
-		if d == 1 {
-			baseWall = pt.WallMS
-		}
-		if baseWall > 0 {
-			pt.Speedup = baseWall / pt.WallMS
-			pt.Efficiency = pt.Speedup / float64(d)
-		}
-		pts = append(pts, pt)
-		fmt.Printf("campaignbench: domains=%d %8.1f ms wall  %.2fx vs d=1  util %.2f  rounds %d  execs %d  trace %s\n",
-			d, pt.WallMS, pt.Speedup, pt.Utilization, pt.Rounds, pt.Events, pt.TraceHash)
-	}
-	for _, pt := range pts[1:] {
-		if pt.TraceHash != pts[0].TraceHash {
-			fmt.Fprintf(os.Stderr, "campaignbench: FAIL: campaign fingerprint diverged at domains=%d: %s vs %s\n",
-				pt.Domains, pt.TraceHash, pts[0].TraceHash)
-			fail = true
-		}
-	}
-	rep.Points = pts
-
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(out, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Printf("campaignbench: wrote %s\n", out)
-	if fail {
-		fmt.Fprintln(os.Stderr, "campaignbench: cross-domain fingerprint divergence — the determinism contract is broken; do not merge")
-		return 1
-	}
-	return 0
+	b := newLadderBench("campaignbench", "campaign", seed, quick,
+		"domain-sharded ModisAzure campaign ladder: the same quick campaign "+
+			"(21 days, 64 workers; 7 days, 32 workers quick) re-run at domains ∈ "+
+			"{1,2,4,8} ({1,2} quick) over eight workload shards, with the identical "+
+			"campaign fingerprint (trace_hash) required at every rung. events_fired "+
+			"is task executions. speedup_vs_one is against the suite's domains=1 "+
+			"wall and null when num_cpu is 1; utilization is busy/(domains*wall), the "+
+			"round-barrier tax on the coupled workload. Profile one rung with "+
+			"-cpuprofile cpu.out: samples carry a per-domain pprof label.")
+	b.ladder("campaign", campaignLadder(quick), func(d int) rung { return runCampaignCell(seed, quick, d) })
+	return b.write(out)
 }
 
-// runCampaignGate is the regression step, in the domainbench -gate
-// convention: re-run the campaign at domains=1 (minimum over five
-// repetitions, to shave scheduler noise) at the scale the checked-in
-// BENCH_campaign.json was captured at, and fail if the wall is more than
-// 10% over the recorded one, or if the campaign fingerprint drifted.
+// runCampaignGate re-runs the campaign at domains=1 against the checked-in
+// BENCH_campaign.json: within 10% of its wall, and the same fingerprint.
 func runCampaignGate(baselinePath string) int {
-	buf, err := os.ReadFile(baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "campaignbench gate: %v\n", err)
-		return 1
-	}
-	var base domainBenchReport
-	if err := json.Unmarshal(buf, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "campaignbench gate: parse %s: %v\n", baselinePath, err)
-		return 1
-	}
-	want, wantHash := 0.0, ""
-	for _, pt := range base.Points {
-		if pt.Suite == "campaign" && pt.Domains == 1 {
-			want, wantHash = pt.WallMS, pt.TraceHash
-		}
-	}
-	if want <= 0 {
-		fmt.Fprintf(os.Stderr, "campaignbench gate: no campaign domains=1 baseline in %s\n", baselinePath)
-		return 1
-	}
-
-	const tolerance = 1.10
-	best, bestHash := 0.0, ""
-	for rep := 0; rep < 5; rep++ {
-		hash, _, wall, _ := runCampaignCell(base.Seed, base.Quick, 1)
-		if ms := float64(wall) / 1e6; best == 0 || ms < best {
-			best = ms
-		}
-		bestHash = hash
-	}
-	ratio := best / want
-	status := "ok"
-	if ratio > tolerance {
-		status = "FAIL"
-	}
-	fmt.Printf("campaignbench gate: campaign domains=1 %8.1f ms vs baseline %8.1f (%.2fx) %s  trace %s\n",
-		best, want, ratio, status, bestHash)
-	if wantHash != "" && bestHash != wantHash {
-		fmt.Fprintf(os.Stderr, "campaignbench gate: campaign fingerprint %s differs from recorded %s — the campaign simulation changed; recapture BENCH_campaign.json with -run campaignbench\n",
-			bestHash, wantHash)
-		return 1
-	}
-	if ratio > tolerance {
-		fmt.Fprintln(os.Stderr, "campaignbench gate: single-domain campaign wall regression >10% — investigate before merging (profile with -run campaignbench -cpuprofile cpu.out)")
-		return 1
-	}
-	fmt.Println("campaignbench gate: single-domain campaign within 10% of baseline")
-	return 0
+	return ladderGate("campaignbench", baselinePath, "campaign", func(seed uint64, quick bool) rung {
+		return runCampaignCell(seed, quick, 1)
+	})
 }

@@ -1,10 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"azureobs/internal/core"
@@ -14,9 +10,8 @@ import (
 
 // The geobench artifact measures the multi-region world: the same geo cells
 // executed at a ladder of sim.Domains widths (one domain per region is the
-// natural partition), with the trace hash asserted identical at every rung —
-// exactly the domainbench discipline applied to the cross-DC layer. Two
-// suites cover the two execution shapes:
+// natural partition), with the trace hash asserted identical at every rung.
+// Two suites cover the two execution shapes:
 //
 //   - fig8geo-cell: the full three-scenario fig8geo experiment (lag, ryw,
 //     kill) at validation scale, hashed over results and anchors;
@@ -24,9 +19,7 @@ import (
 //     population fast path — hashed over its report, event count and final
 //     virtual time.
 //
-// On a single-CPU host GOMAXPROCS serializes the domain goroutines, so
-// speedup stays ~1 and the rows certify determinism; on an n-core machine
-// the ladder approaches min(n, regions).
+// On an n-core machine the ladder approaches min(n, regions).
 
 // geoFig8Config is the fig8geo-cell suite config: validation scale (full)
 // or the quick reduced scale.
@@ -45,7 +38,7 @@ func geoFig8Config(seed uint64, quick bool) core.Fig8GeoConfig {
 }
 
 // runGeoFig8 executes the fig8geo-cell suite at one domain count.
-func runGeoFig8(seed uint64, quick bool, domains int) (string, *sim.DomainAccum, time.Duration) {
+func runGeoFig8(seed uint64, quick bool, domains int) rung {
 	cfg := geoFig8Config(seed, quick)
 	var acc sim.DomainAccum
 	cfg.Domains = domains
@@ -55,14 +48,14 @@ func runGeoFig8(seed uint64, quick bool, domains int) (string, *sim.DomainAccum,
 	wall := time.Since(start)
 	// Hash the dereferenced reports: %+v renders nested pointer fields as
 	// addresses, which would fold allocator state into the trace hash.
-	hash := domainTraceHash(res.Regions, *res.Lag, *res.RYW, *res.Kill, res.Anchors())
-	return hash, &acc, wall
+	hash := traceHash(res.Regions, *res.Lag, *res.RYW, *res.Kill, res.Anchors())
+	return rung{hash: hash, acc: &acc, wall: wall}
 }
 
 // runGeoPop executes the geo-pop suite: one world, bigger populations, the
 // per-read consistency log and lag samples off so the hash covers only the
 // aggregate report.
-func runGeoPop(seed uint64, quick bool, domains int) (string, *sim.DomainAccum, time.Duration, uint64) {
+func runGeoPop(seed uint64, quick bool, domains int) rung {
 	cfg := geo.DefaultConfig()
 	cfg.Seed = seed + 17
 	cfg.Domains = domains
@@ -76,12 +69,10 @@ func runGeoPop(seed uint64, quick bool, domains int) (string, *sim.DomainAccum, 
 	start := time.Now()
 	w.Run()
 	wall := time.Since(start)
-	rep := w.Report()
 	events := w.EventsFired()
-	hash := domainTraceHash(rep, events, w.Now().Seconds())
 	var acc sim.DomainAccum
 	acc.Add(w.Stats())
-	return hash, &acc, wall, events
+	return rung{hash: traceHash(w.Report(), events, w.Now().Seconds()), acc: &acc, wall: wall, events: events}
 }
 
 // geoLadder is the domain-count ladder: {1,2,4} full (four regions means
@@ -94,149 +85,24 @@ func geoLadder(quick bool) []int {
 }
 
 func runGeoBench(seed uint64, quick bool, out string) int {
-	rep := domainBenchReport{
-		Suite:      "geo",
-		CapturedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		NumCPU:     runtime.NumCPU(),
-		Seed:       seed,
-		Quick:      quick,
-		Note: "multi-region geo ladder: each suite's cell re-run at domains ∈ {1,2,4} " +
-			"({1,2} quick) over a four-region world, with identical trace_hash required " +
-			"at every rung. fig8geo-cell runs the full three-scenario experiment " +
-			"(replication lag + flash crowd, read-your-writes, primary region kill) at " +
-			"validation scale; geo-pop runs one larger world on the population fast " +
-			"path with per-read recording off. speedup_vs_one is against the suite's " +
-			"domains=1 wall. Wall-clock speedup requires num_cpu > 1; on one CPU the " +
-			"ladder only certifies determinism.",
-	}
-
-	fail := false
-	addSuite := func(name string, run func(d int) domainPoint) {
-		var pts []domainPoint
-		baseWall := 0.0
-		for _, d := range geoLadder(quick) {
-			pt := run(d)
-			if d == 1 {
-				baseWall = pt.WallMS
-			}
-			if baseWall > 0 {
-				pt.Speedup = baseWall / pt.WallMS
-				pt.Efficiency = pt.Speedup / float64(d)
-			}
-			pts = append(pts, pt)
-			fmt.Printf("geobench: %-12s domains=%d %8.1f ms wall  %.2fx vs d=1  util %.2f  rounds %d  trace %s\n",
-				name, d, pt.WallMS, pt.Speedup, pt.Utilization, pt.Rounds, pt.TraceHash)
-		}
-		for _, pt := range pts[1:] {
-			if pt.TraceHash != pts[0].TraceHash {
-				fmt.Fprintf(os.Stderr, "geobench: FAIL %s: trace diverged at domains=%d: %s vs %s\n",
-					name, pt.Domains, pt.TraceHash, pts[0].TraceHash)
-				fail = true
-			}
-		}
-		rep.Points = append(rep.Points, pts...)
-	}
-
-	accPoint := func(suite string, d int, hash string, acc *sim.DomainAccum, wall time.Duration) domainPoint {
-		if acc.Clamped > 0 {
-			fmt.Printf("geobench: note: %s domains=%d: %d group(s) clamped below the requested width (regions bound the useful width)\n",
-				suite, d, acc.Clamped)
-		}
-		return domainPoint{
-			Suite:         suite,
-			Domains:       d,
-			WallMS:        float64(wall) / 1e6,
-			BusyMS:        float64(acc.Busy) / 1e6,
-			Utilization:   acc.Utilization(),
-			Rounds:        acc.Rounds,
-			Groups:        acc.Groups,
-			TraceHash:     hash,
-			ClampedGroups: acc.Clamped,
-		}
-	}
-
-	addSuite("fig8geo-cell", func(d int) domainPoint {
-		hash, acc, wall := runGeoFig8(seed, quick, d)
-		return accPoint("fig8geo-cell", d, hash, acc, wall)
-	})
-	addSuite("geo-pop", func(d int) domainPoint {
-		hash, acc, wall, events := runGeoPop(seed, quick, d)
-		pt := accPoint("geo-pop", d, hash, acc, wall)
-		pt.Events = events
-		return pt
-	})
-
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(out, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Printf("geobench: wrote %s\n", out)
-	if fail {
-		fmt.Fprintln(os.Stderr, "geobench: cross-domain trace divergence — the determinism contract is broken; do not merge")
-		return 1
-	}
-	return 0
+	b := newLadderBench("geobench", "geo", seed, quick,
+		"multi-region geo ladder: each suite's cell re-run at domains ∈ {1,2,4} "+
+			"({1,2} quick) over a four-region world, with identical trace_hash required "+
+			"at every rung. fig8geo-cell runs the full three-scenario experiment "+
+			"(replication lag + flash crowd, read-your-writes, primary region kill) at "+
+			"validation scale; geo-pop runs one larger world on the population fast "+
+			"path with per-read recording off. speedup_vs_one is against the suite's "+
+			"domains=1 wall and null when num_cpu is 1.")
+	ladder := geoLadder(quick)
+	b.ladder("fig8geo-cell", ladder, func(d int) rung { return runGeoFig8(seed, quick, d) })
+	b.ladder("geo-pop", ladder, func(d int) rung { return runGeoPop(seed, quick, d) })
+	return b.write(out)
 }
 
-// runGeoGate is the regression step, in the domainbench -gate convention:
-// re-run the fig8geo-cell suite at domains=1 (minimum over five repetitions,
-// to shave scheduler noise) at the scale the checked-in BENCH_geo.json was
-// captured at, and fail if the wall is more than 10% over the recorded one,
-// or if the trace hash drifted.
+// runGeoGate re-runs the fig8geo cell at domains=1 against the checked-in
+// BENCH_geo.json: within 10% of its wall, and the same trace.
 func runGeoGate(baselinePath string) int {
-	buf, err := os.ReadFile(baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "geobench gate: %v\n", err)
-		return 1
-	}
-	var base domainBenchReport
-	if err := json.Unmarshal(buf, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "geobench gate: parse %s: %v\n", baselinePath, err)
-		return 1
-	}
-	want, wantHash := 0.0, ""
-	for _, pt := range base.Points {
-		if pt.Suite == "fig8geo-cell" && pt.Domains == 1 {
-			want, wantHash = pt.WallMS, pt.TraceHash
-		}
-	}
-	if want <= 0 {
-		fmt.Fprintf(os.Stderr, "geobench gate: no fig8geo-cell domains=1 baseline in %s\n", baselinePath)
-		return 1
-	}
-
-	const tolerance = 1.10
-	best, bestHash := 0.0, ""
-	for rep := 0; rep < 5; rep++ {
-		hash, _, wall := runGeoFig8(base.Seed, base.Quick, 1)
-		if ms := float64(wall) / 1e6; best == 0 || ms < best {
-			best = ms
-		}
-		bestHash = hash
-	}
-	ratio := best / want
-	status := "ok"
-	if ratio > tolerance {
-		status = "FAIL"
-	}
-	fmt.Printf("geobench gate: fig8geo-cell domains=1 %8.1f ms vs baseline %8.1f (%.2fx) %s  trace %s\n",
-		best, want, ratio, status, bestHash)
-	if wantHash != "" && bestHash != wantHash {
-		fmt.Fprintf(os.Stderr, "geobench gate: trace hash %s differs from recorded %s — the geo simulation changed; recapture BENCH_geo.json with -run geobench\n",
-			bestHash, wantHash)
-		return 1
-	}
-	if ratio > tolerance {
-		fmt.Fprintln(os.Stderr, "geobench gate: single-domain fig8geo wall regression >10% — investigate before merging (profile with -run geobench -cpuprofile cpu.out)")
-		return 1
-	}
-	fmt.Println("geobench gate: single-domain fig8geo cell within 10% of baseline")
-	return 0
+	return ladderGate("geobench", baselinePath, "fig8geo-cell", func(seed uint64, quick bool) rung {
+		return runGeoFig8(seed, quick, 1)
+	})
 }

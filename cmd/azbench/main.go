@@ -47,7 +47,7 @@ func run(args []string) int {
 		seed    = fs.Uint64("seed", 42, "root random seed")
 		quick   = fs.Bool("quick", false, "reduced scale for fast runs")
 		workers = fs.Int("workers", 1, "scheduler width: independent experiment cells run on this many goroutines (1 = serial; results are bit-identical at any width)")
-		domains = fs.Int("domains", 0, "intra-cell domain count: shard each cell's independent simulation units across this many concurrently-executing engines where the experiment supports it (0 = single engine; results are bit-identical at any count, and -domains composes with -workers)")
+		domains = fs.Int("domains", 0, "sim.Domains width for experiments of coupled worlds: fig8geo shards its regions and chaosreport its campaign shards across this many concurrently-executing engines (0 = the experiment's default; results are bit-identical at any width, and -domains composes with -workers)")
 		entity  = fs.Int("entity", 4096, "fig2 entity size in bytes (1024|4096|16384|65536)")
 		msg     = fs.Int("msg", 512, "fig3 message size in bytes (512|1024|4096|8192)")
 		csv     = fs.Bool("csv", false, "emit CSV instead of aligned tables")

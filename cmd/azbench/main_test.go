@@ -37,16 +37,15 @@ func TestRunFig8GeoQuick(t *testing.T) {
 	}
 }
 
+// TestRunGeoBenchQuick drives the geo ladder capture, whose rungs must agree
+// on one trace hash. Its timed half, the gate against the capture just
+// written, runs serially as make geobench-smoke-gate: a wall-clock bound
+// does not belong among the parallel packages of go test ./... .
 func TestRunGeoBenchQuick(t *testing.T) {
 	sim.SetDefaultInvariants(true)
 	out := t.TempDir() + "/BENCH_geo.json"
 	if code := run([]string{"-run", "geobench", "-quick", "-benchout", out}); code != 0 {
 		t.Fatalf("azbench -run geobench -quick exited %d", code)
-	}
-	// The capture is its own gate baseline: the gate must accept the file
-	// it just wrote (hash equality and the 10% wall band).
-	if code := run([]string{"-run", "geobench", "-gate", out}); code != 0 {
-		t.Fatalf("azbench -run geobench -gate exited %d", code)
 	}
 }
 

@@ -2,7 +2,8 @@
 // registered experiment at the calibrated validation scale, compares the
 // anchors against the paper, and exits non-zero if any drifts beyond its
 // tolerance. It is the command a CI pipeline runs to catch calibration
-// regressions.
+// regressions. Every simulation it runs checks the kernel invariants
+// fail-fast, so a violation stops the run instead of skewing an anchor.
 //
 // Usage:
 //
@@ -21,6 +22,7 @@ import (
 
 	"azureobs/internal/core"
 	"azureobs/internal/modis"
+	"azureobs/internal/sim"
 	_ "azureobs/internal/wire"
 )
 
@@ -134,6 +136,12 @@ func run(args []string) int {
 	workers := fs.Int("workers", 1, "scheduler workers for independent experiment cells")
 	runNames := fs.String("run", "", "comma-separated experiment names (default: all registered + modis)")
 	fs.Parse(args)
+
+	// Every engine the checked experiments build panics on its first
+	// invariant violation (event-time monotonicity, resource levels, queue
+	// conservation, VM state transitions), so a run that passes its anchors
+	// also passed every kernel check on the way.
+	sim.SetDefaultInvariants(true)
 
 	names := core.Names()
 	withModis := true

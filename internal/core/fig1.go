@@ -75,21 +75,15 @@ type fig1Cell struct {
 func RunFig1(cfg Fig1Config) *Fig1Result {
 	cfg = cfg.withDefaults()
 	runs := cfg.Runs
-	pool := sched.New(cfg.Workers)
-	var cells []fig1Cell
-	if cfg.Domains > 0 {
-		cells = runFig1Domains(cfg, pool)
-	} else {
-		cells = sched.Map(pool, len(cfg.Clients)*runs, func(i int) fig1Cell {
-			n, run := cfg.Clients[i/runs], i%runs
-			var c fig1Cell
-			c.down, c.downAgg = fig1Download(cfg, n, run)
-			if !cfg.SkipUpload {
-				c.up, c.upAgg = fig1Upload(cfg, n, run)
-			}
-			return c
-		})
-	}
+	cells := sched.Map(sched.New(cfg.Workers), len(cfg.Clients)*runs, func(i int) fig1Cell {
+		n, run := cfg.Clients[i/runs], i%runs
+		var c fig1Cell
+		c.down, c.downAgg = runFig1Round(cfg, n, run, false).finish()
+		if !cfg.SkipUpload {
+			c.up, c.upAgg = runFig1Round(cfg, n, run, true).finish()
+		}
+		return c
+	})
 
 	res := &Fig1Result{}
 	for li, n := range cfg.Clients {
@@ -114,67 +108,66 @@ func RunFig1(cfg Fig1Config) *Fig1Result {
 	return res
 }
 
-// fig1Round is one download or upload round mid-flight: the world is built
-// and the clients are in the calendar, but the round's engine has not yet
-// drained. The legacy serial path runs the engine itself; the domain path
-// hands the engine to a sim.Domains group and harvests via finish after the
-// group run. Both paths execute the identical build sequence, which is what
-// keeps their traces byte-identical.
+// fig1Round is one download or upload round run to completion on its own
+// cloud, with the accumulators its clients fill in.
 type fig1Round struct {
 	cloud   *azure.Cloud
 	per     *metrics.Summary
 	total   int64
 	lastEnd float64
 	base    float64
-	flats   []fig1FlatClient
 }
 
-// finish reduces the round's accumulators once its engine has drained.
+// finish reduces the round's accumulators to its per-client summary and
+// aggregate MB/s.
 func (r *fig1Round) finish() (*metrics.Summary, float64) {
 	return r.per, fig1Agg(r.total, r.lastEnd, r.base)
 }
 
-// fig1DownloadStart builds one download round — n clients fetching the same
-// blob — on eng (nil: a fresh standalone engine). The shared blob is staged
-// untimed with a build-time drain; a domain member engine supports that
-// exactly like a standalone one, and the group run later resumes it at its
-// advanced clock.
-func fig1DownloadStart(cfg Fig1Config, n, run int, eng *sim.Engine) *fig1Round {
-	r := &fig1Round{cloud: fig1CloudOn(eng, cfg, run), per: &metrics.Summary{}}
+// runFig1Round runs one round of n clients to completion: downloads of one
+// shared blob, staged untimed beforehand, or uploads of distinct blobs into
+// one container. Upload rounds salt the cloud seed so the two directions of
+// a cell draw from unrelated streams.
+func runFig1Round(cfg Fig1Config, n, run int, upload bool) *fig1Round {
+	salt := run
+	if upload {
+		salt = run + 7919
+	}
+	r := &fig1Round{cloud: fig1Cloud(cfg, salt), per: &metrics.Summary{}}
 	cloud := r.cloud
 	cloud.Blob.CreateContainer("bench")
 	size := cfg.BlobMB * netsim.MB
 
-	// Stage the shared blob without timing it.
-	staged := false
-	stager := cloud.NewClient(cloud.Controller.ReadyFleet(1, fabric.Worker, fabric.Small)[0], 1_000_000)
-	cloud.Engine.Spawn("stage", func(p *sim.Proc) {
-		if err := stager.PutBlob(p, "bench", "shared-1g", size, true); err != nil {
-			panic(err)
+	if !upload {
+		// Stage the shared blob without timing it.
+		staged := false
+		stager := cloud.NewClient(cloud.Controller.ReadyFleet(1, fabric.Worker, fabric.Small)[0], 1_000_000)
+		cloud.Engine.Spawn("stage", func(p *sim.Proc) {
+			if err := stager.PutBlob(p, "bench", "shared-1g", size, true); err != nil {
+				panic(err)
+			}
+			staged = true
+		})
+		cloud.Engine.Run()
+		if !staged {
+			panic("fig1: staging failed")
 		}
-		staged = true
-	})
-	cloud.Engine.Run()
-	if !staged {
-		panic("fig1: staging failed")
 	}
 
 	vms := cloud.Controller.ReadyFleet(n, fabric.Worker, fabric.Small)
-	r.flats = make([]fig1FlatClient, n)
-	for i := 0; i < n; i++ {
-		fc := &r.flats[i]
+	flats := make([]fig1FlatClient, n)
+	for i := range flats {
+		fc := &flats[i]
 		fc.init(cloud, vms[i], i, r.per, &r.total, &r.lastEnd)
-		fc.download("bench", "shared-1g")
+		if upload {
+			fc.uploadBlob("bench", fmt.Sprintf("upload-%d", i), size)
+		} else {
+			fc.download("bench", "shared-1g")
+		}
 	}
 	r.base = cloud.Engine.Now().Seconds()
+	cloud.Engine.Run()
 	return r
-}
-
-// fig1Download runs one download round to completion on its own engine.
-func fig1Download(cfg Fig1Config, n, run int) (*metrics.Summary, float64) {
-	r := fig1DownloadStart(cfg, n, run, nil)
-	r.cloud.Engine.Run()
-	return r.finish()
 }
 
 // fig1Agg computes a round's aggregate MB/s. A degenerate cell (zero
@@ -249,85 +242,12 @@ func (fc *fig1FlatClient) finish(size int64, err error) {
 	fc.a.Finish()
 }
 
-// fig1UploadStart builds one upload round — n clients pushing distinct
-// blobs into one container — on eng (nil: a fresh standalone engine).
-func fig1UploadStart(cfg Fig1Config, n, run int, eng *sim.Engine) *fig1Round {
-	r := &fig1Round{cloud: fig1CloudOn(eng, cfg, run+7919), per: &metrics.Summary{}}
-	cloud := r.cloud
-	cloud.Blob.CreateContainer("bench")
-	size := cfg.BlobMB * netsim.MB
-	vms := cloud.Controller.ReadyFleet(n, fabric.Worker, fabric.Small)
-	r.flats = make([]fig1FlatClient, n)
-	for i := 0; i < n; i++ {
-		fc := &r.flats[i]
-		fc.init(cloud, vms[i], i, r.per, &r.total, &r.lastEnd)
-		fc.uploadBlob("bench", fmt.Sprintf("upload-%d", i), size)
-	}
-	r.base = cloud.Engine.Now().Seconds()
-	return r
-}
-
-// fig1Upload runs one upload round to completion on its own engine.
-func fig1Upload(cfg Fig1Config, n, run int) (*metrics.Summary, float64) {
-	r := fig1UploadStart(cfg, n, run, nil)
-	r.cloud.Engine.Run()
-	return r.finish()
-}
-
-// runFig1Domains is RunFig1's cell computation with intra-cell parallelism:
-// each (level, run, direction) round is one self-contained simulation unit,
-// and units shard across sim.Domains groups of width cfg.Domains (batches of
-// groups in turn shard over the scheduler pool). Unit traces are identical
-// to the serial path's rounds — same cloud seed, same build sequence — so
-// the reassembled cells are bit-identical at every domain count.
-func runFig1Domains(cfg Fig1Config, pool *sched.Pool) []fig1Cell {
-	runs := cfg.Runs
-	dirs := 2
-	if cfg.SkipUpload {
-		dirs = 1
-	}
-	total := len(cfg.Clients) * runs * dirs
-	type roundResult struct {
-		per *metrics.Summary
-		agg float64
-	}
-	units := domainBatches(pool, cfg.Domains, total, cfg.DomainStats,
-		func(u int, eng *sim.Engine) func() roundResult {
-			cell, dir := u/dirs, u%dirs
-			n, run := cfg.Clients[cell/runs], cell%runs
-			var r *fig1Round
-			if dir == 0 {
-				r = fig1DownloadStart(cfg, n, run, eng)
-			} else {
-				r = fig1UploadStart(cfg, n, run, eng)
-			}
-			return func() roundResult {
-				per, agg := r.finish()
-				return roundResult{per, agg}
-			}
-		})
-	cells := make([]fig1Cell, len(cfg.Clients)*runs)
-	for c := range cells {
-		d := units[c*dirs]
-		cells[c].down, cells[c].downAgg = d.per, d.agg
-		if dirs == 2 {
-			up := units[c*dirs+1]
-			cells[c].up, cells[c].upAgg = up.per, up.agg
-		}
-	}
-	return cells
-}
-
-// fig1CloudOn builds a round's cloud on eng, or on a fresh standalone
-// engine when eng is nil (the legacy serial path).
-func fig1CloudOn(eng *sim.Engine, cfg Fig1Config, salt int) *azure.Cloud {
+// fig1Cloud builds a round's cloud on a fresh engine.
+func fig1Cloud(cfg Fig1Config, salt int) *azure.Cloud {
 	ccfg := azure.Config{Seed: cfg.Seed + uint64(salt)*1_000_003}
 	ccfg.Fabric = fabric.DefaultConfig()
 	ccfg.Fabric.Degradation = false
-	if eng == nil {
-		return azure.NewCloud(ccfg)
-	}
-	return azure.NewCloudOn(eng, ccfg)
+	return azure.NewCloud(ccfg)
 }
 
 // Anchors compares the reproduction against the published Fig. 1 numbers.

@@ -81,23 +81,12 @@ type Fig2Result struct {
 // ladder shards over cfg.Workers with bit-identical results at any width.
 func RunFig2(cfg Fig2Config) *Fig2Result {
 	cfg = cfg.withDefaults()
-	res := &Fig2Result{EntitySize: cfg.EntitySize}
-	pool := sched.New(cfg.Workers)
-	if cfg.Domains > 0 {
-		// Intra-cell parallelism: each level is a self-contained simulation
-		// unit, sharded across sim.Domains groups (and group batches over
-		// the pool). The level's phases run under a driver process instead
-		// of repeated engine drains; the trace is identical either way.
-		res.Points = domainBatches(pool, cfg.Domains, len(cfg.Clients), cfg.DomainStats,
-			func(u int, eng *sim.Engine) func() Fig2Point {
-				return fig2LevelStart(cfg, cfg.Clients[u], eng)
-			})
-	} else {
-		res.Points = sched.Map(pool, len(cfg.Clients), func(i int) Fig2Point {
+	return &Fig2Result{
+		EntitySize: cfg.EntitySize,
+		Points: sched.Map(sched.New(cfg.Workers), len(cfg.Clients), func(i int) Fig2Point {
 			return runFig2Level(cfg, cfg.Clients[i])
-		})
+		}),
 	}
-	return res
 }
 
 // phaseRate runs one closed-loop phase over all clients and returns the mean
@@ -133,17 +122,17 @@ func phaseRate(cloud *azure.Cloud, clients, opsEach int,
 	return float64(totalOps) / totalSec, survivors
 }
 
-// runFig2Phases executes a level's four phases on cloud through the given
-// phase executor, which runs one closed-loop phase over n clients and
-// returns (mean per-client rate, survivors). The op bodies live here, once,
-// so the legacy drain-per-phase path and the domain driver-process path
-// issue literally the same operations.
-func runFig2Phases(cfg Fig2Config, cloud *azure.Cloud, n int,
-	phase func(opsEach int, op func(p *sim.Proc, c, i int) error) (float64, int)) Fig2Point {
+// runFig2Level runs one concurrency level's four phases on a fresh cloud.
+func runFig2Level(cfg Fig2Config, n int) Fig2Point {
+	ccfg := azure.Config{Seed: cfg.Seed + uint64(n)*104729}
+	ccfg.Fabric = fabric.DefaultConfig()
+	ccfg.Fabric.Degradation = false
+	cloud := azure.NewCloud(ccfg)
+	cloud.Table.CreateTable("bench")
 	pt := Fig2Point{Clients: n}
 
 	// Insert phase.
-	pt.InsertOps, pt.InsertSurvivors = phase(cfg.Inserts, func(p *sim.Proc, c, i int) error {
+	pt.InsertOps, pt.InsertSurvivors = phaseRate(cloud, n, cfg.Inserts, func(p *sim.Proc, c, i int) error {
 		e := tablesvc.PaddedEntity("part", fmt.Sprintf("row-%03d-%04d", c, i), cfg.EntitySize)
 		return cloud.Table.Insert(p, "bench", e)
 	})
@@ -153,19 +142,19 @@ func runFig2Phases(cfg Fig2Config, cloud *azure.Cloud, n int,
 	backfill(cloud, 220000, cfg.EntitySize)
 
 	// Query phase: each client queries the same entity repeatedly by keys.
-	pt.QueryOps, _ = phase(cfg.Queries, func(p *sim.Proc, c, i int) error {
+	pt.QueryOps, _ = phaseRate(cloud, n, cfg.Queries, func(p *sim.Proc, c, i int) error {
 		_, err := cloud.Table.Get(p, "bench", "part", fmt.Sprintf("row-%03d-0000", c))
 		return err
 	})
 
 	// Update phase: all clients update one shared entity, unconditionally.
-	pt.UpdateOps, _ = phase(cfg.Updates, func(p *sim.Proc, c, i int) error {
+	pt.UpdateOps, _ = phaseRate(cloud, n, cfg.Updates, func(p *sim.Proc, c, i int) error {
 		return cloud.Table.Update(p, "bench",
 			tablesvc.PaddedEntity("part", "row-000-0000", cfg.EntitySize))
 	})
 
 	// Delete phase: each client removes the entities it inserted.
-	pt.DeleteOps, pt.DeleteSurvivors = phase(cfg.Inserts, func(p *sim.Proc, c, i int) error {
+	pt.DeleteOps, pt.DeleteSurvivors = phaseRate(cloud, n, cfg.Inserts, func(p *sim.Proc, c, i int) error {
 		err := cloud.Table.Delete(p, "bench", "part", fmt.Sprintf("row-%03d-%04d", c, i))
 		if storerr.IsCode(err, storerr.CodeNotFound) {
 			return nil // client aborted its insert phase early
@@ -173,80 +162,6 @@ func runFig2Phases(cfg Fig2Config, cloud *azure.Cloud, n int,
 		return err
 	})
 	return pt
-}
-
-func runFig2Level(cfg Fig2Config, n int) Fig2Point {
-	cloud := fig2CloudOn(nil, cfg, n)
-	cloud.Table.CreateTable("bench")
-	return runFig2Phases(cfg, cloud, n,
-		func(opsEach int, op func(p *sim.Proc, c, i int) error) (float64, int) {
-			return phaseRate(cloud, n, opsEach, op)
-		})
-}
-
-// fig2LevelStart builds one level on a domain member engine and returns its
-// harvester. The level's phases cannot drain the engine themselves mid
-// group-run, so a driver process sequences them: each phase fans its clients
-// out under a sim.WaitGroup and parks until the last one finishes, waking at
-// exactly the virtual instant the legacy path's Run would have returned at.
-// Client spawn order, spawn instants and every storage draw are unchanged,
-// so the level's trace — and Fig2Point — is bit-identical to runFig2Level.
-func fig2LevelStart(cfg Fig2Config, n int, eng *sim.Engine) func() Fig2Point {
-	cloud := fig2CloudOn(eng, cfg, n)
-	cloud.Table.CreateTable("bench")
-	var pt Fig2Point
-	cloud.Engine.Spawn("fig2-driver", func(drv *sim.Proc) {
-		pt = runFig2Phases(cfg, cloud, n,
-			func(opsEach int, op func(p *sim.Proc, c, i int) error) (float64, int) {
-				return phaseRateIn(drv, cloud, n, opsEach, op)
-			})
-	})
-	return func() Fig2Point { return pt }
-}
-
-// phaseRateIn is phaseRate driven from inside a simulation: the driver
-// process spawns the same clients the drain-per-phase path does and parks on
-// a WaitGroup instead of returning to a host-side Run loop.
-func phaseRateIn(drv *sim.Proc, cloud *azure.Cloud, clients, opsEach int,
-	op func(p *sim.Proc, client, i int) error) (rate float64, survivors int) {
-	var totalOps int
-	var totalSec float64
-	var wg sim.WaitGroup
-	for c := 0; c < clients; c++ {
-		c := c
-		wg.Go(cloud.Engine, fmt.Sprintf("client%d", c), func(p *sim.Proc) {
-			start := p.Now()
-			done := 0
-			for i := 0; i < opsEach; i++ {
-				if err := op(p, c, i); err != nil {
-					if storerr.IsCode(err, storerr.CodeTimeout) {
-						break
-					}
-					panic(err)
-				}
-				done++
-			}
-			totalOps += done
-			totalSec += (p.Now() - start).Seconds()
-			if done == opsEach {
-				survivors++
-			}
-		})
-	}
-	wg.Wait(drv)
-	return float64(totalOps) / totalSec, survivors
-}
-
-// fig2CloudOn builds a level's cloud on eng, or on a fresh standalone
-// engine when eng is nil (the legacy serial path).
-func fig2CloudOn(eng *sim.Engine, cfg Fig2Config, n int) *azure.Cloud {
-	ccfg := azure.Config{Seed: cfg.Seed + uint64(n)*104729}
-	ccfg.Fabric = fabric.DefaultConfig()
-	ccfg.Fabric.Degradation = false
-	if eng == nil {
-		return azure.NewCloud(ccfg)
-	}
-	return azure.NewCloudOn(eng, ccfg)
 }
 
 // backfill fills the bench partition up to total entities without spending

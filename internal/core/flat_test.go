@@ -24,14 +24,14 @@ func fig1Encoded(cfg Fig1Config) ([]byte, uint64, []Anchor) {
 
 // fig1ProcRound is one fig1 round with its clients as spawned processes on
 // the blocking client API instead of kernel-driven actors: the same world,
-// staging and client ids as fig1DownloadStart/fig1UploadStart, run to
-// completion on its own engine.
+// staging and client ids as runFig1Round, run to completion on its own
+// engine.
 func fig1ProcRound(cfg Fig1Config, n, run int, upload bool) *fig1Round {
 	salt := run
 	if upload {
 		salt = run + 7919
 	}
-	r := &fig1Round{cloud: fig1CloudOn(nil, cfg, salt), per: &metrics.Summary{}}
+	r := &fig1Round{cloud: fig1Cloud(cfg, salt), per: &metrics.Summary{}}
 	cloud := r.cloud
 	cloud.Blob.CreateContainer("bench")
 	size := cfg.BlobMB * netsim.MB
@@ -82,13 +82,7 @@ func TestFlatEquivalence(t *testing.T) {
 	for _, n := range []int{1, 8, 32} {
 		for run := 0; run < 2; run++ {
 			for _, upload := range []bool{false, true} {
-				var flat *fig1Round
-				if upload {
-					flat = fig1UploadStart(cfg, n, run, nil)
-				} else {
-					flat = fig1DownloadStart(cfg, n, run, nil)
-				}
-				flat.cloud.Engine.Run()
+				flat := runFig1Round(cfg, n, run, upload)
 				proc := fig1ProcRound(cfg, n, run, upload)
 				fe, pe := flat.cloud.Engine, proc.cloud.Engine
 				if fe.EventsFired() != pe.EventsFired() || fe.Now() != pe.Now() {

@@ -6,6 +6,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"azureobs/internal/sim"
 )
 
 // geoGoldenConfig is the fixed reduced-scale fig8geo run the equivalence
@@ -38,8 +40,8 @@ func geoEncoding(workers, domains int) ([]byte, *Fig8GeoResult) {
 //	GOLDEN_PRINT=1 go test ./internal/core -run TestGeoEquivalence -v
 const geoGoldenTrace = 0xf839a09537813d7d
 
-// TestGeoEquivalence is the cross-DC determinism pin, in the
-// TestDomainEquivalence discipline: fig8geo at domains ∈ {1, 2, 4} ×
+// TestGeoEquivalence is the cross-DC determinism pin: fig8geo at
+// domains ∈ {1, 2, 4} ×
 // workers ∈ {1, 4} produces byte-identical result encodings and identical
 // anchors, and the serial run reproduces the recorded golden hash.
 func TestGeoEquivalence(t *testing.T) {
@@ -85,5 +87,27 @@ func TestGeoEquivalence(t *testing.T) {
 	}
 	if baseRes.Kill.RTOSec <= 0 || baseRes.Kill.KilledFlaps != 2 {
 		t.Errorf("kill scenario inert: %+v", baseRes.Kill)
+	}
+}
+
+// TestDomainStatsAccumulates checks the Proto.DomainStats sink: a fig8geo
+// run reports one group per scenario world, at the requested width, with
+// coordinator timing and cross-region mail recorded.
+func TestDomainStatsAccumulates(t *testing.T) {
+	var acc sim.DomainAccum
+	cfg := geoGoldenConfig(1, 2)
+	cfg.ClientsPerRegion, cfg.Horizon = 8, 20*time.Second
+	cfg.DomainStats = &acc
+	RunFig8Geo(cfg)
+	if acc.Groups != 3 || acc.Width != 2 || acc.Clamped != 0 {
+		t.Fatalf("accumulated %d groups width %d (%d clamped), want 3 groups width 2",
+			acc.Groups, acc.Width, acc.Clamped)
+	}
+	if acc.Busy <= 0 || acc.Wall <= 0 || acc.Rounds < acc.Groups || acc.Mail == 0 {
+		t.Fatalf("coordinator accounting empty: busy=%v wall=%v rounds=%d mail=%d",
+			acc.Busy, acc.Wall, acc.Rounds, acc.Mail)
+	}
+	if u := acc.Utilization(); u <= 0 || u > 1.0001 {
+		t.Fatalf("utilization %v out of range", u)
 	}
 }

@@ -49,17 +49,17 @@ type Proto struct {
 	Scale Scale // which protocol variant a registry Run expands to
 	Size  int   // payload-size override in bytes (blob/entity/message); 0 = scale default
 
-	// Domains shards each cell's independent simulation units across a
-	// sim.Domains group of this width, where the experiment supports it
-	// (fig1, fig2): units run concurrently inside the deterministic windowed
-	// coordinator instead of serially on one engine. 0 keeps the legacy
-	// single-engine path; traces are bit-identical at every width. Composes
-	// with Workers — cells shard over the pool, units within a cell over
-	// domains.
+	// Domains is the sim.Domains width for experiments whose cells are
+	// coupled worlds that exchange mail: fig8geo shards each world's
+	// regions across this many engines, chaosreport its campaigns' workload
+	// shards. 0 is the experiment's default (one domain for fig8geo, the
+	// unsharded campaign for chaosreport). Traces are bit-identical at every
+	// width, and Domains composes with Workers. Experiments of independent
+	// cells ignore it: their cells already shard over Workers.
 	Domains int
 
 	// DomainStats, when non-nil, accumulates coordinator accounting
-	// (rounds, mail, busy/wall) across every Domains group the run creates.
+	// (rounds, mail, busy/wall) across every Domains group fig8geo creates.
 	DomainStats *sim.DomainAccum
 }
 

@@ -20,11 +20,20 @@ func benchAt(e *Engine, i, pop int) time.Duration {
 	return e.Now() + benchTick + time.Duration(uint32(i)*2654435761%uint32(pop))*benchTick
 }
 
+// uncheckedEngines turns off, for the rest of the benchmark, the invariant
+// checking TestMain enables for every engine: benchmarks time the path
+// production runs, not the per-event checks.
+func uncheckedEngines(b *testing.B) {
+	SetDefaultInvariants(false)
+	b.Cleanup(func() { SetDefaultInvariants(true) })
+}
+
 // BenchmarkCancelChurn is the netsim remove pattern: per fired completion,
 // one flow retires its pending completion (CancelRecycle + Schedule of the
 // successor) and the reallocated bandwidth moves seven others — the same
 // composite the azbench cancel-churn suite runs.
 func BenchmarkCancelChurn(b *testing.B) {
+	uncheckedEngines(b)
 	const pop = 1024
 	e := NewEngine()
 	evs := make([]*Event, pop)
@@ -68,6 +77,7 @@ func BenchmarkCancelChurn(b *testing.B) {
 // BenchmarkRescheduleChurn is the hot move path: a still-pending completion
 // sifts in place to a new time.
 func BenchmarkRescheduleChurn(b *testing.B) {
+	uncheckedEngines(b)
 	const pop = 1024
 	e := NewEngine()
 	evs := make([]*Event, pop)
@@ -108,6 +118,7 @@ func benchChild(p *Proc) {}
 // process per request. With worker reuse the steady state should allocate
 // only the Proc itself.
 func BenchmarkSpawnChurn(b *testing.B) {
+	uncheckedEngines(b)
 	e := NewEngine()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -129,6 +140,7 @@ func BenchmarkSpawnChurn(b *testing.B) {
 // BenchmarkSleepLadder exercises the wake-event fast path: a fixed cohort of
 // processes sleeping staggered durations.
 func BenchmarkSleepLadder(b *testing.B) {
+	uncheckedEngines(b)
 	const procs = 64
 	e := NewEngine()
 	total := b.N
@@ -156,6 +168,7 @@ func BenchmarkSleepLadder(b *testing.B) {
 // BenchmarkMixed pushes producers and timeout-guarded consumers through a
 // queue and a resource — the full primitive stack under one benchmark.
 func BenchmarkMixed(b *testing.B) {
+	uncheckedEngines(b)
 	e := NewEngine()
 	q := NewQueue[int]()
 	r := NewResource(e, "disk", 4)
@@ -190,6 +203,7 @@ func BenchmarkMixed(b *testing.B) {
 //
 //	go test -run xx -bench BenchmarkDomainMail -cpuprofile cpu.out ./internal/sim
 func BenchmarkDomainMail(b *testing.B) {
+	uncheckedEngines(b)
 	const width, perRound = 4, 8
 	g := NewDomains(width)
 	g.SetWindow(100 * time.Microsecond)
