@@ -7,9 +7,10 @@ import "time"
 // directly, with no goroutine, no handoff channels and no Proc descriptor.
 // Where a Proc blocks (Sleep, Signal.Wait), an Actor instead *arms* a
 // continuation — a cached step function run by the next wake event — and
-// returns to the kernel. The entire per-actor cost is this struct plus one
-// cached trampoline closure; a million parked actors cost megabytes, not the
-// gigabytes of stacks a million parked goroutines would.
+// returns to the kernel. The entire per-actor cost is this struct: a wake
+// event carries the actor itself and the kernel calls its step directly, so
+// an actor allocates no closure of its own. A million parked actors cost
+// megabytes, not the gigabytes of stacks a million parked goroutines would.
 //
 // Equivalence with the process API is exact by construction: every point
 // where a process schedules a kernel event (the spawn start event, a sleep's
@@ -21,11 +22,11 @@ import "time"
 //
 // Discipline: every step must either arm a continuation (Sleep, a WaitFlat
 // registration, or a nested flat call that does so) or call Finish before
-// returning; a step that does neither has silently leaked the actor, and the
-// trampoline panics.
+// returning; a step that does neither has silently leaked the actor, and
+// the kernel panics when the step returns.
 //
 // A process can drive the same continuations itself (Proc.Drive): its
-// actor's wakes then resume the process instead of running a trampoline, so
+// actor's wakes then resume the process instead of stepping the actor, so
 // a flat state machine doubles as the body of a blocking call. A process
 // killed while parked in Drive runs the abort it was given (see
 // Proc.Drive); an actor driven by the kernel is withdrawn by its owner with
@@ -39,7 +40,6 @@ type Actor struct {
 	canceled bool // Cancel ran; the unwind event is pending
 	next     func()
 	wake     *Event // pending wake event, nil while externally parked
-	onWake   func() // cached trampoline; the only closure an actor allocates
 
 	// waiter is the actor's embedded signal waiter, reused across WaitFlat
 	// registrations so parking on a signal allocates nothing. One signal
@@ -47,19 +47,18 @@ type Actor struct {
 	waiter sigWaiter
 
 	// proc, when set, is the process driving this actor (Proc.Drive):
-	// every wake resumes it instead of scheduling the trampoline.
+	// every wake resumes it instead of stepping the actor.
 	proc *Proc
 }
 
-// Bind attaches the actor to an engine and allocates its trampoline. It must
-// be called once, before Go. name labels kernel panics.
+// Bind attaches the actor to an engine; it allocates nothing. It must be
+// called once, before Go. name labels kernel panics.
 func (a *Actor) Bind(e *Engine, name string) {
 	if a.eng != nil {
 		panic("sim: Actor bound twice")
 	}
 	a.eng = e
 	a.name = name
-	a.onWake = a.step
 }
 
 // BindDaemon is Bind for a daemon actor: like a daemon process, it runs
@@ -113,8 +112,8 @@ func (a *Actor) Sleep(d time.Duration, then func()) {
 	a.armEvent(a.eng.now+d, then)
 }
 
-// Finish ends the actor. It may start again with Go (the trampoline and
-// engine binding are retained).
+// Finish ends the actor. It may start again with Go (the engine binding is
+// retained).
 func (a *Actor) Finish() {
 	if !a.live {
 		panic("sim: Finish of an actor that is not live")
@@ -176,7 +175,7 @@ func (a *Actor) armEvent(at time.Duration, then func()) {
 		a.proc.scheduleResumeAt(at, false)
 		return
 	}
-	a.wake = a.eng.scheduleOwned(at, a.onWake, a.daemon, true)
+	a.wake = a.eng.scheduleActor(at, a)
 }
 
 // arm registers then as the continuation without scheduling anything; the
@@ -206,11 +205,11 @@ func (a *Actor) wakeNow() {
 	if !a.armed {
 		panic("sim: wake of actor " + a.name + " with no continuation armed")
 	}
-	a.wake = a.eng.scheduleOwned(a.eng.now, a.onWake, a.daemon, true)
+	a.wake = a.eng.scheduleActor(a.eng.now, a)
 }
 
-// step is the trampoline every wake event runs: consume the armed
-// continuation, execute it, and enforce the arm-or-finish discipline.
+// step is what every wake event runs: consume the armed continuation,
+// execute it, and enforce the arm-or-finish discipline.
 func (a *Actor) step() {
 	a.wake = nil
 	a.runNext()

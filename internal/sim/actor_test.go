@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestActorSleepLoop drives one actor through a sleep chain and checks the
@@ -197,5 +198,41 @@ func TestActorSteadyStateZeroAlloc(t *testing.T) {
 	e.Run()
 	if !e.Drained() {
 		t.Fatal("engine not drained after all actors finished")
+	}
+}
+
+// TestActorWakesAllocateNothing checks that an actor costs nothing beyond
+// its struct: Bind caches no closure, and a Sleep→wake cycle reuses the
+// engine-owned wake event, which carries the actor instead of a callback.
+func TestActorWakesAllocateNothing(t *testing.T) {
+	e := NewEngine()
+	actors := make([]Actor, 200)
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		actors[i].Bind(e, "bound")
+		i++
+	}); n != 0 {
+		t.Fatalf("Bind allocates %v times", n)
+	}
+
+	var a Actor
+	a.Bind(e, "sleeper")
+	var again func()
+	again = func() { a.Sleep(time.Millisecond, again) }
+	a.Go(again)
+	if n := testing.AllocsPerRun(1000, func() {
+		if !e.Step() {
+			t.Fatal("sleeper has no wake pending")
+		}
+	}); n != 0 {
+		t.Fatalf("a Sleep→wake cycle allocates %v times", n)
+	}
+}
+
+// TestEventSize keeps the calendar's event in one 64-byte size class: every
+// pending wake of a client-scale cell is one of these.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got > 64 {
+		t.Fatalf("sizeof(Event) = %d, want at most 64", got)
 	}
 }

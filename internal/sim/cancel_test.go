@@ -9,14 +9,15 @@ import (
 )
 
 // TestActorSize pins the actor's footprint: client-scale workloads park
-// hundreds of thousands of actors, so Cancel's state lives in padding and
-// GetFlat's in the caller's Getter.
+// hundreds of thousands of actors, so Cancel's state lives in padding,
+// GetFlat's in the caller's Getter, and a wake event carries the actor
+// instead of a cached closure.
 func TestActorSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("size pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Actor{}); got != 88 {
-		t.Fatalf("sizeof(Actor) = %d, want 88", got)
+	if got := unsafe.Sizeof(Actor{}); got != 80 {
+		t.Fatalf("sizeof(Actor) = %d, want 80", got)
 	}
 }
 

@@ -41,9 +41,11 @@ type Event struct {
 	// pfn/proc are the closure-free form used for kernel-internal process
 	// events (start, wake): pfn is a method expression like (*Proc).wakeup —
 	// a package-level value — so scheduling a sleep or spawn allocates no
-	// closure. Exactly one of fn and pfn is set.
+	// closure. act is the same for actor wakes: the event runs act.step.
+	// Exactly one of fn, pfn and act is set.
 	pfn  func(*Proc)
 	proc *Proc
+	act  *Actor
 
 	index    int // heap index; -1 once popped
 	canceled bool
@@ -345,21 +347,10 @@ func (e *Engine) schedule(at time.Duration, fn func(), daemon bool) *Event {
 // scheduleOwned is schedule plus the reclaim flag: a reclaimed event belongs
 // to the engine and returns to the free list on its own as soon as it leaves
 // the heap — right before its callback runs, or at the lazy pop that
-// discards it after a cancel. Only kernel-internal events (process start and
-// wake events) are scheduled this way; external callers hold references and
-// must keep explicit Recycle control.
+// discards it after a cancel. Only kernel-internal events are engine-owned;
+// external callers hold references and must keep explicit Recycle control.
 func (e *Engine) scheduleOwned(at time.Duration, fn func(), daemon, reclaim bool) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
-	ev := e.alloc()
-	*ev = Event{at: at, seq: e.seq, fn: fn, daemon: daemon, reclaim: reclaim}
-	e.seq++
-	e.heapPush(ev)
-	if !daemon {
-		e.foreground++
-	}
-	return ev
+	return e.enqueue(Event{at: at, fn: fn, daemon: daemon, reclaim: reclaim})
 }
 
 // scheduleProc schedules a kernel-internal process event: pfn is a method
@@ -367,17 +358,30 @@ func (e *Engine) scheduleOwned(at time.Duration, fn func(), daemon, reclaim bool
 // such events are engine-owned (reclaim): they recycle themselves, so the
 // wake event a sleep retires is immediately reusable for the next sleep.
 func (e *Engine) scheduleProc(at time.Duration, pfn func(*Proc), p *Proc, daemon bool) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
+	return e.enqueue(Event{at: at, pfn: pfn, proc: p, daemon: daemon, reclaim: true})
+}
+
+// scheduleActor schedules an actor's wake event: like scheduleProc, it
+// carries its target instead of a closure and is engine-owned.
+func (e *Engine) scheduleActor(at time.Duration, a *Actor) *Event {
+	return e.enqueue(Event{at: at, act: a, daemon: a.daemon, reclaim: true})
+}
+
+// enqueue copies ev into a pooled event, stamps it with the next sequence
+// number and pushes it onto the calendar.
+func (e *Engine) enqueue(ev Event) *Event {
+	if ev.at < e.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", ev.at, e.now))
 	}
-	ev := e.alloc()
-	*ev = Event{at: at, seq: e.seq, pfn: pfn, proc: p, daemon: daemon, reclaim: true}
+	p := e.alloc()
+	*p = ev
+	p.seq = e.seq
 	e.seq++
-	e.heapPush(ev)
-	if !daemon {
+	e.heapPush(p)
+	if !ev.daemon {
 		e.foreground++
 	}
-	return ev
+	return p
 }
 
 // alloc pops an Event from the free list, or mints one.
@@ -413,7 +417,7 @@ func (e *Engine) Cancel(ev *Event) {
 	// A canceled event can never fire, so drop the callback references now: a
 	// corpse awaiting its lazy pop must not keep the closure's captures — for
 	// long-dated timers, potentially megabytes of request state — reachable.
-	ev.fn, ev.pfn, ev.proc = nil, nil, nil
+	ev.fn, ev.pfn, ev.proc, ev.act = nil, nil, nil, nil
 	if ev.index >= 0 {
 		if !ev.daemon {
 			e.foreground--
@@ -513,7 +517,7 @@ func (e *Engine) CancelRecycle(ev *Event) {
 	}
 	if !ev.canceled {
 		ev.canceled = true
-		ev.fn, ev.pfn, ev.proc = nil, nil, nil // as in Cancel: corpses retain nothing
+		ev.fn, ev.pfn, ev.proc, ev.act = nil, nil, nil, nil // as in Cancel: corpses retain nothing
 		if ev.index >= 0 {
 			if !ev.daemon {
 				e.foreground--
@@ -593,6 +597,7 @@ func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
 	ev.pfn = nil
 	ev.proc = nil
+	ev.act = nil
 	if len(e.pool) < e.poolCap() {
 		e.pool = append(e.pool, ev)
 	}
@@ -619,16 +624,19 @@ func (e *Engine) Step() bool {
 		}
 		e.now = ev.at
 		e.fired++
-		fn, pfn, parg := ev.fn, ev.pfn, ev.proc
+		fn, pfn, parg, act := ev.fn, ev.pfn, ev.proc, ev.act
 		if ev.reclaim {
 			// Kernel-owned event: back to the free list before the callback,
 			// so a wake event is immediately reusable for the next sleep the
 			// woken process performs.
 			e.recycle(ev)
 		}
-		if pfn != nil {
+		switch {
+		case act != nil:
+			act.step()
+		case pfn != nil:
 			pfn(parg)
-		} else {
+		default:
 			fn()
 		}
 		return true

@@ -8,38 +8,95 @@
 package simrand
 
 import (
-	"hash/fnv"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"time"
 )
 
-// RNG is a deterministic random stream.
+// RNG is a deterministic random stream: a PCG generator held by value, so a
+// draw reads state inline instead of following pointers to a rand.Rand and
+// its source. The stream is bit-identical to
+// rand.New(rand.NewPCG(seed, splitmix64(seed))).
+//
+// An RNG is a value: copying one copies the generator state, and the copy is
+// an independent snapshot that replays the same draws as the original from
+// that point on. Embed a fresh fork by value (c.rng = *root.ForkN(...)) to
+// keep per-client streams inline; never copy a stream that is still being
+// drawn from elsewhere unless a replay is what you want.
 type RNG struct {
-	*rand.Rand
+	pcg  rand.PCG
 	seed uint64
 }
 
 // New returns a stream rooted at seed.
 func New(seed uint64) *RNG {
-	return &RNG{Rand: rand.New(rand.NewPCG(seed, splitmix64(seed))), seed: seed}
+	return &RNG{pcg: *rand.NewPCG(seed, splitmix64(seed)), seed: seed}
 }
 
 // Fork derives an independent stream identified by label. Forking the same
 // (seed, label) pair always yields the same stream; distinct labels yield
 // decorrelated streams.
 func (r *RNG) Fork(label string) *RNG {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	return New(splitmix64(r.seed ^ h.Sum64()))
+	return New(splitmix64(r.seed ^ labelHash(label)))
 }
 
 // ForkN derives an indexed independent stream, e.g. one per client.
 func (r *RNG) ForkN(label string, n int) *RNG {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	return New(splitmix64(r.seed ^ h.Sum64() ^ (uint64(n)+1)*0x9e3779b97f4a7c15))
+	return New(splitmix64(r.seed ^ labelHash(label) ^ (uint64(n)+1)*0x9e3779b97f4a7c15))
 }
+
+// labelHash is the 64-bit FNV-1a hash of a fork label, computed in place
+// so a fork allocates nothing but the stream itself.
+func labelHash(label string) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	for i := 0; i < len(label); i++ {
+		h ^= uint64(label[i])
+		h *= 1099511628211 // FNV-1a prime
+	}
+	return h
+}
+
+// Uint64 returns a pseudo-random 64-bit value.
+func (r *RNG) Uint64() uint64 { return r.pcg.Uint64() }
+
+// Float64 returns a pseudo-random number in [0, 1), drawn as rand.Rand does.
+func (r *RNG) Float64() float64 {
+	return float64(r.pcg.Uint64()<<11>>11) / (1 << 53)
+}
+
+// IntN returns a pseudo-random number in [0, n); it panics if n <= 0. It is
+// rand.Rand's unbiased multiply-and-reject reduction, draw for draw.
+func (r *RNG) IntN(n int) int {
+	if n <= 0 {
+		panic("invalid argument to IntN")
+	}
+	u := uint64(n)
+	if u&(u-1) == 0 {
+		return int(r.pcg.Uint64() & (u - 1))
+	}
+	hi, lo := bits.Mul64(r.pcg.Uint64(), u)
+	if lo < u {
+		thresh := -u % u
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.pcg.Uint64(), u)
+		}
+	}
+	return int(hi)
+}
+
+// The remaining draws keep the standard library's code (the ziggurat tables
+// of ExpFloat64 and NormFloat64, Perm's shuffle) by wrapping the inline
+// generator in a rand.Rand that lives on the caller's stack.
+
+// ExpFloat64 returns an exponentially distributed number with rate 1.
+func (r *RNG) ExpFloat64() float64 { return rand.New(&r.pcg).ExpFloat64() }
+
+// NormFloat64 returns a standard normally distributed number.
+func (r *RNG) NormFloat64() float64 { return rand.New(&r.pcg).NormFloat64() }
+
+// Perm returns a pseudo-random permutation of [0, n).
+func (r *RNG) Perm(n int) []int { return rand.New(&r.pcg).Perm(n) }
 
 // ForkDomain derives the stream for simulation domain d. It is ForkN under a
 // reserved label, named so domain-sharded drivers fork per-domain roots the

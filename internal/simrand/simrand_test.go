@@ -1,7 +1,10 @@
 package simrand
 
 import (
+	"hash/fnv"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -451,4 +454,122 @@ func TestDurationAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Duration allocates %v times per draw", n)
 	}
+}
+
+// streams returns roots and forks whose draws the stream tests compare
+// against the standard library.
+func streams() []*RNG {
+	out := []*RNG{New(0), New(1), New(42), New(424242)}
+	for _, seed := range []uint64{1, 7} {
+		root := New(seed)
+		out = append(out, root.Fork("tablesvc"), root.Fork(""), root.ForkN("client", 0),
+			root.ForkN("client", 199_999), root.ForkDomain(3), root.Fork("a").Fork("b"))
+	}
+	return out
+}
+
+// reference is the standard-library stream an RNG must reproduce.
+func reference(r *RNG) *rand.Rand {
+	return rand.New(rand.NewPCG(r.seed, splitmix64(r.seed)))
+}
+
+// TestStreamMatchesStdlib checks every RNG method draw for draw against
+// rand.New(rand.NewPCG(seed, splitmix64(seed))): holding the generator by
+// value must not move a single bit of any trace.
+func TestStreamMatchesStdlib(t *testing.T) {
+	const draws = 10_000
+	sizes := []int{1, 2, 3, 5, 64, 100, 1000, 1 << 20, 1<<40 + 7, math.MaxInt64}
+	for i, r := range streams() {
+		ref := reference(r)
+		for k := 0; k < draws; k++ {
+			if a, b := r.Uint64(), ref.Uint64(); a != b {
+				t.Fatalf("stream %d: Uint64 draw %d = %d, want %d", i, k, a, b)
+			}
+			if a, b := r.Float64(), ref.Float64(); a != b {
+				t.Fatalf("stream %d: Float64 draw %d = %v, want %v", i, k, a, b)
+			}
+			n := sizes[k%len(sizes)]
+			if a, b := r.IntN(n), ref.IntN(n); a != b {
+				t.Fatalf("stream %d: IntN(%d) draw %d = %d, want %d", i, n, k, a, b)
+			}
+			if a, b := r.ExpFloat64(), ref.ExpFloat64(); a != b {
+				t.Fatalf("stream %d: ExpFloat64 draw %d = %v, want %v", i, k, a, b)
+			}
+			if a, b := r.NormFloat64(), ref.NormFloat64(); a != b {
+				t.Fatalf("stream %d: NormFloat64 draw %d = %v, want %v", i, k, a, b)
+			}
+		}
+		for k := 0; k < draws; k++ {
+			n := k % 17
+			if a, b := r.Perm(n), ref.Perm(n); !slices.Equal(a, b) {
+				t.Fatalf("stream %d: Perm(%d) draw %d = %v, want %v", i, n, k, a, b)
+			}
+		}
+	}
+}
+
+func TestLabelHashIsFNV1a(t *testing.T) {
+	for _, label := range []string{"", "blob", "tablesvc", "perfbench-crowd", "domain", "\x00\xff"} {
+		h := fnv.New64a()
+		h.Write([]byte(label))
+		if got, want := labelHash(label), h.Sum64(); got != want {
+			t.Fatalf("labelHash(%q) = %x, want %x", label, got, want)
+		}
+	}
+}
+
+// TestCopyIsSnapshot pins the value semantics documented on RNG: a copy
+// replays the original's remaining draws, and drawing from one leaves the
+// other where it was.
+func TestCopyIsSnapshot(t *testing.T) {
+	r := New(5).Fork("copy")
+	r.Uint64()
+	c := *r
+	want := make([]uint64, 8)
+	for i := range want {
+		want[i] = r.Uint64()
+	}
+	for i := range want {
+		if got := c.Uint64(); got != want[i] {
+			t.Fatalf("copy draw %d = %d, want the original's %d", i, got, want[i])
+		}
+	}
+	// The copy's eight draws must not have advanced the original: its next
+	// draw is the stream's tenth.
+	ref := reference(r)
+	for i := 0; i < 9; i++ {
+		ref.Uint64()
+	}
+	if got, want := r.Uint64(), ref.Uint64(); got != want {
+		t.Fatalf("original's tenth draw = %d, want %d", got, want)
+	}
+}
+
+// Draws run on the inline generator and allocate nothing; a fork allocates
+// the new stream and nothing else.
+func TestDrawsAllocateNothing(t *testing.T) {
+	r := New(1).Fork("allocs")
+	var sink float64
+	draws := map[string]func(){
+		"Uint64":      func() { sink += float64(r.Uint64()) },
+		"Float64":     func() { sink += r.Float64() },
+		"IntN":        func() { sink += float64(r.IntN(1000)) },
+		"ExpFloat64":  func() { sink += r.ExpFloat64() },
+		"NormFloat64": func() { sink += r.NormFloat64() },
+	}
+	for name, draw := range draws {
+		if n := testing.AllocsPerRun(1000, draw); n != 0 {
+			t.Errorf("%s allocates %v times per draw", name, n)
+		}
+	}
+	forks := map[string]func(){
+		"Fork":  func() { _ = r.Fork("client") },
+		"ForkN": func() { _ = r.ForkN("client", 12) },
+	}
+	for name, fork := range forks {
+		if n := testing.AllocsPerRun(100, fork); n > 1 {
+			t.Errorf("%s allocates %v objects, want at most 1", name, n)
+		}
+	}
+	_ = sink
 }

@@ -74,20 +74,17 @@ func (r *GetFlat) Begin(a *sim.Actor, table, pk, rk string) {
 		r.finish(err)
 		return
 	}
-	part := r.svc.partition(table, pk)
-	if part == nil {
+	t, part := r.svc.lookup(table, pk)
+	if t == nil {
 		r.finish(r.c.Failf(storerr.CodeNotFound, "table %s", table))
 		return
 	}
-	e, ok := part[rk]
-	var respSize int
-	if ok {
-		respSize = e.Size()
-	} else {
+	rw, ok := part[rk]
+	if !ok {
 		r.err = r.c.Failf(storerr.CodeNotFound, "%s/%s", pk, rk)
 	}
-	r.ent = e
-	r.c.Visit(r.svc.query, r.c.DownloadCost(respSize), r.afterVisit)
+	r.ent = rw.ent
+	r.c.Visit(r.svc.query, r.c.DownloadCost(rw.size), r.afterVisit)
 }
 
 func (r *GetFlat) visited() {
@@ -122,18 +119,22 @@ const (
 // OperationTimedOut without visiting the station) → station visit → the
 // conflict/not-found check → mutation → hook delivery → done. Insert and
 // Update check the row when the visit ends; Delete judges not-found by the
-// row's presence on arrival.
+// row's presence on arrival. Insert and Update take the entity's size once,
+// on arrival, and store it with the row.
 type WriteFlat struct {
 	svc *Service
 	c   reqpath.CtxFlat
 
-	op     wop
-	ent    *Entity // insert/update payload
-	pk, rk string  // delete target
-	found  bool    // the delete target existed when the request arrived
-	part   map[string]*Entity
-	rho    float64 // overload diagnostic for the timeout reply
-	done   func(error)
+	op    wop
+	ent   *Entity // insert/update payload
+	size  int     // ent's size
+	pk    string  // target partition
+	rk    string  // delete target
+	found bool    // the delete target existed when the request arrived
+	tab   map[string]partition
+	part  partition // nil while the target partition does not exist
+	rho   float64   // overload diagnostic for the timeout reply
+	done  func(error)
 
 	afterVisit   func() // cached: runs when the station visit's sleep ends
 	afterTimeout func() // cached: runs when the overload burn ends
@@ -163,7 +164,8 @@ func (r *WriteFlat) Init(s *Service, done func(error)) {
 func (r *WriteFlat) BeginInsert(a *sim.Actor, table string, e *Entity) {
 	r.op, r.ent = wInsert, e
 	if r.begin(a, "table.Insert", table, e.PartitionKey) {
-		r.write(r.svc.insert, e.Size(), r.c.UploadCost(e.Size()))
+		r.size = e.Size()
+		r.write(r.svc.insert, r.size, r.c.UploadCost(r.size))
 	}
 }
 
@@ -174,38 +176,50 @@ func (r *WriteFlat) BeginInsert(a *sim.Actor, table string, e *Entity) {
 func (r *WriteFlat) BeginUpdate(a *sim.Actor, table string, e *Entity) {
 	r.op, r.ent = wUpdate, e
 	if r.begin(a, "table.Update", table, e.PartitionKey) {
-		r.c.Visit(r.svc.update, r.c.UploadCost(e.Size()), r.afterVisit)
+		r.size = e.Size()
+		r.c.Visit(r.svc.update, r.c.UploadCost(r.size), r.afterVisit)
 	}
 }
 
 // BeginDelete issues one Delete on actor a.
 func (r *WriteFlat) BeginDelete(a *sim.Actor, table, pk, rk string) {
-	r.op, r.pk, r.rk = wDelete, pk, rk
+	r.op, r.rk = wDelete, rk
 	if !r.begin(a, "table.Delete", table, pk) {
 		return
 	}
-	size := 0
-	e, ok := r.part[rk]
-	if ok {
-		size = e.Size()
-	}
+	rw, ok := r.part[rk]
 	r.found = ok
-	r.write(r.svc.delete, size, 0)
+	r.write(r.svc.delete, rw.size, 0)
 }
 
 // begin runs admission and the partition lookup; it reports whether the
-// request is still alive.
+// request is still alive. Only an insert creates an absent partition.
 func (r *WriteFlat) begin(a *sim.Actor, op, table, pk string) bool {
 	r.c.Begin(r.svc.pl, op, a)
 	if err := admit(&r.c); err != nil {
 		r.finish(err)
 		return false
 	}
-	if r.part = r.svc.partition(table, pk); r.part == nil {
+	if r.tab = r.svc.tables[table]; r.tab == nil {
 		r.finish(r.c.Failf(storerr.CodeNotFound, "table %s", table))
 		return false
 	}
+	r.pk = pk
+	if r.op == wInsert {
+		r.part = addPartition(r.tab, pk)
+	} else {
+		r.part = r.tab[pk]
+	}
 	return true
+}
+
+// rows returns the target partition. One that was absent on arrival is
+// looked up again: an insert may have created it during the visit.
+func (r *WriteFlat) rows() partition {
+	if r.part == nil {
+		r.part = r.tab[r.pk]
+	}
+	return r.part
 }
 
 // write runs the ingest-overload model for a size-byte write at st — with n
@@ -238,13 +252,14 @@ func (r *WriteFlat) visited() {
 			r.finish(r.c.Failf(storerr.CodeConflict, "%s/%s exists", r.ent.PartitionKey, r.ent.RowKey))
 			return
 		}
-		r.part[r.ent.RowKey] = r.ent
+		r.part[r.ent.RowKey] = row{ent: r.ent, size: r.size}
 	case wUpdate:
-		if _, ok := r.part[r.ent.RowKey]; !ok {
+		part := r.rows()
+		if _, ok := part[r.ent.RowKey]; !ok {
 			r.finish(r.c.Failf(storerr.CodeNotFound, "%s/%s", r.ent.PartitionKey, r.ent.RowKey))
 			return
 		}
-		r.part[r.ent.RowKey] = r.ent
+		part[r.ent.RowKey] = row{ent: r.ent, size: r.size}
 	case wDelete:
 		if !r.found {
 			r.finish(r.c.Failf(storerr.CodeNotFound, "%s/%s", r.pk, r.rk))
@@ -259,7 +274,7 @@ func (r *WriteFlat) finish(err error) {
 	r.c.Finish(err)
 	// Clear the in-flight state before the callback so the continuation can
 	// issue the next write immediately.
-	r.ent, r.part = nil, nil
+	r.ent, r.tab, r.part = nil, nil, nil
 	r.done(err)
 }
 
@@ -278,8 +293,10 @@ type QueryFlat struct {
 	c   reqpath.CtxFlat
 
 	pred     func(*Entity) bool
-	part     map[string]*Entity
-	scanning bool // counted in the service's concurrent scans
+	tab      map[string]partition
+	pk       string
+	part     partition // nil while the partition does not exist
+	scanning bool      // counted in the service's concurrent scans
 	out      []*Entity
 	done     func([]*Entity, error)
 
@@ -317,12 +334,22 @@ func (r *QueryFlat) Begin(a *sim.Actor, table, pk string, pred func(*Entity) boo
 		r.finish(err)
 		return
 	}
-	if r.part = r.svc.partition(table, pk); r.part == nil {
+	if r.tab, r.part = r.svc.lookup(table, pk); r.tab == nil {
 		r.finish(r.c.Failf(storerr.CodeNotFound, "table %s", table))
 		return
 	}
+	r.pk = pk
 	r.hold(true)
 	r.c.Sleep(0, r.afterYield)
+}
+
+// rows returns the scanned partition. One that was absent on arrival is
+// looked up again: an insert may have created it since.
+func (r *QueryFlat) rows() partition {
+	if r.part == nil {
+		r.part = r.tab[r.pk]
+	}
+	return r.part
 }
 
 // hold registers (or unregisters) the request as a concurrent scan.
@@ -346,7 +373,7 @@ func (r *QueryFlat) abort() {
 
 func (r *QueryFlat) yielded() {
 	s := r.svc
-	mean := float64(len(r.part)) * s.cfg.ScanSecPerEntity * (1 + float64(s.scans)/s.cfg.ScanConcurrencyN0)
+	mean := float64(len(r.rows())) * s.cfg.ScanSecPerEntity * (1 + float64(s.scans)/s.cfg.ScanConcurrencyN0)
 	lat := r.c.Sample(simrand.LogNormalMeanCV(mean, s.cfg.ScanCV))
 	if lat > s.cfg.ServerTimeout {
 		// The timeout is counted when the deadline is judged blown, before
@@ -359,15 +386,15 @@ func (r *QueryFlat) yielded() {
 }
 
 func (r *QueryFlat) timedOut() {
-	n := len(r.part)
+	n := len(r.rows())
 	r.hold(false)
 	r.finish(r.c.TimeoutErrf("scan of %d entities timed out", n))
 }
 
 func (r *QueryFlat) scanned() {
-	for _, e := range r.part {
-		if r.pred == nil || r.pred(e) {
-			r.out = append(r.out, e)
+	for _, rw := range r.rows() {
+		if r.pred == nil || r.pred(rw.ent) {
+			r.out = append(r.out, rw.ent)
 		}
 	}
 	slices.SortFunc(r.out, func(a, b *Entity) int { return strings.Compare(a.RowKey, b.RowKey) })
@@ -383,6 +410,6 @@ func (r *QueryFlat) finish(err error) {
 	r.c.Finish(err)
 	// Clear the in-flight state before the callback so the continuation can
 	// issue the next scan immediately.
-	r.part, r.pred, r.out = nil, nil, nil
+	r.tab, r.part, r.pred, r.out = nil, nil, nil, nil
 	r.done(out, err)
 }

@@ -57,6 +57,11 @@ func (p Prop) size() int {
 // Entity is one table row. PadBytes counts filler payload that contributes
 // to the wire size without being materialised — the paper's test entities
 // carry a sizing string of up to 64 kB whose content is irrelevant.
+//
+// The service takes an entity's size once, when the row is written (Insert,
+// Update, Backdoor), and prices every later read or delete of the row from
+// that size. A stored entity must therefore not be mutated: build a new one
+// and Update instead.
 type Entity struct {
 	PartitionKey string
 	RowKey       string
@@ -64,7 +69,8 @@ type Entity struct {
 	PadBytes     int
 }
 
-// Size returns the entity's payload size in bytes.
+// Size returns the entity's payload size in bytes. It walks Props; the
+// service calls it once per write (see Entity).
 func (e *Entity) Size() int {
 	n := len(e.PartitionKey) + len(e.RowKey) + e.PadBytes
 	for k, p := range e.Props {
@@ -155,7 +161,7 @@ type Service struct {
 
 	insert, query, update, delete *station.Station
 
-	tables map[string]map[string]map[string]*Entity // table → pk → rk
+	tables map[string]map[string]partition // table → pk → rk
 
 	scans    int // concurrent property-filter scans
 	timeouts uint64
@@ -221,7 +227,7 @@ func New(eng *sim.Engine, rng *simrand.RNG, cfg Config) *Service {
 		query:  station.New(cfg.Query, r.Fork("query")),
 		update: station.New(cfg.Update, r.Fork("update")),
 		delete: station.New(cfg.Delete, r.Fork("delete")),
-		tables: make(map[string]map[string]map[string]*Entity),
+		tables: make(map[string]map[string]partition),
 	}
 }
 
@@ -234,7 +240,7 @@ func (s *Service) Timeouts() uint64 { return s.timeouts }
 // CreateTable makes a table (idempotent).
 func (s *Service) CreateTable(name string) {
 	if _, ok := s.tables[name]; !ok {
-		s.tables[name] = make(map[string]map[string]*Entity)
+		s.tables[name] = make(map[string]partition)
 	}
 }
 
@@ -243,7 +249,7 @@ func (s *Service) CreateTable(name string) {
 // (e.g. the ~220k-entity partition of Section 3.2).
 func (s *Service) Backdoor(table string, e *Entity) {
 	s.CreateTable(table)
-	s.partition(table, e.PartitionKey)[e.RowKey] = e
+	addPartition(s.tables[table], e.PartitionKey)[e.RowKey] = row{ent: e, size: e.Size()}
 }
 
 // PartitionSize returns the entity count of one partition.
@@ -251,14 +257,30 @@ func (s *Service) PartitionSize(table, pk string) int {
 	return len(s.tables[table][pk])
 }
 
-func (s *Service) partition(table, pk string) map[string]*Entity {
-	t, ok := s.tables[table]
-	if !ok {
-		return nil
-	}
+// row is one stored entity with its size, taken when the row was written.
+type row struct {
+	ent  *Entity
+	size int
+}
+
+// partition maps row keys to the rows of one partition key.
+type partition map[string]row
+
+// lookup returns the table and the (table, pk) partition. t is nil when the
+// table does not exist; p is nil when the partition holds no row yet. Reads
+// look partitions up and never create one, so a request for an absent key
+// (an untrusted wire GET among them) leaves nothing behind.
+func (s *Service) lookup(table, pk string) (t map[string]partition, p partition) {
+	t = s.tables[table]
+	return t, t[pk]
+}
+
+// addPartition returns t's partition pk, creating it: only writes that may
+// add a row (Insert, Backdoor) call it.
+func addPartition(t map[string]partition, pk string) partition {
 	p, ok := t[pk]
 	if !ok {
-		p = make(map[string]*Entity)
+		p = make(partition)
 		t[pk] = p
 	}
 	return p

@@ -89,6 +89,64 @@ func TestUpdateMissingEntity(t *testing.T) {
 	eng.Run()
 }
 
+// TestReadsCreateNoPartition checks that only writes that may add a row
+// create a partition: gets, scans, updates and deletes of 1,000 distinct
+// absent partition keys leave the table's partition count unchanged, and
+// still answer NotFound or an empty scan.
+func TestReadsCreateNoPartition(t *testing.T) {
+	eng, svc := newSvc()
+	svc.Backdoor("t", PaddedEntity("pk", "rk", 100))
+	before := len(svc.tables["t"])
+	eng.Spawn("c", func(p *sim.Proc) {
+		for i := 0; i < 1000; i++ {
+			pk := fmt.Sprintf("absent-%d", i)
+			if _, err := svc.Get(p, "t", pk, "rk"); !storerr.IsCode(err, storerr.CodeNotFound) {
+				t.Fatalf("get of absent partition = %v", err)
+			}
+			if out, err := svc.QueryFilter(p, "t", pk, nil); err != nil || len(out) != 0 {
+				t.Fatalf("scan of absent partition = %d rows, %v", len(out), err)
+			}
+			if err := svc.Update(p, "t", PaddedEntity(pk, "rk", 100)); !storerr.IsCode(err, storerr.CodeNotFound) {
+				t.Fatalf("update in absent partition = %v", err)
+			}
+			if err := svc.Delete(p, "t", pk, "rk"); !storerr.IsCode(err, storerr.CodeNotFound) {
+				t.Fatalf("delete in absent partition = %v", err)
+			}
+		}
+	})
+	eng.Run()
+	if after := len(svc.tables["t"]); after != before {
+		t.Fatalf("partitions = %d after reads of absent keys, want %d", after, before)
+	}
+}
+
+// TestUpdateSeesPartitionCreatedDuringVisit: an update that arrives before
+// its partition exists finds a row inserted while it visits the station,
+// as it did when every lookup created the partition on arrival.
+func TestUpdateSeesPartitionCreatedDuringVisit(t *testing.T) {
+	eng, svc := newSvc()
+	svc.CreateTable("t")
+	var err error
+	eng.Spawn("c", func(p *sim.Proc) {
+		err = svc.Update(p, "t", PaddedEntity("late", "rk", 100))
+	})
+	eng.After(time.Microsecond, func() { svc.Backdoor("t", PaddedEntity("late", "rk", 200)) })
+	eng.Run()
+	if err != nil {
+		t.Fatalf("update = %v, want success against the row inserted during its visit", err)
+	}
+	eng.Spawn("c", func(p *sim.Proc) {
+		var e *Entity
+		if e, err = svc.Get(p, "t", "late", "rk"); err == nil && e.Size() != 100 {
+			t.Errorf("size after update = %d, want 100", e.Size())
+		}
+	})
+	eng.Run()
+	if err != nil {
+		t.Fatalf("get = %v", err)
+	}
+}
+
 // opsRate runs `clients` closed-loop clients doing `opsEach` operations and
 // returns the mean per-client ops/s.
 func opsRate(t *testing.T, clients, opsEach, entitySize int,
@@ -97,11 +155,9 @@ func opsRate(t *testing.T, clients, opsEach, entitySize int,
 	eng, svc := newSvc()
 	svc.CreateTable("t")
 	// Pre-populate for query/update/delete workloads.
-	part := svc.partition("t", "pk")
 	for c := 0; c < clients; c++ {
 		for i := 0; i < opsEach; i++ {
-			e := PaddedEntity("pk", fmt.Sprintf("row-%d-%d", c, i), entitySize)
-			part[e.RowKey] = e
+			svc.Backdoor("t", PaddedEntity("pk", fmt.Sprintf("row-%d-%d", c, i), entitySize))
 		}
 	}
 	var totalOps int
@@ -241,11 +297,9 @@ func TestInsert64kTimeouts(t *testing.T) {
 func TestPropertyFilterTimeouts(t *testing.T) {
 	eng, svc := newSvc()
 	svc.CreateTable("t")
-	part := svc.partition("t", "pk")
 	for i := 0; i < 220000; i++ {
-		e := &Entity{PartitionKey: "pk", RowKey: fmt.Sprintf("r%06d", i),
-			Props: map[string]Prop{"A": IntProp(int64(i % 100))}}
-		part[e.RowKey] = e
+		svc.Backdoor("t", &Entity{PartitionKey: "pk", RowKey: fmt.Sprintf("r%06d", i),
+			Props: map[string]Prop{"A": IntProp(int64(i % 100))}})
 	}
 	pred := func(e *Entity) bool { return e.Props["A"].Int == 7 }
 
@@ -266,11 +320,9 @@ func TestPropertyFilterTimeouts(t *testing.T) {
 	eng2 := sim.NewEngine()
 	svc2 := New(eng2, simrand.New(2), Config{})
 	svc2.CreateTable("t")
-	part2 := svc2.partition("t", "pk")
 	for i := 0; i < 220000; i++ {
-		e := &Entity{PartitionKey: "pk", RowKey: fmt.Sprintf("r%06d", i),
-			Props: map[string]Prop{"A": IntProp(int64(i % 100))}}
-		part2[e.RowKey] = e
+		svc2.Backdoor("t", &Entity{PartitionKey: "pk", RowKey: fmt.Sprintf("r%06d", i),
+			Props: map[string]Prop{"A": IntProp(int64(i % 100))}})
 	}
 	timeouts := 0
 	for c := 0; c < 32; c++ {
@@ -289,9 +341,8 @@ func TestPropertyFilterTimeouts(t *testing.T) {
 func TestTimeoutsCounter(t *testing.T) {
 	eng, svc := newSvc()
 	svc.CreateTable("t")
-	part := svc.partition("t", "pk")
 	for i := 0; i < 220000; i++ {
-		part[fmt.Sprintf("r%d", i)] = &Entity{PartitionKey: "pk", RowKey: fmt.Sprintf("r%d", i)}
+		svc.Backdoor("t", &Entity{PartitionKey: "pk", RowKey: fmt.Sprintf("r%d", i)})
 	}
 	for c := 0; c < 32; c++ {
 		eng.Spawn("scan", func(p *sim.Proc) {
