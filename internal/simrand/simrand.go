@@ -8,6 +8,7 @@
 package simrand
 
 import (
+	"hash/fnv"
 	"math"
 	"math/bits"
 	"math/rand/v2"
@@ -46,15 +47,11 @@ func (r *RNG) ForkN(label string, n int) *RNG {
 	return New(splitmix64(r.seed ^ labelHash(label) ^ (uint64(n)+1)*0x9e3779b97f4a7c15))
 }
 
-// labelHash is the 64-bit FNV-1a hash of a fork label, computed in place
-// so a fork allocates nothing but the stream itself.
+// labelHash is the 64-bit FNV-1a hash of a fork label.
 func labelHash(label string) uint64 {
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for i := 0; i < len(label); i++ {
-		h ^= uint64(label[i])
-		h *= 1099511628211 // FNV-1a prime
-	}
-	return h
+	h := fnv.New64a()
+	h.Write([]byte(label))
+	return h.Sum64()
 }
 
 // Uint64 returns a pseudo-random 64-bit value.

@@ -1,7 +1,6 @@
 package simrand
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -504,16 +503,6 @@ func TestStreamMatchesStdlib(t *testing.T) {
 			if a, b := r.Perm(n), ref.Perm(n); !slices.Equal(a, b) {
 				t.Fatalf("stream %d: Perm(%d) draw %d = %v, want %v", i, n, k, a, b)
 			}
-		}
-	}
-}
-
-func TestLabelHashIsFNV1a(t *testing.T) {
-	for _, label := range []string{"", "blob", "tablesvc", "perfbench-crowd", "domain", "\x00\xff"} {
-		h := fnv.New64a()
-		h.Write([]byte(label))
-		if got, want := labelHash(label), h.Sum64(); got != want {
-			t.Fatalf("labelHash(%q) = %x, want %x", label, got, want)
 		}
 	}
 }

@@ -104,6 +104,30 @@ func (r *GetFlat) finish(err error) {
 	r.done(ent, err)
 }
 
+// target is the partition a write or scan works on, found on arrival.
+type target struct {
+	tab  map[string]partition
+	pk   string
+	part partition // nil while the partition does not exist
+}
+
+// find looks up table's partition pk without creating it; it reports
+// whether the table exists.
+func (t *target) find(s *Service, table, pk string) bool {
+	t.tab, t.part = s.lookup(table, pk)
+	t.pk = pk
+	return t.tab != nil
+}
+
+// rows returns the partition. One that was absent on arrival is looked up
+// again, so the request sees a row an insert added while it waited.
+func (t *target) rows() partition {
+	if t.part == nil {
+		t.part = t.tab[t.pk]
+	}
+	return t.part
+}
+
 // wop selects which write-class table operation a WriteFlat runs.
 type wop int
 
@@ -125,15 +149,13 @@ type WriteFlat struct {
 	svc *Service
 	c   reqpath.CtxFlat
 
+	target
 	op    wop
 	ent   *Entity // insert/update payload
 	size  int     // ent's size
-	pk    string  // target partition
 	rk    string  // delete target
 	found bool    // the delete target existed when the request arrived
-	tab   map[string]partition
-	part  partition // nil while the target partition does not exist
-	rho   float64   // overload diagnostic for the timeout reply
+	rho   float64 // overload diagnostic for the timeout reply
 	done  func(error)
 
 	afterVisit   func() // cached: runs when the station visit's sleep ends
@@ -200,26 +222,14 @@ func (r *WriteFlat) begin(a *sim.Actor, op, table, pk string) bool {
 		r.finish(err)
 		return false
 	}
-	if r.tab = r.svc.tables[table]; r.tab == nil {
+	if !r.find(r.svc, table, pk) {
 		r.finish(r.c.Failf(storerr.CodeNotFound, "table %s", table))
 		return false
 	}
-	r.pk = pk
-	if r.op == wInsert {
+	if r.part == nil && r.op == wInsert {
 		r.part = addPartition(r.tab, pk)
-	} else {
-		r.part = r.tab[pk]
 	}
 	return true
-}
-
-// rows returns the target partition. One that was absent on arrival is
-// looked up again: an insert may have created it during the visit.
-func (r *WriteFlat) rows() partition {
-	if r.part == nil {
-		r.part = r.tab[r.pk]
-	}
-	return r.part
 }
 
 // write runs the ingest-overload model for a size-byte write at st — with n
@@ -274,7 +284,7 @@ func (r *WriteFlat) finish(err error) {
 	r.c.Finish(err)
 	// Clear the in-flight state before the callback so the continuation can
 	// issue the next write immediately.
-	r.ent, r.tab, r.part = nil, nil, nil
+	r.ent, r.target = nil, target{}
 	r.done(err)
 }
 
@@ -292,11 +302,9 @@ type QueryFlat struct {
 	svc *Service
 	c   reqpath.CtxFlat
 
+	target
 	pred     func(*Entity) bool
-	tab      map[string]partition
-	pk       string
-	part     partition // nil while the partition does not exist
-	scanning bool      // counted in the service's concurrent scans
+	scanning bool // counted in the service's concurrent scans
 	out      []*Entity
 	done     func([]*Entity, error)
 
@@ -334,22 +342,12 @@ func (r *QueryFlat) Begin(a *sim.Actor, table, pk string, pred func(*Entity) boo
 		r.finish(err)
 		return
 	}
-	if r.tab, r.part = r.svc.lookup(table, pk); r.tab == nil {
+	if !r.find(r.svc, table, pk) {
 		r.finish(r.c.Failf(storerr.CodeNotFound, "table %s", table))
 		return
 	}
-	r.pk = pk
 	r.hold(true)
 	r.c.Sleep(0, r.afterYield)
-}
-
-// rows returns the scanned partition. One that was absent on arrival is
-// looked up again: an insert may have created it since.
-func (r *QueryFlat) rows() partition {
-	if r.part == nil {
-		r.part = r.tab[r.pk]
-	}
-	return r.part
 }
 
 // hold registers (or unregisters) the request as a concurrent scan.
@@ -410,6 +408,6 @@ func (r *QueryFlat) finish(err error) {
 	r.c.Finish(err)
 	// Clear the in-flight state before the callback so the continuation can
 	// issue the next scan immediately.
-	r.tab, r.part, r.pred, r.out = nil, nil, nil, nil
+	r.target, r.pred, r.out = target{}, nil, nil
 	r.done(out, err)
 }
