@@ -1,11 +1,15 @@
-# Pre-merge gate: `make check` must pass before any merge. It builds
-# everything, vets, runs the full test suite under the race detector,
-# smoke-runs every benchmark once so the bench harness can never rot,
-# self-tests the perfbench module, and gives each fuzz target a short
-# live-fuzz burst beyond its seed corpus.
-.PHONY: check build vet test bench-smoke perfbench-selftest fuzz-smoke bench netbench storagebench schedbench simbench simbench-gate scalebench scalebench-smoke domainbench domainbench-smoke domainbench-gate geobench geobench-smoke geobench-smoke-gate geobench-gate campaignbench campaignbench-smoke campaignbench-gate validate serve wiresmoke
+# Pre-merge gate: `make check` must pass before any merge. It checks that
+# gofmt would change nothing, builds everything, vets, runs the full test
+# suite under the race detector, smoke-runs every benchmark once so the
+# bench harness can never rot, self-tests the perfbench module, and gives
+# each fuzz target a short live-fuzz burst beyond its seed corpus.
+.PHONY: check fmt-check build vet test bench-smoke perfbench-selftest fuzz-smoke bench netbench storagebench schedbench simbench simbench-gate scalebench scalebench-smoke domainbench domainbench-smoke domainbench-gate geobench geobench-smoke geobench-smoke-gate geobench-gate campaignbench campaignbench-smoke campaignbench-gate validate serve wiresmoke
 
-check: build vet test bench-smoke perfbench-selftest fuzz-smoke scalebench-smoke domainbench-smoke geobench-smoke-gate campaignbench-smoke wiresmoke
+check: fmt-check build vet test bench-smoke perfbench-selftest fuzz-smoke scalebench-smoke domainbench-smoke geobench-smoke-gate campaignbench-smoke wiresmoke
+
+# Fails when gofmt would reformat any file; `gofmt -l .` lists them.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 build:
 	go build ./...

@@ -47,7 +47,7 @@ type geoStore struct {
 // replicaState is one region's view of the geo container.
 type replicaState struct {
 	region  int
-	vals    []uint64   // per hot name: latest locally visible version
+	vals    []uint64        // per hot name: latest locally visible version
 	applyAt []time.Duration // applyAt[v-1] = when version v became visible here
 	pending []commitRec
 	applies int64

@@ -297,7 +297,7 @@ func NewWorld(cfg Config) *World {
 			w:      w,
 			index:  i,
 			cloud:  cloud,
-			rng:    simrand.New(cfg.Seed + 7_777_777).ForkN("georegion", i),
+			rng:    simrand.New(cfg.Seed+7_777_777).ForkN("georegion", i),
 			outSeq: make([]uint64, cfg.Regions),
 		}
 		r.lh = fabric.NewLongHaul(cloud.DC, i, w.oneWayRow(i), cfg.TrunkBW)

@@ -35,7 +35,7 @@ func TestRegionKillRTO_RPO(t *testing.T) {
 	}
 	// Detection needs at most FailTimeout of silence plus one backoff
 	// cycle; anything beyond that is a traffic-manager regression.
-	maxRTO := (cfg.FailTimeout + 4 * time.Second).Seconds()
+	maxRTO := (cfg.FailTimeout + 4*time.Second).Seconds()
 	if rep.RTOSec > maxRTO {
 		t.Fatalf("RTO %.2fs exceeds detection bound %.2fs", rep.RTOSec, maxRTO)
 	}

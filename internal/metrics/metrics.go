@@ -356,34 +356,68 @@ func (ts *TimeSeries) Mean() float64 {
 // CounterSet is a named tally, used for the ModisAzure failure taxonomy
 // (Table 2). Iteration order is insertion order, so reports are stable.
 type CounterSet struct {
-	names  []string
-	counts map[string]uint64
+	counters []namedCount // in insertion order
+	index    map[string]int
+}
+
+type namedCount struct {
+	name string
+	n    uint64
 }
 
 // NewCounterSet returns an empty counter set.
 func NewCounterSet() *CounterSet {
-	return &CounterSet{counts: make(map[string]uint64)}
+	return &CounterSet{index: make(map[string]int)}
 }
+
+// Counter is a handle to one counter of a set. Resolve it once with
+// CounterSet.Counter and Inc through it on hot paths: it skips the name
+// lookup. A handle stays valid as the set grows.
+type Counter struct {
+	set *CounterSet
+	i   int
+}
+
+// Counter returns the handle of the named counter, creating it (at zero)
+// if needed.
+func (c *CounterSet) Counter(name string) Counter {
+	i, ok := c.index[name]
+	if !ok {
+		i = len(c.counters)
+		c.counters = append(c.counters, namedCount{name: name})
+		c.index[name] = i
+	}
+	return Counter{set: c, i: i}
+}
+
+// Inc adds delta to the counter.
+func (h Counter) Inc(delta uint64) { h.set.counters[h.i].n += delta }
 
 // Inc adds delta to the named counter, creating it if needed.
-func (c *CounterSet) Inc(name string, delta uint64) {
-	if _, ok := c.counts[name]; !ok {
-		c.names = append(c.names, name)
-	}
-	c.counts[name] += delta
-}
+func (c *CounterSet) Inc(name string, delta uint64) { c.Counter(name).Inc(delta) }
 
 // Get returns the named counter (0 if absent).
-func (c *CounterSet) Get(name string) uint64 { return c.counts[name] }
+func (c *CounterSet) Get(name string) uint64 {
+	if i, ok := c.index[name]; ok {
+		return c.counters[i].n
+	}
+	return 0
+}
 
 // Names returns counter names in insertion order.
-func (c *CounterSet) Names() []string { return c.names }
+func (c *CounterSet) Names() []string {
+	names := make([]string, len(c.counters))
+	for i, e := range c.counters {
+		names[i] = e.name
+	}
+	return names
+}
 
 // Total returns the sum of all counters.
 func (c *CounterSet) Total() uint64 {
 	var t uint64
-	for _, n := range c.names {
-		t += c.counts[n]
+	for _, e := range c.counters {
+		t += e.n
 	}
 	return t
 }

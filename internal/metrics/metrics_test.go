@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -251,6 +252,31 @@ func TestCounterSet(t *testing.T) {
 	}
 	if c.Total() != 18 {
 		t.Fatalf("total = %d", c.Total())
+	}
+}
+
+// TestCounterHandles: a handle resolves its counter once and stays valid
+// while later names grow the set; Inc by handle and by name add up.
+func TestCounterHandles(t *testing.T) {
+	c := NewCounterSet()
+	ok := c.Counter("Success")
+	ok.Inc(2)
+	for i := 0; i < 100; i++ {
+		c.Inc(fmt.Sprintf("class-%d", i), 1)
+	}
+	ok.Inc(3)
+	c.Inc("Success", 1)
+	if got := c.Get("Success"); got != 6 {
+		t.Fatalf("Success = %d, want 6", got)
+	}
+	if again := c.Counter("Success"); again != ok {
+		t.Fatal("resolving a name twice gave two handles")
+	}
+	if c.Names()[0] != "Success" || c.Total() != 106 {
+		t.Fatalf("names[0] = %q, total = %d", c.Names()[0], c.Total())
+	}
+	if a := testing.AllocsPerRun(100, func() { ok.Inc(1) }); a != 0 {
+		t.Fatalf("Inc by handle allocates %v", a)
 	}
 }
 

@@ -1,7 +1,6 @@
 package modis
 
 import (
-	"strconv"
 	"time"
 
 	"azureobs/internal/azure"
@@ -55,6 +54,7 @@ type agent struct {
 	tries int
 	q     *queuesvc.Queue
 	body  string
+	ref   any
 	size  int
 	rcpt  queuesvc.Receipt
 	tname string
@@ -108,8 +108,8 @@ func (ag *agent) insert(table string, e *tablesvc.Entity, done func(error)) {
 	ag.begin(opInsert, "table.Insert", done)
 }
 
-func (ag *agent) add(q *queuesvc.Queue, body string, size int, done func(error)) {
-	ag.q, ag.body, ag.size = q, body, size
+func (ag *agent) add(q *queuesvc.Queue, body string, ref any, size int, done func(error)) {
+	ag.q, ag.body, ag.ref, ag.size = q, body, ref, size
 	ag.begin(opAdd, "queue.Add", done)
 }
 
@@ -135,7 +135,7 @@ func (ag *agent) attempt() {
 	case opInsert:
 		ag.tw.BeginInsert(&ag.a, ag.tname, ag.ent)
 	case opAdd:
-		ag.qr.BeginAdd(&ag.a, ag.q, ag.body, ag.size, ag.onAdd)
+		ag.qr.BeginAdd(&ag.a, ag.q, ag.body, ag.ref, ag.size, ag.onAdd)
 	case opReceive:
 		ag.qr.BeginReceive(&ag.a, ag.q, recvVisibility, ag.onRecv)
 	case opDelete:
@@ -158,18 +158,20 @@ func (ag *agent) finished(err error) {
 		ag.books.StorageErrors.Inc(ag.name+"/"+string(storerr.CodeOf(err)), 1)
 	}
 	done := ag.done
-	ag.done, ag.q, ag.body, ag.ent = nil, nil, "", nil
+	ag.done, ag.q, ag.body, ag.ref, ag.ent = nil, nil, "", nil, nil
 	done(err)
 }
 
 // taskQueue couples the real Azure queue service with an instant wakeup
 // queue so idle workers do not busy-poll across months of simulated time.
 // (The production system polled; the token queue reproduces the same FIFO
-// delivery without 10^8 empty polls.)
+// delivery without 10^8 empty polls.) Each task message carries its task
+// as the message's Ref; the task's queuedOn holds the id of the queue it is
+// live on (see Task).
 type taskQueue struct {
+	id     uint32 // nonzero, unique within the campaign
 	q      *queuesvc.Queue
 	tokens *sim.Queue[uint64]
-	tasks  map[uint64]*Task
 
 	// delivered counts tasks handed to workers — one side of the
 	// delivered == executions + crash-aborted + in-flight conservation
@@ -177,11 +179,11 @@ type taskQueue struct {
 	delivered uint64
 }
 
-func newTaskQueue(cloud *azure.Cloud) *taskQueue {
+func newTaskQueue(cloud *azure.Cloud, id uint32) *taskQueue {
 	return &taskQueue{
+		id:     id,
 		q:      cloud.Queue.CreateQueue("modis-tasks"),
 		tokens: sim.NewQueue[uint64](),
-		tasks:  make(map[uint64]*Task),
 	}
 }
 
@@ -209,15 +211,15 @@ func (ag *agent) enqueueNext() {
 		return
 	}
 	t := ag.run[ag.runIdx]
-	ag.tq.tasks[t.ID] = t
-	ag.add(ag.tq.q, strconv.FormatUint(t.ID, 10), 1024, ag.onEnqueued)
+	t.queuedOn.Store(ag.tq.id)
+	ag.add(ag.tq.q, "", t, 1024, ag.onEnqueued)
 }
 
 func (ag *agent) enqueued(err error) {
 	t := ag.run[ag.runIdx]
 	ag.runIdx++
 	if err != nil {
-		delete(ag.tq.tasks, t.ID)
+		t.queuedOn.Store(0)
 	} else {
 		ag.tq.tokens.Put(t.ID)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"azureobs/internal/chaos"
 	"azureobs/internal/core/sched"
+	"azureobs/internal/storage/reqpath"
 )
 
 // shardedShortConfig is shortConfig at a given domain width, with chaos
@@ -67,6 +68,36 @@ func TestCampaignDomainEquivalence(t *testing.T) {
 						withChaos, schedWorkers, widths[i])
 				}
 			}
+		}
+	}
+}
+
+// TestStaleRedeliveryFingerprints pins campaigns whose storage faults make
+// about one queue delete in 130 fail for good, so about 120 task messages
+// come back after their visibility window as stale redeliveries. Serial and
+// sharded, at every width, the books match the fingerprints of the
+// release that tracked queued tasks in per-queue maps; in a sharded run the
+// shards judge staleness concurrently, which the race detector checks.
+func TestStaleRedeliveryFingerprints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four faulted campaigns")
+	}
+	for _, tc := range []struct {
+		domains int
+		want    uint64
+	}{{0, 0x1fcb9a9bd3d9e86e}, {1, 0xf95c00e9a6abe957}, {2, 0xf95c00e9a6abe957}, {4, 0xf95c00e9a6abe957}} {
+		cfg := shortConfig(42)
+		cfg.Days = 8
+		cfg.Domains = tc.domains
+		cfg.StorageFaults = reqpath.FaultConfig{ConnFailProb: 0.3}
+		camp := NewCampaign(cfg)
+		camp.EnableInvariants(true)
+		st := camp.Run()
+		if fp := st.Fingerprint(); fp != tc.want {
+			t.Errorf("domains=%d: fingerprint %#x, want %#x", tc.domains, fp, tc.want)
+		}
+		if st.StorageErrors.Get("queue.Delete/ConnectionFailure") == 0 {
+			t.Errorf("domains=%d: no queue delete failed for good; no stale redelivery was exercised", tc.domains)
 		}
 	}
 }

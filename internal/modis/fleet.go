@@ -8,6 +8,7 @@ import (
 	"azureobs/internal/azure"
 	"azureobs/internal/chaos"
 	"azureobs/internal/fabric"
+	"azureobs/internal/metrics"
 	"azureobs/internal/oplog"
 	"azureobs/internal/sim"
 	"azureobs/internal/simrand"
@@ -45,10 +46,39 @@ type fleet struct {
 	vmSlot    map[*fabric.VM]int
 	reacqRNG  *simrand.RNG
 	respawns  int
+
+	// The books an execution lands in, resolved once from stats so that
+	// recording an execution hashes no string: the per-type execution
+	// counters, the monitor's timeout, and per task type the outcomes
+	// drawOutcome indexes (the table's entries, then Success).
+	execs   [numTaskTypes]metrics.Counter
+	timeout outcomeBook
+	books   [numTaskTypes][]outcomeBook
+}
+
+// outcomeBook is one outcome class as an execution records it: its name,
+// its Stats.Outcomes counter, and its verdicts.
+type outcomeBook struct {
+	o         Outcome
+	n         metrics.Counter
+	completes bool
+	retryable bool
+}
+
+func (f *fleet) book(o Outcome) outcomeBook {
+	return outcomeBook{o: o, n: f.stats.Outcomes.Counter(string(o)), completes: o.Completes(), retryable: o.Retryable()}
 }
 
 // start builds and starts the worker actors, then the fault engine.
 func (f *fleet) start() {
+	f.timeout = f.book(OutcomeVMTimeout)
+	for ty := range f.books {
+		f.execs[ty] = f.stats.TaskExecs.Counter(TaskType(ty).String())
+		for _, e := range outcomeTables[ty] {
+			f.books[ty] = append(f.books[ty], f.book(e.o))
+		}
+		f.books[ty] = append(f.books[ty], f.book(OutcomeSuccess))
+	}
 	f.workers = make([]*worker, len(f.vms))
 	f.current = make([]*Task, len(f.vms))
 	f.execStart = make([]time.Duration, len(f.vms))
@@ -215,20 +245,16 @@ func (w *worker) received(err error) {
 
 func (w *worker) deleted(error) {
 	tq := w.f.queue
-	id, err := strconv.ParseUint(w.msg.Body, 10, 64)
-	if err != nil {
-		panic(err)
-	}
+	t := w.msg.Ref.(*Task)
 	w.msg = nil
-	t, live := tq.tasks[id]
-	if !live {
+	if t.queuedOn.Load() != tq.id {
 		// Stale redelivery of a message whose earlier delete failed: its
 		// task already ran. Discard and receive again on the same token,
 		// which still has a live message to pair with.
 		w.receive(tq.q, w.onReceived)
 		return
 	}
-	delete(tq.tasks, id)
+	t.queuedOn.Store(0)
 	w.credited = false
 	tq.delivered++
 	w.execute(t)
@@ -280,15 +306,15 @@ func (w *worker) executed() {
 	f, task, st := w.f, w.task, w.f.stats
 	w.task = nil
 	f.current[w.slot] = nil
-	var outcome Outcome
+	var outcome *outcomeBook
 	if w.timedOut {
-		outcome = OutcomeVMTimeout
+		outcome = &f.timeout
 		st.DailyTimeouts[w.day]++
 		st.recordKill(w.threshold, !w.vm.Host.Degraded())
 	} else {
-		outcome = sampleOutcome(task.Type, w.rng)
+		outcome = &f.books[task.Type][drawOutcome(task.Type, w.rng)]
 	}
-	if task.lost && f.chaos != nil && outcome.Completes() {
+	if task.lost && f.chaos != nil && outcome.completes {
 		// A crash had interrupted an earlier attempt of this task; its
 		// nominal work is now recovered through re-execution.
 		f.chaos.Report().AddWorkRecovered(task.Work)
@@ -297,11 +323,11 @@ func (w *worker) executed() {
 	// Executions are recorded on completion (as the production system's
 	// logs were); the day bucket is the start day, where the bulk of the
 	// execution ran.
-	st.TaskExecs.Inc(task.Type.String(), 1)
+	f.execs[task.Type].Inc(1)
 	st.DailyExecs[w.day]++
-	st.Outcomes.Inc(string(outcome), 1)
+	outcome.n.Inc(1)
 	sev := oplog.Info
-	if !outcome.Completes() {
+	if !outcome.completes {
 		sev = oplog.Error
 	}
 	f.log.Emit(oplog.Record{
@@ -309,14 +335,15 @@ func (w *worker) executed() {
 		Severity: sev,
 		Source:   w.vm.Name,
 		Category: task.Type.String(),
-		Event:    string(outcome),
-		Detail:   fmt.Sprintf("task %d attempt %d", task.ID, task.Attempts),
+		Event:    string(outcome.o),
+		Task:     task.ID,
+		Attempt:  task.Attempts,
 	})
 
 	// The verdict: a retryable failure with attempts left goes back on the
 	// queue; completions and terminal failures retire the task (partial
 	// products, as in the real system).
-	retry := outcome.Retryable() && !outcome.Completes() && task.Attempts < f.camp.cfg.MaxAttempts
+	retry := outcome.retryable && !outcome.completes && task.Attempts < f.camp.cfg.MaxAttempts
 	if retry {
 		st.Retries++
 	}

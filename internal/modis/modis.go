@@ -289,13 +289,9 @@ func newCampaignStats(days int) *Stats {
 	for _, ty := range []TaskType{SourceDownload, Aggregation, Reprojection, Reduction} {
 		st.TaskExecs.Inc(ty.String(), 0)
 	}
-	_, oc := paperTable2()
-	for _, o := range table2OutcomeOrder() {
-		if _, ok := oc[o]; ok {
-			st.Outcomes.Inc(string(o), 0)
-		}
+	for _, o := range outcomeOrder {
+		st.Outcomes.Inc(string(o), 0)
 	}
-	st.Outcomes.Inc(string(OutcomeUserCode), 0)
 	return st
 }
 
@@ -335,7 +331,7 @@ func NewCampaign(cfg Config) *Campaign {
 		stats: c.Stats,
 		log:   c.Log,
 		vms:   cloud.Controller.ReadyFleet(cfg.Workers, fabric.Worker, fabric.Small),
-		queue: newTaskQueue(cloud),
+		queue: newTaskQueue(cloud, 1),
 	}
 	// The request path of Fig. 6: the portal stores each request in an
 	// Azure table and enqueues it on a service queue watched by the
@@ -355,18 +351,6 @@ func NewCampaign(cfg Config) *Campaign {
 		c.fleet.reacqRNG = c.rng.Fork("reacquire")
 	}
 	return c
-}
-
-// table2OutcomeOrder lists the outcome classes in Table 2's printed order.
-func table2OutcomeOrder() []Outcome {
-	return []Outcome{
-		OutcomeSuccess, OutcomeUnknownFailure, OutcomeBlobExists,
-		OutcomeNullLog, OutcomeDownloadFailed, OutcomeConnection,
-		OutcomeVMTimeout, OutcomeOpTimeout, OutcomeCorruptBlob,
-		OutcomeServerBusy, OutcomeBlobReadFail, OutcomeNoSourceBlob,
-		OutcomeUnreadableFile, OutcomeBadImage, OutcomeTransport,
-		OutcomeInternalClient, OutcomeOutOfDisk,
-	}
 }
 
 // Cloud exposes the underlying cloud (tests and the CLI use it). In sharded
@@ -579,7 +563,7 @@ func (p *portal) inserted(err error) {
 		p.next()
 		return
 	}
-	p.add(p.c.reqQueue, strconv.FormatUint(p.req.ID, 10), 512, p.onAdded)
+	p.add(p.c.reqQueue, strconv.FormatUint(p.req.ID, 10), nil, 512, p.onAdded)
 }
 
 func (p *portal) added(err error) {
@@ -643,7 +627,9 @@ func (m *manager) deleted(error) {
 	m.enqueueRun(c.fleet.queue, tasks, m.onLoop)
 }
 
-// expandRequest turns a request into staged tasks.
+// expandRequest turns a request into staged tasks. The request's tasks
+// live in one slab, and its per-stage lists are windows of one slice of
+// pointers into it: two allocations per request, none per task.
 func (c *Campaign) expandRequest(req *Request, rng *simrand.RNG) {
 	nReproj := req.planned
 	counts := [numTaskTypes]int{}
@@ -651,19 +637,25 @@ func (c *Campaign) expandRequest(req *Request, rng *simrand.RNG) {
 	counts[Aggregation] = int(float64(nReproj)*aggregationPerReproj + rng.Float64())
 	counts[Reprojection] = nReproj
 	counts[Reduction] = int(float64(nReproj)*reductionPerReproj + rng.Float64())
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	slab := make([]Task, total)
+	ptrs := make([]*Task, total)
 	wrng := c.rng.ForkN("work", int(req.ID))
+	k := 0
 	for _, ty := range stageOrder() {
 		work := nominalWork(ty)
-		for i := 0; i < counts[ty]; i++ {
+		start := k
+		for ; k < start+counts[ty]; k++ {
 			c.nextTaskID++
-			t := &Task{
-				ID:      c.nextTaskID,
-				Type:    ty,
-				Request: req,
-				Work:    simrand.Duration(work, wrng),
-			}
-			req.tasks[ty] = append(req.tasks[ty], t)
+			t := &slab[k]
+			t.ID, t.Type, t.Request = c.nextTaskID, ty, req
+			t.Work = simrand.Duration(work, wrng)
+			ptrs[k] = t
 		}
+		req.tasks[ty] = ptrs[start:k:k]
 		req.remaining[ty] = counts[ty]
 		c.Stats.DistinctTasks += uint64(counts[ty])
 	}
@@ -708,10 +700,8 @@ func (c *Campaign) finishTask(now time.Duration, task *Task) []*Task {
 	c.finishes++
 	req := task.Request
 	req.remaining[task.Type]--
-	var next []*Task
 	if req.remaining[task.Type] == 0 {
-		next = c.releaseStage(now, req, stageIndex(task.Type)+1)
+		return c.releaseStage(now, req, stageIndex(task.Type)+1)
 	}
-	req.tasks[task.Type] = nil // allow the task memory to be reclaimed
-	return next
+	return nil
 }

@@ -2,6 +2,7 @@ package modis
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -20,6 +21,14 @@ func smallCampaign(seed uint64) Config {
 		MeanRequestGap:      100 * time.Minute,
 		MeanTasksPerRequest: 140,
 	}
+}
+
+// sampleOutcome draws a non-timeout outcome class for one execution.
+func sampleOutcome(ty TaskType, rng *simrand.RNG) Outcome {
+	if i := drawOutcome(ty, rng); i < len(outcomeTables[ty]) {
+		return outcomeTables[ty][i].o
+	}
+	return OutcomeSuccess
 }
 
 func TestOutcomeTablesSumToOne(t *testing.T) {
@@ -107,6 +116,23 @@ func TestCampaignRunsAndMatchesShape(t *testing.T) {
 	// coincidence the model encodes).
 	if st.Outcomes.Get(string(OutcomeNullLog)) != st.TaskExecs.Get("Source download") {
 		t.Fatal("null-log count != download executions")
+	}
+}
+
+// TestCampaignExecutionAllocs pins the allocation-free execution path: a
+// task execution books its outcome, logs its record and hands its task over
+// the queue without formatting or boxing, so what remains per execution is
+// the queue message and a share of its request's task slab.
+func TestCampaignExecutionAllocs(t *testing.T) {
+	c := NewCampaign(smallCampaign(3))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st := c.Run()
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / float64(st.TotalExecs())
+	t.Logf("%.3f allocations per execution over %d executions", per, st.TotalExecs())
+	if per > 1.5 {
+		t.Fatalf("%.2f allocations per task execution, want ≤ 1.5", per)
 	}
 }
 
@@ -226,13 +252,13 @@ func TestLogDerivedViewMatchesCounters(t *testing.T) {
 		t.Fatalf("log records %d != executions %d", c.Analyzer.Total(), st.TotalExecs())
 	}
 	for _, name := range st.Outcomes.Names() {
-		if c.Analyzer.ByEvent[name] != st.Outcomes.Get(name) {
+		if c.Analyzer.ByEvent(name) != st.Outcomes.Get(name) {
 			t.Fatalf("log-derived %q = %d, counter = %d",
-				name, c.Analyzer.ByEvent[name], st.Outcomes.Get(name))
+				name, c.Analyzer.ByEvent(name), st.Outcomes.Get(name))
 		}
 	}
 	for _, ty := range []TaskType{SourceDownload, Aggregation, Reprojection, Reduction} {
-		if c.Analyzer.ByCategory[ty.String()] != st.TaskExecs.Get(ty.String()) {
+		if c.Analyzer.ByCategory(ty.String()) != st.TaskExecs.Get(ty.String()) {
 			t.Fatalf("log-derived category %v mismatch", ty)
 		}
 	}

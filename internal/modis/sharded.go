@@ -181,7 +181,7 @@ func (c *Campaign) newShard(s int, dcfg fabric.DegradationConfig, ch *chaos.Conf
 		dispatchQ: sim.NewQueue[*Task](),
 	}
 	sh.shard = sh
-	sh.queue = newTaskQueue(cloud)
+	sh.queue = newTaskQueue(cloud, uint32(s)+1)
 	if ch != nil {
 		scc := *ch
 		if s != 0 {

@@ -14,6 +14,7 @@
 package modis
 
 import (
+	"sync/atomic"
 	"time"
 
 	"azureobs/internal/simrand"
@@ -110,6 +111,15 @@ type Task struct {
 	// lost marks a task whose execution a host crash interrupted; cleared
 	// (and credited as recovered work) when a later attempt completes.
 	lost bool
+	// queuedOn is the id of the task queue holding the task's live
+	// message, 0 while no undelivered message of the task is queued. A
+	// delivered message whose task is not live on the receiving queue is a
+	// stale redelivery (its earlier delete failed) and is discarded, so each
+	// enqueue is executed once. It is atomic because in a sharded campaign a
+	// stale redelivery on one shard reads it while another shard may be
+	// enqueueing the task; the value read there never equals the reader's
+	// queue id, so the verdict is deterministic.
+	queuedOn atomic.Uint32
 }
 
 // Request is one portal submission expanded into staged tasks.
@@ -136,6 +146,19 @@ type outcomeEntry struct {
 	p float64
 }
 
+// outcomeOrder lists every outcome class in the order Stats.Outcomes
+// registers them: Table 2's printed order, then the unlisted user-code
+// class.
+var outcomeOrder = [...]Outcome{
+	OutcomeSuccess, OutcomeUnknownFailure, OutcomeBlobExists,
+	OutcomeNullLog, OutcomeDownloadFailed, OutcomeConnection,
+	OutcomeVMTimeout, OutcomeOpTimeout, OutcomeCorruptBlob,
+	OutcomeServerBusy, OutcomeBlobReadFail, OutcomeNoSourceBlob,
+	OutcomeUnreadableFile, OutcomeBadImage, OutcomeTransport,
+	OutcomeInternalClient, OutcomeOutOfDisk,
+	OutcomeUserCode,
+}
+
 // Per-type outcome tables. Derivation (see DESIGN.md and EXPERIMENTS.md):
 // Table 2 gives global shares over 3,054,430 executions; each class is
 // attributed to the stages that can produce it and converted to a
@@ -143,7 +166,7 @@ type outcomeEntry struct {
 // (download 4.57%, aggregation 0.29%, reprojection 55.79%, reduction
 // 39.36%). "Success" is the remainder. VM execution timeouts are NOT in
 // these tables — they emerge from host degradation.
-var outcomeTables = map[TaskType][]outcomeEntry{
+var outcomeTables = [numTaskTypes][]outcomeEntry{
 	// Every source-download execution was recorded with a null log in the
 	// paper's data: the "Unknown - null log" count (139,609) equals the
 	// download execution count exactly. The download itself functionally
@@ -193,23 +216,26 @@ var outcomeTables = map[TaskType][]outcomeEntry{
 	},
 }
 
-// sampleOutcome draws a non-timeout outcome for one execution.
-func sampleOutcome(t TaskType, rng *simrand.RNG) Outcome {
+// drawOutcome draws a non-timeout outcome for one execution of a type-t
+// task: an index into outcomeTables[t], or len(outcomeTables[t]) for
+// Success, which takes whatever mass a rounding shortfall in the table's
+// sum leaves.
+func drawOutcome(t TaskType, rng *simrand.RNG) int {
 	u := rng.Float64()
-	for _, e := range outcomeTables[t] {
+	for i, e := range outcomeTables[t] {
 		if u < e.p {
-			return e.o
+			return i
 		}
 		u -= e.p
 	}
-	return OutcomeSuccess
+	return len(outcomeTables[t])
 }
 
 // nominalWork returns the distribution of a task type's undilated execution
 // time. A "normal task execution completed within 10 min" (Section 5.2);
 // reprojection takes "several minutes of computation on a small-size
 // instance".
-func nominalWork(t TaskType) simrand.Dist {
+func nominalWork(t TaskType) simrand.LogNormal {
 	switch t {
 	case SourceDownload:
 		return simrand.LogNormalMeanCV(120, 0.5)

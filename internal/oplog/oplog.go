@@ -45,10 +45,21 @@ type Record struct {
 	Category string // domain grouping, e.g. task type
 	Event    string // what happened, e.g. outcome class
 	Detail   string // free text
+
+	// Task and Attempt name the task execution a record reports (Task 0:
+	// none). They are kept as numbers so emitting a record formats nothing;
+	// String renders them as "task N attempt M" in place of Detail.
+	Task    uint64
+	Attempt int
 }
 
+// String renders the record; the text is built only here, when printed.
 func (r Record) String() string {
-	return fmt.Sprintf("[%v] %s %s %s/%s %s", r.Time, r.Severity, r.Source, r.Category, r.Event, r.Detail)
+	detail := r.Detail
+	if r.Task != 0 {
+		detail = fmt.Sprintf("task %d attempt %d", r.Task, r.Attempt)
+	}
+	return fmt.Sprintf("[%v] %s %s %s/%s %s", r.Time, r.Severity, r.Source, r.Category, r.Event, detail)
 }
 
 // Sink consumes records as they are emitted.
@@ -106,39 +117,64 @@ func (l *Log) Recent() []Record {
 
 // TaxonomyAnalyzer aggregates the failure-taxonomy view the paper's Table 2
 // reports: counts per category and per event, plus a daily breakdown of one
-// tracked event (Fig. 7's "VM execution timeout").
+// tracked event (Fig. 7's "VM execution timeout"). Its sink runs once per
+// task execution, so it hashes nothing: the daily counts are slices indexed
+// by day and the category and event counts are short key lists.
 type TaxonomyAnalyzer struct {
-	ByCategory map[string]uint64
-	ByEvent    map[string]uint64
+	TrackedEvent string
 
-	TrackedEvent  string
-	DailyTotal    map[int]uint64
-	DailyTracked  map[int]uint64
-	totalRecorded uint64
+	byCategory, byEvent      tally
+	dailyTotal, dailyTracked []uint64
+	totalRecorded            uint64
+}
+
+// tally counts records per key. A campaign has 4 categories and at most 18
+// events; over so few keys a linear scan is cheaper than hashing the key.
+type tally struct {
+	keys []string
+	n    []uint64
+}
+
+func (t *tally) inc(key string) {
+	for i, k := range t.keys {
+		if k == key {
+			t.n[i]++
+			return
+		}
+	}
+	t.keys = append(t.keys, key)
+	t.n = append(t.n, 1)
+}
+
+func (t *tally) get(key string) uint64 {
+	for i, k := range t.keys {
+		if k == key {
+			return t.n[i]
+		}
+	}
+	return 0
 }
 
 // NewTaxonomyAnalyzer creates an analyzer tracking the daily share of one
 // event class.
 func NewTaxonomyAnalyzer(trackedEvent string) *TaxonomyAnalyzer {
-	return &TaxonomyAnalyzer{
-		ByCategory:   make(map[string]uint64),
-		ByEvent:      make(map[string]uint64),
-		TrackedEvent: trackedEvent,
-		DailyTotal:   make(map[int]uint64),
-		DailyTracked: make(map[int]uint64),
-	}
+	return &TaxonomyAnalyzer{TrackedEvent: trackedEvent}
 }
 
 // Sink returns the streaming sink to subscribe.
 func (a *TaxonomyAnalyzer) Sink() Sink {
 	return func(r Record) {
 		a.totalRecorded++
-		a.ByCategory[r.Category]++
-		a.ByEvent[r.Event]++
+		a.byCategory.inc(r.Category)
+		a.byEvent.inc(r.Event)
 		day := int(r.Time / (24 * time.Hour))
-		a.DailyTotal[day]++
+		for len(a.dailyTotal) <= day {
+			a.dailyTotal = append(a.dailyTotal, 0)
+			a.dailyTracked = append(a.dailyTracked, 0)
+		}
+		a.dailyTotal[day]++
 		if r.Event == a.TrackedEvent {
-			a.DailyTracked[day]++
+			a.dailyTracked[day]++
 		}
 	}
 }
@@ -146,19 +182,24 @@ func (a *TaxonomyAnalyzer) Sink() Sink {
 // Total returns the records analyzed.
 func (a *TaxonomyAnalyzer) Total() uint64 { return a.totalRecorded }
 
+// ByCategory returns the records of one category.
+func (a *TaxonomyAnalyzer) ByCategory(category string) uint64 { return a.byCategory.get(category) }
+
+// ByEvent returns the records of one event class.
+func (a *TaxonomyAnalyzer) ByEvent(event string) uint64 { return a.byEvent.get(event) }
+
 // EventShare returns an event's fraction of all records.
 func (a *TaxonomyAnalyzer) EventShare(event string) float64 {
 	if a.totalRecorded == 0 {
 		return 0
 	}
-	return float64(a.ByEvent[event]) / float64(a.totalRecorded)
+	return float64(a.ByEvent(event)) / float64(a.totalRecorded)
 }
 
 // DailyTrackedShare returns the tracked event's percentage on one day.
 func (a *TaxonomyAnalyzer) DailyTrackedShare(day int) float64 {
-	t := a.DailyTotal[day]
-	if t == 0 {
+	if day < 0 || day >= len(a.dailyTotal) || a.dailyTotal[day] == 0 {
 		return 0
 	}
-	return float64(a.DailyTracked[day]) / float64(t) * 100
+	return float64(a.dailyTracked[day]) / float64(a.dailyTotal[day]) * 100
 }

@@ -80,6 +80,22 @@ func TestRecordString(t *testing.T) {
 	}
 }
 
+// TestTaskRecordString: a record that carries its task execution as
+// numbers prints "task N attempt M" where the free-text Detail would go,
+// exactly as the text the record was once built with.
+func TestTaskRecordString(t *testing.T) {
+	r := Record{Time: 90 * time.Minute, Severity: Info, Source: "worker3", Category: "Reduction", Event: "Success", Task: 4711, Attempt: 2}
+	want := "[1h30m0s] INFO worker3 Reduction/Success task 4711 attempt 2"
+	if got := r.String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	old := r
+	old.Task, old.Attempt, old.Detail = 0, 0, "task 4711 attempt 2"
+	if old.String() != want {
+		t.Fatalf("Detail form = %q, want %q", old.String(), want)
+	}
+}
+
 func TestTaxonomyAnalyzer(t *testing.T) {
 	l := New(0)
 	a := NewTaxonomyAnalyzer("VM execution timeout")
@@ -99,8 +115,8 @@ func TestTaxonomyAnalyzer(t *testing.T) {
 	if a.Total() != 15 {
 		t.Fatalf("total = %d", a.Total())
 	}
-	if a.ByCategory["Reprojection"] != 10 || a.ByCategory["Reduction"] != 5 {
-		t.Fatalf("categories = %v", a.ByCategory)
+	if a.ByCategory("Reprojection") != 10 || a.ByCategory("Reduction") != 5 {
+		t.Fatalf("categories = %d, %d", a.ByCategory("Reprojection"), a.ByCategory("Reduction"))
 	}
 	if got := a.EventShare("Success"); got != 13.0/15 {
 		t.Fatalf("success share = %v", got)
@@ -113,6 +129,9 @@ func TestTaxonomyAnalyzer(t *testing.T) {
 	}
 	if got := a.DailyTrackedShare(99); got != 0 {
 		t.Fatalf("empty day share = %v", got)
+	}
+	if a.ByEvent("Success") != 13 || a.ByEvent("VM execution timeout") != 2 || a.ByEvent("absent") != 0 {
+		t.Fatalf("events = %d, %d, %d", a.ByEvent("Success"), a.ByEvent("VM execution timeout"), a.ByEvent("absent"))
 	}
 }
 

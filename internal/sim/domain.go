@@ -629,10 +629,10 @@ type DomainStats struct {
 	// clamping layer overwrites it so reports can surface the cap instead
 	// of letting it pass silently.
 	Requested int
-	Rounds    int // coordinator rounds executed
-	Mail    uint64        // boundary mailbox events delivered
-	Busy    time.Duration // summed in-round execution time across domains
-	Wall    time.Duration // total Run wall time
+	Rounds    int           // coordinator rounds executed
+	Mail      uint64        // boundary mailbox events delivered
+	Busy      time.Duration // summed in-round execution time across domains
+	Wall      time.Duration // total Run wall time
 
 	// PerDomainBusy is each domain's summed in-round time; the spread shows
 	// whether speedup is bounded by load imbalance across domains.

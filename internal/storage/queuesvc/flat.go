@@ -37,6 +37,7 @@ type ReqFlat struct {
 	op         qop
 	q          *Queue
 	body       string
+	ref        any
 	size       int
 	visibility time.Duration
 	m          *Message
@@ -69,13 +70,14 @@ func (r *ReqFlat) Init(s *Service) {
 }
 
 // BeginAdd issues one Add on actor a: the message body, padded to size
-// bytes, is appended; done receives the new message's id.
-func (r *ReqFlat) BeginAdd(a *sim.Actor, q *Queue, body string, size int, done func(id uint64, err error)) {
+// bytes, is appended with ref as its in-process reference (see Message.Ref);
+// done receives the new message's id.
+func (r *ReqFlat) BeginAdd(a *sim.Actor, q *Queue, body string, ref any, size int, done func(id uint64, err error)) {
 	r.addDone = done
 	if size < len(body) {
 		size = len(body)
 	}
-	r.q, r.body, r.size = q, body, size
+	r.q, r.body, r.ref, r.size = q, body, ref, size
 	if !r.begin(a, qAdd, "queue.Add") {
 		return
 	}
@@ -146,9 +148,8 @@ func (r *ReqFlat) visited() {
 	switch r.op {
 	case qAdd:
 		q.nextID++
-		m := &Message{ID: q.nextID, Body: r.body, Size: r.size, Inserted: now}
-		m.elem = q.msgs.PushBack(m)
-		q.byID[m.ID] = m
+		m := &Message{ID: q.nextID, Body: r.body, Ref: r.ref, Size: r.size, Inserted: now}
+		q.push(m)
 		r.m = m
 		r.finish(nil)
 	case qPeek:
@@ -173,7 +174,7 @@ func (r *ReqFlat) visited() {
 		r.c.Sleep(r.c.DownloadCost(m.Size), r.afterDownload)
 	case qDelete:
 		m, ok := q.byID[r.rcpt.MsgID]
-		if !ok || m.deleted {
+		if !ok {
 			r.finish(r.c.Failf(storerr.CodeNotFound, "message %d", r.rcpt.MsgID))
 			return
 		}
@@ -181,9 +182,7 @@ func (r *ReqFlat) visited() {
 			r.finish(r.c.Failf(storerr.CodeConflict, "stale receipt for message %d", m.ID))
 			return
 		}
-		m.deleted = true
-		q.msgs.Remove(m.elem)
-		delete(q.byID, m.ID)
+		q.remove(m)
 		r.finish(nil)
 	}
 }
@@ -198,7 +197,7 @@ func (r *ReqFlat) downloaded() { r.finish(nil) }
 func (r *ReqFlat) Abort() {
 	r.c.Abort()
 	r.q, r.m = nil, nil
-	r.body, r.rcpt = "", Receipt{}
+	r.body, r.ref, r.rcpt = "", nil, Receipt{}
 	r.addDone, r.peekDone, r.recvDone, r.delDone = nil, nil, nil, nil
 }
 
@@ -209,7 +208,7 @@ func (r *ReqFlat) finish(err error) {
 	// Clear the in-flight state before the callback so the continuation can
 	// issue the next op immediately.
 	r.q, r.m = nil, nil
-	r.body, r.rcpt = "", Receipt{}
+	r.body, r.ref, r.rcpt = "", nil, Receipt{}
 	r.addDone, r.peekDone, r.recvDone, r.delDone = nil, nil, nil, nil
 	switch op {
 	case qAdd:

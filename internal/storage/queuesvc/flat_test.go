@@ -88,8 +88,8 @@ func TestReqFlatTraceMatchesBlocking(t *testing.T) {
 		peekDone := func(m *Message, ok bool, err error) { rec(msgID(m), ok, err); next() }
 		delDone := func(err error) { rec(0, err == nil, err); next() }
 		steps = []func(){
-			func() { r.BeginAdd(&a, q, "m1", 512, addDone) },
-			func() { r.BeginAdd(&a, q, "m2", 2048, addDone) },
+			func() { r.BeginAdd(&a, q, "m1", nil, 512, addDone) },
+			func() { r.BeginAdd(&a, q, "m2", nil, 2048, addDone) },
 			func() { r.BeginPeek(&a, q, peekDone) },
 			func() {
 				r.BeginReceive(&a, q, 5*time.Second, func(m *Message, rc Receipt, ok bool, err error) {

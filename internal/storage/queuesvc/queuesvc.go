@@ -15,7 +15,6 @@
 package queuesvc
 
 import (
-	"container/list"
 	"strconv"
 	"strings"
 	"time"
@@ -66,17 +65,22 @@ func DefaultConfig() Config {
 
 // Message is one queued message. Body is carried verbatim; Size may exceed
 // len(Body) to model padded payloads without allocating them.
+//
+// Ref is an in-process reference the adder hands to whoever receives the
+// message — the campaign passes the task itself instead of formatting its ID
+// into Body and parsing it back. It is never serialised: the service only
+// stores it, and messages added over the wire carry nil.
 type Message struct {
 	ID       uint64
 	Body     string
+	Ref      any
 	Size     int
 	Inserted time.Duration
 	Dequeues int
 
-	visibleAt time.Duration
-	receipt   uint64
-	elem      *list.Element
-	deleted   bool
+	visibleAt  time.Duration
+	receipt    uint64
+	prev, next *Message // links in the queue's arrival order, cleared on delete
 }
 
 // Receipt is the pop receipt required to delete a received message. It is
@@ -131,10 +135,13 @@ type Service struct {
 	calls []*call
 }
 
-// Queue is one named message queue.
+// Queue is one named message queue: its live messages in arrival order, an
+// intrusive list threaded through Message.prev/next so appending allocates
+// nothing beyond the message.
 type Queue struct {
 	name        string
-	msgs        *list.List // *Message in arrival order
+	head, tail  *Message
+	n           int
 	byID        map[uint64]*Message
 	nextID      uint64
 	nextReceipt uint64
@@ -196,7 +203,7 @@ func (s *Service) Pipeline() *reqpath.Pipeline { return s.pl }
 func (s *Service) CreateQueue(name string) *Queue {
 	q, ok := s.queues[name]
 	if !ok {
-		q = &Queue{name: name, msgs: list.New(), byID: make(map[uint64]*Message)}
+		q = &Queue{name: name, byID: make(map[uint64]*Message)}
 		s.queues[name] = q
 	}
 	return q
@@ -209,24 +216,52 @@ func (s *Service) GetQueue(name string) (*Queue, bool) {
 }
 
 // Len returns the number of live (undeleted) messages, visible or not.
-func (q *Queue) Len() int { return q.msgs.Len() }
+func (q *Queue) Len() int { return q.n }
 
 // Prefill inserts n size-byte messages instantly — a test/bench helper for
 // the paper's queue-depth invariance experiment (200k → 2M messages).
 func (q *Queue) Prefill(n, size int) {
 	for i := 0; i < n; i++ {
 		q.nextID++
-		m := &Message{ID: q.nextID, Size: size}
-		m.elem = q.msgs.PushBack(m)
-		q.byID[m.ID] = m
+		q.push(&Message{ID: q.nextID, Size: size})
 	}
+}
+
+// push appends m to the queue.
+func (q *Queue) push(m *Message) {
+	m.prev = q.tail
+	if q.tail != nil {
+		q.tail.next = m
+	} else {
+		q.head = m
+	}
+	q.tail = m
+	q.n++
+	q.byID[m.ID] = m
+}
+
+// remove deletes m from the queue. m keeps no links, so a caller still
+// holding it cannot reach the live queue through it.
+func (q *Queue) remove(m *Message) {
+	if m.prev != nil {
+		m.prev.next = m.next
+	} else {
+		q.head = m.next
+	}
+	if m.next != nil {
+		m.next.prev = m.prev
+	} else {
+		q.tail = m.prev
+	}
+	m.prev, m.next = nil, nil
+	q.n--
+	delete(q.byID, m.ID)
 }
 
 // firstVisible returns the first live visible message at the current time.
 func (q *Queue) firstVisible(now time.Duration) *Message {
-	for e := q.msgs.Front(); e != nil; e = e.Next() {
-		m := e.Value.(*Message)
-		if !m.deleted && m.visibleAt <= now {
+	for m := q.head; m != nil; m = m.next {
+		if m.visibleAt <= now {
 			return m
 		}
 	}
@@ -275,7 +310,7 @@ func (c *call) release() {
 // Add appends a message with the given body, padded to size bytes.
 func (s *Service) Add(p *sim.Proc, q *Queue, body string, size int) (uint64, error) {
 	c := s.call()
-	p.Drive(func(a *sim.Actor) { c.r.BeginAdd(a, q, body, size, c.onAdd) }, c.r.c.Abort)
+	p.Drive(func(a *sim.Actor) { c.r.BeginAdd(a, q, body, nil, size, c.onAdd) }, c.r.c.Abort)
 	id, err := c.id, c.err
 	c.release()
 	return id, err

@@ -43,6 +43,15 @@ type Station struct {
 	rng      *simrand.RNG
 	attached int
 	ops      uint64
+
+	// The jitter is simrand.LogNormalMeanCV(mean latency, CV), computed in
+	// parts: s2 = Log(1+CV²) and sigma = √s2 are constants of the station,
+	// and mu, the log-mean at concurrency muN, is recomputed only when the
+	// concurrency differs from the last draw's. The arithmetic is
+	// LogNormalMeanCV's, so every draw is bit-identical to it.
+	s2, sigma float64
+	muN       int
+	mu        float64
 }
 
 // New builds a station.
@@ -50,7 +59,8 @@ func New(cfg Config, rng *simrand.RNG) *Station {
 	if cfg.S0 <= 0 || cfg.N0 <= 0 || cfg.Gamma < 0 {
 		panic("station: bad config")
 	}
-	return &Station{cfg: cfg, rng: rng}
+	s2 := math.Log(1 + cfg.CV*cfg.CV)
+	return &Station{cfg: cfg, rng: rng, s2: s2, sigma: math.Sqrt(s2), muN: -1}
 }
 
 // Attach registers one more concurrent client.
@@ -81,11 +91,14 @@ func (st *Station) MeanLatency(n int) time.Duration {
 
 // SampleLatency draws one service time at the current concurrency.
 func (st *Station) SampleLatency() time.Duration {
-	mean := st.MeanLatency(st.attached).Seconds()
 	if st.cfg.CV <= 0 {
-		return time.Duration(mean * float64(time.Second))
+		return time.Duration(st.MeanLatency(st.attached).Seconds() * float64(time.Second))
 	}
-	return simrand.Duration(simrand.LogNormalMeanCV(mean, st.cfg.CV), st.rng)
+	if st.attached != st.muN {
+		st.muN = st.attached
+		st.mu = math.Log(st.MeanLatency(st.attached).Seconds()) - st.s2/2
+	}
+	return simrand.Duration(simrand.LogNormal{Mu: st.mu, Sigma: st.sigma}, st.rng)
 }
 
 // Visit performs one operation: the calling process sleeps for a service

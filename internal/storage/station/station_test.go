@@ -152,3 +152,36 @@ func TestBadConfigPanics(t *testing.T) {
 	}()
 	New(Config{S0: 0, N0: 8, Gamma: 2}, simrand.New(1))
 }
+
+// TestSampleLatencyMatchesLogNormalMeanCV: the hoisted jitter parameters
+// draw bit-identically to building the distribution afresh each visit, as
+// the concurrency rises, falls and repeats, and a draw allocates nothing.
+func TestSampleLatencyMatchesLogNormalMeanCV(t *testing.T) {
+	var walk []int
+	for n := 0; n <= 150; n++ {
+		walk = append(walk, n, n)
+	}
+	for n := 150; n >= 0; n -= 3 {
+		walk = append(walk, n)
+	}
+	for _, cv := range []float64{0.08, 0.25, 0.5} {
+		st := New(Config{S0: 40 * time.Millisecond, N0: 64, Gamma: 2, CV: cv}, simrand.New(11))
+		ref := simrand.New(11)
+		for i, n := range walk {
+			for st.Attached() < n {
+				st.Attach()
+			}
+			for st.Attached() > n {
+				st.Detach()
+			}
+			got := st.SampleLatency()
+			want := simrand.Duration(simrand.LogNormalMeanCV(st.MeanLatency(n).Seconds(), cv), ref)
+			if got != want {
+				t.Fatalf("cv %v, draw %d at concurrency %d: %v, want %v", cv, i, n, got, want)
+			}
+		}
+		if a := testing.AllocsPerRun(100, func() { st.SampleLatency() }); a != 0 {
+			t.Fatalf("cv %v: SampleLatency allocates %v objects per draw", cv, a)
+		}
+	}
+}

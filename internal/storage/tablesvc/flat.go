@@ -104,29 +104,25 @@ func (r *GetFlat) finish(err error) {
 	r.done(ent, err)
 }
 
-// target is the partition a write or scan works on, found on arrival.
+// target is the partition a write or scan works on: its table, found on
+// arrival, and its key. The partition itself is looked up afresh at each
+// use, because a delete drops a partition the moment it empties: a request
+// that held the map across a wait could write to, or read from, an orphan
+// that a later insert has replaced.
 type target struct {
-	tab  map[string]partition
-	pk   string
-	part partition // nil while the partition does not exist
+	tab map[string]partition
+	pk  string
 }
 
-// find looks up table's partition pk without creating it; it reports
-// whether the table exists.
+// find looks up table, to work on its partition pk; it reports whether the
+// table exists.
 func (t *target) find(s *Service, table, pk string) bool {
-	t.tab, t.part = s.lookup(table, pk)
-	t.pk = pk
+	t.tab, t.pk = s.tables[table], pk
 	return t.tab != nil
 }
 
-// rows returns the partition. One that was absent on arrival is looked up
-// again, so the request sees a row an insert added while it waited.
-func (t *target) rows() partition {
-	if t.part == nil {
-		t.part = t.tab[t.pk]
-	}
-	return t.part
-}
+// rows returns the partition as it is now, nil when it holds no row.
+func (t *target) rows() partition { return t.tab[t.pk] }
 
 // wop selects which write-class table operation a WriteFlat runs.
 type wop int
@@ -209,13 +205,13 @@ func (r *WriteFlat) BeginDelete(a *sim.Actor, table, pk, rk string) {
 	if !r.begin(a, "table.Delete", table, pk) {
 		return
 	}
-	rw, ok := r.part[rk]
+	rw, ok := r.rows()[rk]
 	r.found = ok
 	r.write(r.svc.delete, rw.size, 0)
 }
 
-// begin runs admission and the partition lookup; it reports whether the
-// request is still alive. Only an insert creates an absent partition.
+// begin runs admission and the table lookup; it reports whether the request
+// is still alive.
 func (r *WriteFlat) begin(a *sim.Actor, op, table, pk string) bool {
 	r.c.Begin(r.svc.pl, op, a)
 	if err := admit(&r.c); err != nil {
@@ -225,9 +221,6 @@ func (r *WriteFlat) begin(a *sim.Actor, op, table, pk string) bool {
 	if !r.find(r.svc, table, pk) {
 		r.finish(r.c.Failf(storerr.CodeNotFound, "table %s", table))
 		return false
-	}
-	if r.part == nil && r.op == wInsert {
-		r.part = addPartition(r.tab, pk)
 	}
 	return true
 }
@@ -258,11 +251,11 @@ func (r *WriteFlat) visited() {
 	r.c.EndVisit()
 	switch r.op {
 	case wInsert:
-		if _, exists := r.part[r.ent.RowKey]; exists {
+		if _, exists := r.rows()[r.ent.RowKey]; exists {
 			r.finish(r.c.Failf(storerr.CodeConflict, "%s/%s exists", r.ent.PartitionKey, r.ent.RowKey))
 			return
 		}
-		r.part[r.ent.RowKey] = row{ent: r.ent, size: r.size}
+		addPartition(r.tab, r.pk)[r.ent.RowKey] = row{ent: r.ent, size: r.size}
 	case wUpdate:
 		part := r.rows()
 		if _, ok := part[r.ent.RowKey]; !ok {
@@ -275,7 +268,11 @@ func (r *WriteFlat) visited() {
 			r.finish(r.c.Failf(storerr.CodeNotFound, "%s/%s", r.pk, r.rk))
 			return
 		}
-		delete(r.part, r.rk)
+		part := r.rows()
+		delete(part, r.rk)
+		if len(part) == 0 {
+			delete(r.tab, r.pk)
+		}
 	}
 	r.finish(nil)
 }

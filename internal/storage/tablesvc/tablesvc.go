@@ -267,16 +267,18 @@ type row struct {
 type partition map[string]row
 
 // lookup returns the table and the (table, pk) partition. t is nil when the
-// table does not exist; p is nil when the partition holds no row yet. Reads
-// look partitions up and never create one, so a request for an absent key
-// (an untrusted wire GET among them) leaves nothing behind.
+// table does not exist; p is nil when the partition holds no row: a
+// partition exists only while it has rows. Reads look partitions up and
+// never create one, so a request for an absent key (an untrusted wire GET
+// among them) leaves nothing behind, and the delete of a partition's last
+// row drops the partition.
 func (s *Service) lookup(table, pk string) (t map[string]partition, p partition) {
 	t = s.tables[table]
 	return t, t[pk]
 }
 
-// addPartition returns t's partition pk, creating it: only writes that may
-// add a row (Insert, Backdoor) call it.
+// addPartition returns t's partition pk, creating it: only writes that add
+// a row (Insert, Backdoor) call it, as they add it.
 func addPartition(t map[string]partition, pk string) partition {
 	p, ok := t[pk]
 	if !ok {

@@ -8,6 +8,7 @@ import (
 
 	"azureobs/internal/sim"
 	"azureobs/internal/simrand"
+	"azureobs/internal/storage/station"
 	"azureobs/internal/storage/storerr"
 )
 
@@ -144,6 +145,71 @@ func TestUpdateSeesPartitionCreatedDuringVisit(t *testing.T) {
 	eng.Run()
 	if err != nil {
 		t.Fatalf("get = %v", err)
+	}
+}
+
+// TestDeleteDropsEmptyPartition: deleting a partition's last row drops the
+// partition, so insert/delete churn over distinct keys leaves the table's
+// partition count where it started.
+func TestDeleteDropsEmptyPartition(t *testing.T) {
+	eng, svc := newSvc()
+	svc.CreateTable("t")
+	svc.Backdoor("t", PaddedEntity("kept", "rk", 100))
+	before := len(svc.tables["t"])
+	eng.Spawn("c", func(p *sim.Proc) {
+		for i := 0; i < 1000; i++ {
+			pk := fmt.Sprintf("churn-%d", i)
+			if err := svc.Insert(p, "t", PaddedEntity(pk, "rk", 100)); err != nil {
+				t.Fatalf("insert %s: %v", pk, err)
+			}
+			if err := svc.Delete(p, "t", pk, "rk"); err != nil {
+				t.Fatalf("delete %s: %v", pk, err)
+			}
+		}
+	})
+	eng.Run()
+	if after := len(svc.tables["t"]); after != before {
+		t.Fatalf("partitions = %d after 1000 insert+delete pairs, want %d", after, before)
+	}
+	if svc.PartitionSize("t", "kept") != 1 {
+		t.Fatal("an untouched partition lost its row")
+	}
+}
+
+// TestUpdateLandsInRecreatedPartition: an update whose partition is emptied
+// (and so dropped) and then recreated while it visits the station writes
+// to the live partition, not to the dropped one.
+func TestUpdateLandsInRecreatedPartition(t *testing.T) {
+	eng := sim.NewEngine()
+	// A slow, jitter-free update station keeps the update visiting while
+	// the delete and the re-insert complete.
+	svc := New(eng, simrand.New(1), Config{Update: station.Config{S0: time.Second, N0: 8, Gamma: 2}})
+	svc.Backdoor("t", PaddedEntity("p", "rk", 100))
+	var uerr error
+	eng.Spawn("updater", func(p *sim.Proc) {
+		uerr = svc.Update(p, "t", PaddedEntity("p", "rk", 300))
+	})
+	eng.Spawn("churner", func(p *sim.Proc) {
+		if err := svc.Delete(p, "t", "p", "rk"); err != nil {
+			t.Errorf("delete: %v", err)
+		}
+		if _, ok := svc.tables["t"]["p"]; ok {
+			t.Error("partition survived the delete of its last row")
+		}
+		if err := svc.Insert(p, "t", PaddedEntity("p", "rk", 200)); err != nil {
+			t.Errorf("re-insert: %v", err)
+		}
+	})
+	eng.Run()
+	if uerr != nil {
+		t.Fatalf("update = %v, want success against the recreated row", uerr)
+	}
+	var e *Entity
+	var gerr error
+	eng.Spawn("reader", func(p *sim.Proc) { e, gerr = svc.Get(p, "t", "p", "rk") })
+	eng.Run()
+	if gerr != nil || e.Size() != 300 {
+		t.Fatalf("live row after update: %v, %v; want the updated 300-byte entity", e, gerr)
 	}
 }
 

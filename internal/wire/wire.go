@@ -620,7 +620,7 @@ func (c *conn) run2() {
 			c.finishErr(storerr.New(storerr.CodeNotFound, "queue.Add", "queue "+op.queue))
 			return
 		}
-		c.queueReq().BeginAdd(&c.a, q, op.body, int(op.size), c.onAdd)
+		c.queueReq().BeginAdd(&c.a, q, op.body, nil, int(op.size), c.onAdd)
 	case opMsgPeek:
 		q, ok := c.f.cloud.Queue.GetQueue(op.queue)
 		if !ok {

@@ -12,6 +12,7 @@ import (
 
 	"azureobs/internal/azure"
 	"azureobs/internal/sim"
+	"azureobs/internal/storage/queuesvc"
 	"azureobs/internal/storage/storerr"
 )
 
@@ -195,6 +196,25 @@ func TestWireQueueLifecycle(t *testing.T) {
 
 	ts.want("DELETE", "/queue/tasks/messages/garbage", nil, 400)
 	ts.want("GET", "/queue/nosuch/messages", nil, 404)
+}
+
+// TestWireMessagesCarryNoRef: a message added over the wire carries no
+// in-process reference; Message.Ref is never serialised.
+func TestWireMessagesCarryNoRef(t *testing.T) {
+	ts := newTestServer(t)
+	ts.want("PUT", "/queue/tasks", nil, 201)
+	ts.want("POST", "/queue/tasks/messages?size=512", nil, 201)
+	got := make(chan *queuesvc.Message, 1)
+	ts.rt.Do(func() {
+		q, _ := ts.cloud.Queue.GetQueue("tasks")
+		ts.cloud.Engine.Spawn("peek", func(p *sim.Proc) {
+			m, _, _ := ts.cloud.Queue.Peek(p, q)
+			got <- m
+		})
+	})
+	if m := <-got; m == nil || m.Ref != nil {
+		t.Fatalf("wire-added message = %+v, want one with a nil Ref", m)
+	}
 }
 
 // TestWireErrorEnvelopeAllCodes drives every storerr code through the
