@@ -3,9 +3,9 @@
 # suite under the race detector, smoke-runs every benchmark once so the
 # bench harness can never rot, self-tests the perfbench module, and gives
 # each fuzz target a short live-fuzz burst beyond its seed corpus.
-.PHONY: check fmt-check build vet test bench-smoke perfbench-selftest fuzz-smoke bench netbench storagebench schedbench simbench simbench-gate scalebench scalebench-smoke domainbench domainbench-smoke domainbench-gate geobench geobench-smoke geobench-smoke-gate geobench-gate campaignbench campaignbench-smoke campaignbench-gate validate serve wiresmoke
+.PHONY: check fmt-check build vet test bench-smoke perfbench-selftest fuzz-smoke bench netbench storagebench schedbench simbench simbench-gate scalebench scalebench-smoke domainbench domainbench-smoke domainbench-gate geobench geobench-smoke geobench-smoke-gate geobench-gate validate serve wiresmoke
 
-check: fmt-check build vet test bench-smoke perfbench-selftest fuzz-smoke scalebench-smoke domainbench-smoke geobench-smoke-gate campaignbench-smoke wiresmoke
+check: fmt-check build vet test bench-smoke perfbench-selftest fuzz-smoke scalebench-smoke domainbench-smoke geobench-smoke-gate wiresmoke
 
 # Fails when gofmt would reformat any file; `gofmt -l .` lists them.
 fmt-check:
@@ -120,25 +120,6 @@ geobench-smoke-gate: geobench-smoke
 # against the checked-in BENCH_geo.json.
 geobench-gate:
 	go run ./cmd/azbench -run geobench -gate BENCH_geo.json
-
-# Domain-sharded ModisAzure campaign ladder (domains 1/2/4/8 over a 21-day
-# quick campaign on eight workload shards) refreshing the checked-in
-# BENCH_campaign.json; every rung must produce the identical campaign
-# fingerprint.
-campaignbench:
-	go run ./cmd/azbench -run campaignbench
-
-# Reduced ladder (domains 1/2, 7-day campaign) with the same cross-domain
-# fingerprint-equality assertions. Writes its artifact to /tmp so the
-# checked-in full-scale capture stays untouched.
-campaignbench-smoke:
-	go run ./cmd/azbench -run campaignbench -quick -benchout /tmp/BENCH_campaign_smoke.json
-
-# Regression step through the shared ladder gate: rerun the campaign at
-# domains=1 (min of five) and fail on >10% slowdown — or any fingerprint
-# drift — against the checked-in BENCH_campaign.json.
-campaignbench-gate:
-	go run ./cmd/azbench -run campaignbench -gate BENCH_campaign.json
 
 # Serve the simulated cloud over the 2009 Azure REST surface on
 # localhost:10000 (freerun clock; see cmd/azserve for paced mode and

@@ -15,20 +15,20 @@ import (
 // domains=1 row prices the coordinator's single-domain overhead, which
 // -gate holds to 10% of the checked-in BENCH_domains.json.
 
-// domainScaleShards is the fixed shard count of the scale-cell suite. It
-// does not vary with the domain ladder — the same 8 shard worlds run at
-// every width (shard s on domain s%D), which is what makes the rungs'
-// traces comparable in the first place.
-const domainScaleShards = 8
+// domainScaleClouds is the fixed shard-cloud count of the scale-cell
+// suite. It does not vary with the domain ladder — the same 8 shard worlds
+// run at every width (shard s on domain s%D), which is what makes the
+// rungs' traces comparable in the first place.
+const domainScaleClouds = 8
 
 // runDomainScaleCell runs one scalebench-style rung of n clients split into
-// domainScaleShards self-contained shard clouds placed round-robin on a
+// domainScaleClouds self-contained shard clouds placed round-robin on a
 // domains-wide group. Each shard's cloud seed and client stream root derive
 // from the shard index alone (root.ForkDomain(s)), so no draw anywhere
 // depends on the domain count — the summed tallies, total events, and final
 // virtual time must match at every width, and that tuple is the trace hash.
 func runDomainScaleCell(seed uint64, n, domains int, window time.Duration) rung {
-	shards := domainScaleShards
+	shards := domainScaleClouds
 	per := n / shards
 	g := sim.NewDomains(domains)
 	if window > 0 {

@@ -11,7 +11,7 @@ import (
 	"azureobs/internal/sim"
 )
 
-// The domain-ladder benches (domainbench, geobench, campaignbench) share one
+// The domain-ladder benches (domainbench, geobench) share one
 // shape: a cell re-run at a ladder of sim.Domains widths, its trace hash
 // required identical at every rung, so the run that measures the speedup
 // also checks the determinism contract. On a single-CPU host GOMAXPROCS
@@ -35,8 +35,8 @@ type ladderPoint struct {
 	TraceHash  string   `json:"trace_hash"`
 	Events     uint64   `json:"events_fired,omitempty"`
 	// ClampedGroups counts groups that ran narrower than the requested
-	// width (a layer clamped the ask — geo to its region count, modis to
-	// its shard count). Surfaced per the no-silent-caps convention.
+	// width (geo clamps the ask to its region count). Surfaced per the
+	// no-silent-caps convention.
 	ClampedGroups int `json:"clamped_groups,omitempty"`
 }
 

@@ -43,11 +43,11 @@ func main() { os.Exit(run(os.Args[1:])) }
 func run(args []string) int {
 	fs := flag.NewFlagSet("azbench", flag.ExitOnError)
 	var (
-		runName = fs.String("run", "all", "artifact: all|"+strings.Join(core.Names(), "|")+"|netbench|storagebench|schedbench|simbench|scalebench|domainbench|geobench|campaignbench")
+		runName = fs.String("run", "all", "artifact: all|"+strings.Join(core.Names(), "|")+"|netbench|storagebench|schedbench|simbench|scalebench|domainbench|geobench")
 		seed    = fs.Uint64("seed", 42, "root random seed")
 		quick   = fs.Bool("quick", false, "reduced scale for fast runs")
 		workers = fs.Int("workers", 1, "scheduler width: independent experiment cells run on this many goroutines (1 = serial; results are bit-identical at any width)")
-		domains = fs.Int("domains", 0, "sim.Domains width for experiments of coupled worlds: fig8geo shards its regions and chaosreport its campaign shards across this many concurrently-executing engines (0 = the experiment's default; results are bit-identical at any width, and -domains composes with -workers)")
+		domains = fs.Int("domains", 0, "sim.Domains width for fig8geo, whose worlds shard their regions across this many concurrently-executing engines (0 = one domain; results are bit-identical at any width, and -domains composes with -workers)")
 		entity  = fs.Int("entity", 4096, "fig2 entity size in bytes (1024|4096|16384|65536)")
 		msg     = fs.Int("msg", 512, "fig3 message size in bytes (512|1024|4096|8192)")
 		csv     = fs.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -55,7 +55,7 @@ func run(args []string) int {
 		bench   = fs.String("benchout", "", "output path for the netbench/storagebench/schedbench/simbench artifact (default BENCH_<suite>.json)")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf = fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
-		gate    = fs.String("gate", "", "simbench/domainbench/geobench/campaignbench: regression-gate mode — rerun the gated suites and fail if >10% slower than this BENCH_sim.json / BENCH_domains.json / BENCH_geo.json / BENCH_campaign.json")
+		gate    = fs.String("gate", "", "simbench/domainbench/geobench: regression-gate mode — rerun the gated suites and fail if >10% slower than this BENCH_sim.json / BENCH_domains.json / BENCH_geo.json")
 	)
 	fs.Parse(args)
 	if *cpuProf != "" {
@@ -160,15 +160,6 @@ func run(args []string) int {
 			out = "BENCH_geo.json"
 		}
 		return runGeoBench(*seed, *quick, out)
-	case "campaignbench":
-		if *gate != "" {
-			return runCampaignGate(*gate)
-		}
-		out := *bench
-		if out == "" {
-			out = "BENCH_campaign.json"
-		}
-		return runCampaignBench(*seed, *quick, out)
 	}
 
 	proto := core.Proto{Seed: *seed, Workers: *workers, Domains: *domains}

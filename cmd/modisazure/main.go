@@ -61,8 +61,6 @@ func main() {
 		ablate   = flag.String("ablate", "", "run the kill-multiple ablation at these comma-separated multiples instead of one campaign")
 		parallel = flag.Int("parallel", 1, "scheduler workers for the ablation's independent campaigns (-workers means worker-role instances)")
 		chaosOn  = flag.Bool("chaos", false, "run the default whole-datacenter fault campaign (host crashes, degradations, rack partitions, storage outages) alongside the workload and report the failure taxonomy")
-		domains  = flag.Int("domains", 0, "run the campaign domain-sharded at this width (0 = legacy single-engine mode); results are bit-identical at every width")
-		shards   = flag.Int("shards", 0, "workload shards for -domains mode (default 8; changing this changes the trace, changing -domains does not)")
 	)
 	flag.Parse()
 
@@ -78,10 +76,6 @@ func main() {
 	if *chaosOn {
 		ch := chaos.DefaultConfig()
 		cfg.Chaos = &ch
-	}
-	cfg.Domains = *domains
-	if *shards > 0 {
-		cfg.Shards = *shards
 	}
 
 	if *ablate != "" {
@@ -116,13 +110,6 @@ func main() {
 		cfg.Days, cfg.Workers, cfg.Seed)
 	start := time.Now()
 	campaign := modis.NewCampaign(cfg)
-	if eff := campaign.EffectiveDomains(); eff > 0 {
-		if campaign.RequestedDomains() > eff {
-			fmt.Printf("note: -domains %d clamped to %d (shard count; a domain with no shard would idle)\n",
-				campaign.RequestedDomains(), eff)
-		}
-		fmt.Printf("domain-sharded: %d domains\n\n", eff)
-	}
 	if *chaosOn {
 		// Recording mode: violations are counted and reported with the
 		// taxonomy instead of aborting the campaign mid-fault.
@@ -217,12 +204,8 @@ func main() {
 	meter.ChargeStorage(products*20_000_000, time.Duration(cfg.Days)*12*time.Hour)
 	fmt.Printf("estimated bill (2010 rates): %s\n", meter.Bill())
 
-	if ds := campaign.DomainStats(); campaign.EffectiveDomains() > 0 {
-		fmt.Printf("domain group: %d rounds, utilization %.2f\n", ds.Rounds, ds.Utilization())
-	}
-
 	if *showlog > 0 {
-		recent := campaign.RecentRecords()
+		recent := campaign.Log.Recent()
 		if len(recent) > *showlog {
 			recent = recent[len(recent)-*showlog:]
 		}

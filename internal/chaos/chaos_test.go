@@ -205,24 +205,3 @@ func TestHorizonAndRepairDrain(t *testing.T) {
 		t.Fatal("no crashes in 3 days at 4 h MTBF")
 	}
 }
-
-// Merge folds counts, MTTR samples and the scalar tallies.
-func TestReportMerge(t *testing.T) {
-	a, b := newReport(), newReport()
-	a.inject(ClassHostCrash, 10*time.Minute)
-	b.inject(ClassHostCrash, 30*time.Minute)
-	b.inject(ClassRackPartition, time.Hour)
-	b.repairedInc(ClassRackPartition)
-	a.VMsKilled, b.VMsKilled = 2, 3
-	a.Merge(b)
-	if a.Injected(ClassHostCrash) != 2 || a.Injected(ClassRackPartition) != 1 {
-		t.Fatalf("merged counts wrong: %d, %d",
-			a.Injected(ClassHostCrash), a.Injected(ClassRackPartition))
-	}
-	if got, want := a.MTTR(ClassHostCrash), 20*time.Minute; got != want {
-		t.Fatalf("merged MTTR = %v, want %v", got, want)
-	}
-	if a.VMsKilled != 5 {
-		t.Fatalf("merged VMsKilled = %d", a.VMsKilled)
-	}
-}

@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"azureobs/internal/metrics"
@@ -40,9 +39,6 @@ type Report struct {
 	// campaign driver after the run from sim.Invariants.
 	Violations uint64
 }
-
-// NewReport returns an empty report, ready to Merge per-shard reports into.
-func NewReport() *Report { return newReport() }
 
 func newReport() *Report {
 	return &Report{
@@ -97,35 +93,6 @@ func (r *Report) AddWorkLost(d time.Duration) { r.WorkLost += d }
 // AddWorkRecovered credits re-executed work that a crash had interrupted
 // (campaign layer).
 func (r *Report) AddWorkRecovered(d time.Duration) { r.WorkRecovered += d }
-
-// Merge folds another report into this one — the chaosreport experiment runs
-// independent scenario cells and merges per-scenario taxonomies for its
-// combined anchors.
-func (r *Report) Merge(o *Report) {
-	for c, n := range o.injected {
-		r.injected[c] += n
-	}
-	for c, n := range o.repaired {
-		r.repaired[c] += n
-	}
-	keys := make([]Class, 0, len(o.mttr))
-	for c := range o.mttr {
-		keys = append(keys, c)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, c := range keys {
-		s := r.mttr[c]
-		if s == nil {
-			s = &metrics.Summary{}
-			r.mttr[c] = s
-		}
-		s.Merge(o.mttr[c])
-	}
-	r.VMsKilled += o.VMsKilled
-	r.WorkLost += o.WorkLost
-	r.WorkRecovered += o.WorkRecovered
-	r.Violations += o.Violations
-}
 
 // Render writes the §5-style taxonomy table.
 func (r *Report) Render(w io.Writer) {

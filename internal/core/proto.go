@@ -49,13 +49,11 @@ type Proto struct {
 	Scale Scale // which protocol variant a registry Run expands to
 	Size  int   // payload-size override in bytes (blob/entity/message); 0 = scale default
 
-	// Domains is the sim.Domains width for experiments whose cells are
-	// coupled worlds that exchange mail: fig8geo shards each world's
-	// regions across this many engines, chaosreport its campaigns' workload
-	// shards. 0 is the experiment's default (one domain for fig8geo, the
-	// unsharded campaign for chaosreport). Traces are bit-identical at every
-	// width, and Domains composes with Workers. Experiments of independent
-	// cells ignore it: their cells already shard over Workers.
+	// Domains is the sim.Domains width for fig8geo, whose worlds are
+	// coupled regions that exchange mail: each world shards its regions
+	// across this many engines. 0 is one domain. Traces are bit-identical
+	// at every width, and Domains composes with Workers. Every other
+	// experiment ignores it: their cells already shard over Workers.
 	Domains int
 
 	// DomainStats, when non-nil, accumulates coordinator accounting

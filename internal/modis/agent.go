@@ -11,8 +11,7 @@ import (
 )
 
 // Every activity of the campaign — the portal, the service manager, the
-// workers, a shard's dispatcher and the crash path's reclaim and
-// re-acquire helpers — is a sim.Actor state machine: it arms a cached
+// workers and the crash path's reclaim and re-acquire helpers — is a sim.Actor state machine: it arms a cached
 // continuation where a process would block and returns to the kernel, so
 // the campaign runs on no goroutine but the one driving the engine. Each
 // stage schedules exactly the event a blocking process would (a sleep's
@@ -166,10 +165,9 @@ func (ag *agent) finished(err error) {
 // queue so idle workers do not busy-poll across months of simulated time.
 // (The production system polled; the token queue reproduces the same FIFO
 // delivery without 10^8 empty polls.) Each task message carries its task
-// as the message's Ref; the task's queuedOn holds the id of the queue it is
-// live on (see Task).
+// as the message's Ref; the task's queued flag says whether that message
+// is still live (see Task).
 type taskQueue struct {
-	id     uint32 // nonzero, unique within the campaign
 	q      *queuesvc.Queue
 	tokens *sim.Queue[uint64]
 
@@ -179,9 +177,8 @@ type taskQueue struct {
 	delivered uint64
 }
 
-func newTaskQueue(cloud *azure.Cloud, id uint32) *taskQueue {
+func newTaskQueue(cloud *azure.Cloud) *taskQueue {
 	return &taskQueue{
-		id:     id,
 		q:      cloud.Queue.CreateQueue("modis-tasks"),
 		tokens: sim.NewQueue[uint64](),
 	}
@@ -211,7 +208,7 @@ func (ag *agent) enqueueNext() {
 		return
 	}
 	t := ag.run[ag.runIdx]
-	t.queuedOn.Store(ag.tq.id)
+	t.queued = true
 	ag.add(ag.tq.q, "", t, 1024, ag.onEnqueued)
 }
 
@@ -219,7 +216,7 @@ func (ag *agent) enqueued(err error) {
 	t := ag.run[ag.runIdx]
 	ag.runIdx++
 	if err != nil {
-		t.queuedOn.Store(0)
+		t.queued = false
 	} else {
 		ag.tq.tokens.Put(t.ID)
 	}

@@ -119,7 +119,6 @@ func RunChaosReport(cfg ChaosReportConfig) *ChaosReportResult {
 			MeanRequestGap:      100 * time.Minute,
 			MeanTasksPerRequest: 140,
 			Chaos:               sc.cfg(),
-			Domains:             cfg.Proto.Domains,
 		})
 		// Recording mode: a violation must not abort the campaign mid-fault —
 		// the whole point is counting what survives. (If a test binary turned

@@ -7,12 +7,10 @@ import (
 )
 
 // Fingerprint condenses every campaign observable into one FNV-64a word —
-// the equivalence currency of the domain-sharding work: two runs agree on
-// the fingerprint iff they agree on the Table 2 execution mix, the daily
-// series, the request books, and every float tally bit for bit. The field
-// walk order is fixed, and sample values are hashed sorted, so the word is
-// insensitive to float accumulation order only where the model itself is
-// (it is not: merges run in shard order precisely so the floats match too).
+// what the campaign goldens pin: two runs agree on the fingerprint iff they
+// agree on the Table 2 execution mix, the daily series, the request books,
+// and every float tally bit for bit. The field walk order is fixed, and
+// sample values are hashed sorted.
 func (s *Stats) Fingerprint() uint64 {
 	h := fnv.New64a()
 	buf := make([]byte, 0, 64)

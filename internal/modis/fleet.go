@@ -14,17 +14,12 @@ import (
 	"azureobs/internal/simrand"
 )
 
-// fleet is the worker side of a campaign on one engine: the worker VMs and
-// their actors, the task queue they drain, the books their executions
-// land in and, under chaos, the fault engine and crash handling. The
-// serial campaign runs one fleet; a sharded campaign runs one per shard.
-// The two paths differ only in where a worker's verdict goes: the serial
-// fleet retires and re-enqueues tasks in place, a shard mails notes to
-// its coordinator.
+// fleet is the worker side of a campaign: the worker VMs and their actors,
+// the task queue they drain, the books their executions land in and, under
+// chaos, the fault engine and crash handling. Workers retire and re-enqueue
+// tasks in place.
 type fleet struct {
-	camp  *Campaign
-	shard *shard // nil on the serial path
-	name  string // actor-name prefix
+	camp *Campaign
 
 	eng   *sim.Engine
 	cloud *azure.Cloud
@@ -83,7 +78,7 @@ func (f *fleet) start() {
 	f.current = make([]*Task, len(f.vms))
 	f.execStart = make([]time.Duration, len(f.vms))
 	for i, vm := range f.vms {
-		f.workers[i] = f.newWorker(fmt.Sprintf("%sworker%d", f.name, i), vm, i, f.rng.ForkN("worker", i))
+		f.workers[i] = f.newWorker(fmt.Sprintf("worker%d", i), vm, i, f.rng.ForkN("worker", i))
 	}
 	if f.chaos != nil {
 		f.vmSlot = make(map[*fabric.VM]int, len(f.vms))
@@ -123,11 +118,7 @@ func (f *fleet) onHostDown(_ *fabric.Host, failed []*fabric.VM) {
 			t.lost = true
 			f.current[slot] = nil
 			f.stats.CrashAborted++
-			if f.shard != nil {
-				f.shard.sendNote(noteCrash, t)
-			} else {
-				f.reclaim([]*Task{t})
-			}
+			f.reclaim([]*Task{t})
 		}
 		if w := f.workers[slot]; w != nil {
 			w.kill()
@@ -153,7 +144,7 @@ func (f *fleet) reclaim(tasks []*Task) {
 // stream of its own.
 func (f *fleet) reacquire(slot, gen int) {
 	a := &sim.Actor{}
-	a.Bind(f.eng, fmt.Sprintf("%sreacquire/%d", f.name, gen))
+	a.Bind(f.eng, fmt.Sprintf("reacquire/%d", gen))
 	a.Go(func() {
 		a.Sleep(simrand.Duration(simrand.Uniform{
 			Lo: (10 * time.Minute).Seconds(), Hi: (45 * time.Minute).Seconds()}, f.reacqRNG), func() {
@@ -162,7 +153,7 @@ func (f *fleet) reacquire(slot, gen int) {
 			f.vmSlot[nvm] = slot
 			f.stats.ReplacementVMs++
 			rng := f.rng.ForkN("worker-r", gen)
-			f.workers[slot] = f.newWorker(fmt.Sprintf("%sworker%d/r%d", f.name, slot, gen), nvm, slot, rng)
+			f.workers[slot] = f.newWorker(fmt.Sprintf("worker%d/r%d", slot, gen), nvm, slot, rng)
 			a.Finish()
 		})
 	})
@@ -247,14 +238,14 @@ func (w *worker) deleted(error) {
 	tq := w.f.queue
 	t := w.msg.Ref.(*Task)
 	w.msg = nil
-	if t.queuedOn.Load() != tq.id {
+	if !t.queued {
 		// Stale redelivery of a message whose earlier delete failed: its
 		// task already ran. Discard and receive again on the same token,
 		// which still has a live message to pair with.
 		w.receive(tq.q, w.onReceived)
 		return
 	}
-	t.queuedOn.Store(0)
+	t.queued = false
 	w.credited = false
 	tq.delivered++
 	w.execute(t)
@@ -346,17 +337,6 @@ func (w *worker) executed() {
 	retry := outcome.retryable && !outcome.completes && task.Attempts < f.camp.cfg.MaxAttempts
 	if retry {
 		st.Retries++
-	}
-	if sh := f.shard; sh != nil {
-		if retry {
-			sh.sendNote(noteRetry, task)
-		} else {
-			sh.sendNote(noteFinish, task)
-		}
-		w.loop()
-		return
-	}
-	if retry {
 		w.enqueueOne(f.queue, task, w.onLoop)
 		return
 	}

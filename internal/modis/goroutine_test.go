@@ -4,40 +4,27 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"azureobs/internal/sim"
 )
 
-// TestCampaignGoroutineBaseline runs a serial, a sharded and a chaos
-// campaign and checks that each leaves no goroutine behind: every campaign
-// activity is a flat actor, so a run that stops at its horizon parks
-// nothing.
+// TestCampaignGoroutineBaseline runs a fault-free and a chaos campaign and
+// checks that each spawns no process and leaves no goroutine behind: every
+// campaign activity is a flat actor, so a run that stops at its horizon
+// parks nothing.
 func TestCampaignGoroutineBaseline(t *testing.T) {
 	cells := []struct {
 		name string
 		cfg  Config
 	}{
 		{"serial", shortConfig(42)},
-		{"sharded", shardedShortConfig(42, 2, false)},
 		{"chaos", chaosCell(shortConfig(42))},
-		{"sharded/chaos", shardedShortConfig(42, 2, true)},
 	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			camp := NewCampaign(c.cfg)
 			camp.Run()
-			engines := []*sim.Engine{camp.Cloud().Engine}
-			if camp.group != nil {
-				engines = engines[:0]
-				for i := 0; i < camp.group.N(); i++ {
-					engines = append(engines, camp.group.Domain(i))
-				}
-			}
-			for i, e := range engines {
-				if n := e.ProcsSpawned(); n != 0 {
-					t.Errorf("engine %d spawned %d processes, want 0", i, n)
-				}
+			if n := camp.Cloud().Engine.ProcsSpawned(); n != 0 {
+				t.Errorf("spawned %d processes, want 0", n)
 			}
 			assertGoroutines(t, base)
 		})
@@ -55,8 +42,7 @@ func chaosCell(cfg Config) Config {
 }
 
 // assertGoroutines fails unless the goroutine count settles at or below
-// base. Goroutines that are exiting (a domain round's workers after the
-// barrier) get a moment to finish.
+// base. Goroutines that are exiting get a moment to finish.
 func assertGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)

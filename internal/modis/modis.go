@@ -2,7 +2,6 @@ package modis
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -60,26 +59,6 @@ type Config struct {
 	// label-forked, so a nil/disabled config leaves every trace
 	// bit-identical.
 	Chaos *chaos.Config
-
-	// Domains ≥ 1 runs the campaign sharded onto a sim.Domains group of
-	// that width (clamped to Shards; the clamp is surfaced through
-	// RequestedDomains/EffectiveDomains, never silent). Zero keeps the
-	// legacy single-engine path, byte-identical to previous releases.
-	// Sharded results are bit-identical at every width — shard identity is
-	// fixed by Shards, not Domains — but differ from the legacy path,
-	// whose queue is a single serial object.
-	Domains int
-
-	// Shards is the fixed partition count for sharded runs (default 8):
-	// workers, their VMs/hosts/degradation streams, and the task queue
-	// split into this many shards, shard s running on domain s mod
-	// Domains. Changing Shards changes the trace; changing Domains does
-	// not.
-	Shards int
-
-	// DomainStats, when non-nil, accumulates the coordinator's
-	// rounds/mail/busy accounting for sharded runs (bench plumbing).
-	DomainStats *sim.DomainAccum
 }
 
 // DefaultConfig is the paper-scale campaign.
@@ -206,8 +185,7 @@ type Campaign struct {
 	// bit-identical.
 	retry azure.RetryPolicy
 
-	// fleet is the serial campaign's worker side; nil when sharded, where
-	// every shard runs its own.
+	// fleet is the campaign's worker side.
 	fleet *fleet
 
 	// Request intake (Fig. 6): portal → request table + service queue →
@@ -218,30 +196,12 @@ type Campaign struct {
 	nextTaskID uint64
 	nextReqID  uint64
 
-	// Conservation counters (checked against the invariant harness at the
-	// end of Run): finishes counts finishTask calls (serial mode) or
-	// applied finish notes (sharded mode).
+	// finishes counts finishTask calls, a conservation counter checked
+	// against the invariant harness at the end of Run.
 	finishes uint64
-
-	// Sharded mode (cfg.Domains ≥ 1). The coordinator — portal, service
-	// manager, request state, task dispatch — lives on domain 0 with its
-	// own cloud (c.cloud); workers, their VMs/hosts/degradation streams
-	// and the task queue split into cfg.Shards shards, shard s on domain
-	// s mod width. All cross-shard traffic is boundary mail: dispatches
-	// outbound, completion/retry/crash notes inbound, drained from inbox
-	// in the canonical (send time, shard, per-shard seq) order so every
-	// coordinator decision is independent of the domain width.
-	group            *sim.Domains
-	shards           []*shard
-	requestedDomains int
-	inbox            []taskNote
-	inboxArmed       bool
-	dispatchSeq      uint64
-	applied          [numNoteKinds]uint64
 }
 
-// withDefaults fills zero fields from DefaultConfig and normalises the
-// sharding knobs.
+// withDefaults fills zero fields from DefaultConfig.
 func (cfg Config) withDefaults() Config {
 	def := DefaultConfig()
 	if cfg.Days == 0 {
@@ -267,9 +227,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MaxAttempts == 0 {
 		cfg.MaxAttempts = def.MaxAttempts
-	}
-	if cfg.Domains > 0 && cfg.Shards == 0 {
-		cfg.Shards = defaultShards
 	}
 	return cfg
 }
@@ -298,10 +255,6 @@ func newCampaignStats(days int) *Stats {
 // NewCampaign assembles a campaign.
 func NewCampaign(cfg Config) *Campaign {
 	cfg = cfg.withDefaults()
-	if cfg.Domains > 0 {
-		return newShardedCampaign(cfg)
-	}
-
 	ccfg := azure.Config{Seed: cfg.Seed, Faults: cfg.StorageFaults}
 	ccfg.Fabric = fabric.DefaultConfig()
 	ccfg.Fabric.Degradation = true
@@ -331,7 +284,7 @@ func NewCampaign(cfg Config) *Campaign {
 		stats: c.Stats,
 		log:   c.Log,
 		vms:   cloud.Controller.ReadyFleet(cfg.Workers, fabric.Worker, fabric.Small),
-		queue: newTaskQueue(cloud, 1),
+		queue: newTaskQueue(cloud),
 	}
 	// The request path of Fig. 6: the portal stores each request in an
 	// Azure table and enqueues it on a service queue watched by the
@@ -353,113 +306,36 @@ func NewCampaign(cfg Config) *Campaign {
 	return c
 }
 
-// Cloud exposes the underlying cloud (tests and the CLI use it). In sharded
-// mode this is the coordinator's cloud on domain 0.
+// Cloud exposes the underlying cloud (tests and the CLI use it).
 func (c *Campaign) Cloud() *azure.Cloud { return c.cloud }
 
 // ChaosReport returns the fault-campaign taxonomy, or nil when chaos is off.
-// A sharded campaign's report is the shard reports merged in shard order.
 func (c *Campaign) ChaosReport() *chaos.Report {
-	if c.group != nil {
-		if c.shards[0].chaos == nil {
-			return nil
-		}
-		rep := chaos.NewReport()
-		for _, sh := range c.shards {
-			rep.Merge(sh.chaos.Report())
-		}
-		rep.Violations = c.InvariantViolations()
-		return rep
-	}
 	if c.fleet.chaos == nil {
 		return nil
 	}
 	return c.fleet.chaos.Report()
 }
 
-// EnableInvariants turns on the kernel invariant harness for every engine
-// the campaign runs on (one in legacy mode, every domain in sharded mode).
-// failFast=false records violations instead of panicking.
-func (c *Campaign) EnableInvariants(failFast bool) {
-	if c.group == nil {
-		c.cloud.Engine.EnableInvariants(failFast)
-		return
-	}
-	for i := 0; i < c.group.N(); i++ {
-		c.group.Domain(i).EnableInvariants(failFast)
-	}
-}
+// EnableInvariants turns on the kernel invariant harness for the
+// campaign's engine. failFast=false records violations instead of
+// panicking.
+func (c *Campaign) EnableInvariants(failFast bool) { c.cloud.Engine.EnableInvariants(failFast) }
 
-// InvariantViolations sums recorded invariant violations across the
-// campaign's engines (zero when the harness was never enabled).
+// InvariantViolations returns the recorded invariant violations (zero when
+// the harness was never enabled).
 func (c *Campaign) InvariantViolations() uint64 {
-	if c.group == nil {
-		if inv := c.cloud.Engine.Invariants(); inv != nil {
-			return inv.ViolationCount()
-		}
-		return 0
-	}
-	var n uint64
-	for i := 0; i < c.group.N(); i++ {
-		if inv := c.group.Domain(i).Invariants(); inv != nil {
-			n += inv.ViolationCount()
-		}
-	}
-	return n
-}
-
-// RequestedDomains and EffectiveDomains surface the sharding clamp: a
-// request for more domains than shards is cut to the shard count (a domain
-// with no shard would idle every round), and callers are expected to report
-// the difference rather than let it pass silently.
-func (c *Campaign) RequestedDomains() int { return c.requestedDomains }
-
-// EffectiveDomains returns the domain width the campaign actually runs at
-// (0 in legacy mode).
-func (c *Campaign) EffectiveDomains() int {
-	if c.group == nil {
-		return 0
-	}
-	return c.group.N()
-}
-
-// DomainStats returns the sharded coordinator's accounting (zero in legacy
-// mode). Valid after Run.
-func (c *Campaign) DomainStats() sim.DomainStats {
-	if c.group == nil {
-		return sim.DomainStats{}
-	}
-	s := c.group.Stats()
-	s.Requested = c.requestedDomains
-	return s
-}
-
-// RecentRecords returns the tail of the campaign's execution log — the ring
-// contents in legacy mode, the shard rings merged by (time, shard) in
-// sharded mode.
-func (c *Campaign) RecentRecords() []oplog.Record {
-	if c.group == nil {
-		return c.Log.Recent()
-	}
-	var out []oplog.Record
-	for _, sh := range c.shards {
-		out = append(out, sh.log.Recent()...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
-	return out
+	return c.cloud.Engine.Invariants().ViolationCount()
 }
 
 // Run executes the campaign for its configured horizon.
 func (c *Campaign) Run() *Stats {
-	if c.group != nil {
-		return c.runSharded()
-	}
 	c.startIntake()
 	c.fleet.start()
 	c.cloud.Engine.RunUntil(time.Duration(c.cfg.Days) * 24 * time.Hour)
 	c.checkConservation()
 	if ch := c.fleet.chaos; ch != nil {
-		ch.Report().Violations = c.cloud.Engine.Invariants().ViolationCount()
+		ch.Report().Violations = c.InvariantViolations()
 	}
 	return c.Stats
 }
@@ -484,8 +360,8 @@ func (c *Campaign) checkConservation() {
 		execs, c.finishes, c.Stats.Retries)
 }
 
-// startIntake starts the request path of Fig. 6 on the coordinator's
-// engine: the portal and the service manager.
+// startIntake starts the request path of Fig. 6: the portal and the
+// service manager.
 func (c *Campaign) startIntake() {
 	p := &portal{
 		c:        c,
@@ -616,15 +492,7 @@ func (m *manager) deleted(error) {
 	c, req := m.c, m.req
 	m.req, m.msg = nil, nil
 	c.expandRequest(req, m.rng)
-	tasks := c.releaseStage(m.a.Now(), req, 0)
-	if c.group != nil {
-		for _, t := range tasks {
-			c.dispatchTask(t)
-		}
-		m.loop()
-		return
-	}
-	m.enqueueRun(c.fleet.queue, tasks, m.onLoop)
+	m.enqueueRun(c.fleet.queue, c.releaseStage(m.a.Now(), req, 0), m.onLoop)
 }
 
 // expandRequest turns a request into staged tasks. The request's tasks
@@ -678,10 +546,9 @@ func stageIndex(ty TaskType) int {
 }
 
 // releaseStage returns the first non-empty stage at or after idx, for the
-// caller to enqueue (serial) or dispatch (sharded). When no stage remains
-// the request is complete: the user is notified and the turnaround
-// recorded ("upon completion ... an email is sent to the user", Section
-// 5.1), and releaseStage returns nil.
+// caller to enqueue. When no stage remains the request is complete: the
+// user is notified and the turnaround recorded ("upon completion ... an
+// email is sent to the user", Section 5.1), and releaseStage returns nil.
 func (c *Campaign) releaseStage(now time.Duration, req *Request, idx int) []*Task {
 	order := stageOrder()
 	for ; idx < len(order); idx++ {

@@ -14,7 +14,6 @@
 package modis
 
 import (
-	"sync/atomic"
 	"time"
 
 	"azureobs/internal/simrand"
@@ -111,15 +110,11 @@ type Task struct {
 	// lost marks a task whose execution a host crash interrupted; cleared
 	// (and credited as recovered work) when a later attempt completes.
 	lost bool
-	// queuedOn is the id of the task queue holding the task's live
-	// message, 0 while no undelivered message of the task is queued. A
-	// delivered message whose task is not live on the receiving queue is a
-	// stale redelivery (its earlier delete failed) and is discarded, so each
-	// enqueue is executed once. It is atomic because in a sharded campaign a
-	// stale redelivery on one shard reads it while another shard may be
-	// enqueueing the task; the value read there never equals the reader's
-	// queue id, so the verdict is deterministic.
-	queuedOn atomic.Uint32
+	// queued is set while an undelivered message of the task is on the
+	// task queue. A delivered message whose task is not queued is a stale
+	// redelivery (its earlier delete failed) and is discarded, so each
+	// enqueue is executed once.
+	queued bool
 }
 
 // Request is one portal submission expanded into staged tasks.

@@ -55,14 +55,6 @@ type Domains struct {
 	members []*Engine
 	window  time.Duration
 
-	// Adaptive window state (SetAdaptiveWindow): the coordinator doubles or
-	// halves window between rounds to steer per-round fired-event counts
-	// toward adaptTarget. Fired counts are deterministic simulation state,
-	// so the boundary sequence stays reproducible.
-	adaptive           bool
-	adaptMin, adaptMax time.Duration
-	adaptTarget        uint64
-
 	// mail[src] is the boundary mailbox of domain src: appended only by
 	// src's kernel goroutine during a round, flushed only by the
 	// coordinator after the round barrier.
@@ -156,52 +148,6 @@ func (d *Domains) SetWindow(w time.Duration) {
 		panic("sim: SetWindow during Domains.Run")
 	}
 	d.window = w
-	d.adaptive = false
-}
-
-// SetAdaptiveWindow makes the window self-tuning: it starts at min and,
-// between rounds, doubles whenever the round fired fewer than half of
-// targetEvents (barrier overhead dominates — widen) and halves whenever it
-// fired more than twice targetEvents (cross-domain mail latency quantizes
-// up to the window — narrow), clamped to [min, max]. Skip-ahead over empty
-// windows is preserved. The adjustment reads only fired-event counts, which
-// are deterministic simulation state, so the boundary sequence — and with
-// it every trace — remains bit-identical run to run and across domain
-// widths.
-func (d *Domains) SetAdaptiveWindow(min, max time.Duration, targetEvents int) {
-	if d.running {
-		panic("sim: SetAdaptiveWindow during Domains.Run")
-	}
-	if min <= 0 || max < min || targetEvents < 1 {
-		panic(fmt.Sprintf("sim: SetAdaptiveWindow(%v, %v, %d): need 0 < min ≤ max and target ≥ 1",
-			min, max, targetEvents))
-	}
-	d.window = min
-	d.adaptive = true
-	d.adaptMin, d.adaptMax = min, max
-	d.adaptTarget = uint64(targetEvents)
-}
-
-// Window returns the current window width (0 = run-to-drain rounds). Under
-// SetAdaptiveWindow it reports the width the next round will use.
-func (d *Domains) Window() time.Duration { return d.window }
-
-// adaptWindow applies the adaptive-window rule after a bounded round that
-// fired delta events group-wide.
-func (d *Domains) adaptWindow(delta uint64) {
-	if !d.adaptive {
-		return
-	}
-	switch {
-	case delta < d.adaptTarget/2 && d.window < d.adaptMax:
-		if d.window *= 2; d.window > d.adaptMax {
-			d.window = d.adaptMax
-		}
-	case delta > d.adaptTarget*2 && d.window > d.adaptMin:
-		if d.window /= 2; d.window < d.adaptMin {
-			d.window = d.adaptMin
-		}
-	}
 }
 
 // Now returns the latest virtual time any domain has reached.
@@ -241,10 +187,6 @@ func (d *Domains) Rounds() int { return d.rounds }
 
 // MailDelivered returns the number of boundary mailbox events delivered.
 func (d *Domains) MailDelivered() uint64 { return d.delivered }
-
-// DomainIndex returns the engine's index within its Domains group, or 0
-// for a standalone engine.
-func (e *Engine) DomainIndex() int { return e.domIndex }
 
 // Send queues fn for delivery to domain dst of this engine's group. The
 // callback runs as an event on dst's engine at the next window boundary
@@ -314,7 +256,6 @@ func (d *Domains) Run() {
 			t = limit
 		}
 		d.rounds++
-		before := d.EventsFired()
 		d.runRound(bounded, limit)
 		if pv := d.takePanic(); pv != nil {
 			panic(pv)
@@ -324,78 +265,6 @@ func (d *Domains) Run() {
 			boundary = d.maxNow()
 		}
 		d.flushMail(boundary)
-		if bounded {
-			d.adaptWindow(d.EventsFired() - before)
-		}
-	}
-}
-
-// RunUntil executes the group in bounded rounds until virtual time reaches
-// deadline — the windowed counterpart of Engine.RunUntil for horizon-bounded
-// workloads (a campaign that runs for N days rather than to drain). Events
-// scheduled exactly at the deadline do fire, matching Engine.RunUntil, and
-// every member clock is advanced to the deadline on return. Mail queued in
-// the final round (or addressed past the horizon) stays queued: the horizon
-// cut it off exactly as it cuts off pending events. RunUntil requires a
-// positive window — SetWindow or SetAdaptiveWindow first — because an
-// unbounded round could run arbitrarily far past the deadline.
-func (d *Domains) RunUntil(deadline time.Duration) {
-	if d.running {
-		panic("sim: Domains.RunUntil reentered")
-	}
-	if d.window <= 0 {
-		panic("sim: Domains.RunUntil needs a window — call SetWindow or SetAdaptiveWindow first")
-	}
-	for _, m := range d.members {
-		if m.running {
-			panic("sim: Domains.RunUntil with a member engine already running")
-		}
-		m.stopped = false
-	}
-	d.running = true
-	start := time.Now()
-	defer func() {
-		d.wall += time.Since(start)
-		d.running = false
-		for _, m := range d.members {
-			m.releaseIdleWorkers()
-		}
-	}()
-
-	// runWindow's limit is exclusive, so the last round runs to deadline+1:
-	// events at exactly the deadline fire, later ones do not.
-	end := deadline + 1
-	var t time.Duration
-	for t < end {
-		if !d.anyRunnable() && !d.mailQueued() {
-			break
-		}
-		if next, ok := d.earliestPending(); ok && next >= t+d.window {
-			t += (next - t) / d.window * d.window
-			if t >= end {
-				break // every remaining event lies past the deadline
-			}
-		}
-		limit := t + d.window
-		if limit > end {
-			limit = end
-		}
-		t = limit
-		d.rounds++
-		before := d.EventsFired()
-		d.runRound(true, limit)
-		if pv := d.takePanic(); pv != nil {
-			panic(pv)
-		}
-		if limit < end {
-			d.flushMail(limit)
-		}
-		d.adaptWindow(d.EventsFired() - before)
-	}
-	for _, m := range d.members {
-		if m.now < deadline {
-			m.now = deadline
-		}
 	}
 }
 
@@ -446,10 +315,10 @@ func (d *Domains) roundOn(m *Engine, bounded bool, limit time.Duration) {
 
 // runWindow fires the engine's events with time strictly before limit — the
 // half-open window [·, limit) of one coordinator round; an event at exactly
-// the boundary belongs to the next window. Unlike RunUntil it neither
-// advances the clock to the boundary (a domain's clock sits at its last
-// fired event; boundary mail is scheduled at the boundary regardless) nor
-// fires daemon-only tails: exactly as in Run, events fire only while
+// the boundary belongs to the next window. Unlike Engine.RunUntil it
+// neither advances the clock to the boundary (a domain's clock sits at its
+// last fired event; boundary mail is scheduled at the boundary regardless)
+// nor fires daemon-only tails: exactly as in Run, events fire only while
 // foreground work remains.
 func (e *Engine) runWindow(limit time.Duration) {
 	for !e.stopped {
@@ -624,10 +493,10 @@ func (d *Domains) takePanic() any {
 type DomainStats struct {
 	Domains int // group width
 	// Requested is the width the caller asked for — greater than Domains
-	// when a layer above clamped the ask (geo clamps to its region count,
-	// modis to its shard count). Stats fills it with the actual width; the
-	// clamping layer overwrites it so reports can surface the cap instead
-	// of letting it pass silently.
+	// when a layer above clamped the ask (geo clamps to its region
+	// count). Stats fills it with the actual width; the clamping layer
+	// overwrites it so reports can surface the cap instead of letting it
+	// pass silently.
 	Requested int
 	Rounds    int           // coordinator rounds executed
 	Mail      uint64        // boundary mailbox events delivered

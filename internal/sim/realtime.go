@@ -129,6 +129,11 @@ func (rt *RealTime) Do(fn func()) bool {
 	}
 }
 
+// Done returns a channel that is closed when Serve returns. From then on
+// virtual time stands still, so work a Do started that has not completed
+// never will.
+func (rt *RealTime) Done() <-chan struct{} { return rt.done }
+
 func (rt *RealTime) ring() {
 	select {
 	case rt.wake <- struct{}{}:

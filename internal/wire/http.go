@@ -18,7 +18,7 @@ const maxBody = 4 << 20
 // the closure Gate.Do runs and the delivery callback bound once, so a
 // request allocates neither. The outcome lands in the 1-buffered res slot:
 // a free-run gate fills it before Do returns, a paced one when virtual time
-// reaches the request's completion.
+// reaches the request's completion, unless the gate closes first.
 type call struct {
 	f       *Facade
 	op      wireOp
@@ -85,7 +85,20 @@ func (f *Facade) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeErrorRaw(w, 503, "ServerBusy", "server is shutting down")
 		return
 	}
-	res := <-c.res
+	var res wireResult
+	select {
+	case res = <-c.res:
+	case <-f.gateDone:
+		select {
+		case res = <-c.res:
+		default:
+			// The gate closed before virtual time reached the request's
+			// completion. The engine still holds the call's delivery
+			// callback, so the call is not pooled again.
+			writeErrorRaw(w, 503, "ServerBusy", "server is shutting down")
+			return
+		}
+	}
 	c.f, c.op = nil, wireOp{}
 	calls.Put(c)
 	f.writeResult(w, r, &res)

@@ -42,6 +42,14 @@ type Gate interface {
 	Do(fn func()) bool
 }
 
+// closingGate is a Gate that can close with requests in flight, as a paced
+// sim.RealTime does: Done is closed once the gate advances virtual time no
+// further, so a result not delivered by then never will be.
+type closingGate interface {
+	Gate
+	Done() <-chan struct{}
+}
+
 // InlineGate is the test/replay gate: Do runs fn on the calling goroutine
 // and, when drain is set, drains the engine afterwards. The caller owns the
 // single-threading.
@@ -416,6 +424,10 @@ type Facade struct {
 	gate  Gate
 	rec   *Recorder
 
+	// gateDone is the gate's Done channel, nil for a gate that cannot
+	// close with requests in flight.
+	gateDone <-chan struct{}
+
 	free     []*conn
 	nextConn int
 
@@ -425,7 +437,11 @@ type Facade struct {
 // New builds a facade over cloud, serialised by gate. A nil gate is valid
 // for Replay, which drives start directly.
 func New(cloud *azure.Cloud, gate Gate) *Facade {
-	return &Facade{cloud: cloud, gate: gate, mgmt: newMgmtState()}
+	f := &Facade{cloud: cloud, gate: gate, mgmt: newMgmtState()}
+	if g, ok := gate.(closingGate); ok {
+		f.gateDone = g.Done()
+	}
+	return f
 }
 
 // Cloud returns the wrapped cloud.

@@ -398,6 +398,57 @@ func TestWirePacedSmoke(t *testing.T) {
 	}
 }
 
+// TestWirePacedShutdownInFlight closes a paced gate while a latent request
+// is in flight. Virtual time stops with the gate, so the request never
+// completes: its handler must answer 503 ServerBusy instead of waiting on
+// the result for good.
+func TestWirePacedShutdownInFlight(t *testing.T) {
+	cloud := azure.NewCloud(azure.Config{Seed: testSeed})
+	rt := sim.NewRealTime(cloud.Engine, sim.Paced)
+	rt.SetTick(time.Millisecond)
+	f := New(cloud, rt)
+	go rt.Serve()
+	serve := func(method, path, size string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, path, nil)
+		if size != "" {
+			req.Header.Set("x-ms-size", size)
+		}
+		rec := httptest.NewRecorder()
+		f.ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := serve("PUT", "/c", ""); rec.Code != 201 {
+		rt.Close()
+		t.Fatalf("PUT /c: status %d, want 201", rec.Code)
+	}
+
+	// A 1 GiB upload takes minutes of virtual, and so of wall, time.
+	var rec *httptest.ResponseRecorder
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rec = serve("PUT", "/c/big", strconv.Itoa(1<<30))
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for flowing := false; !flowing; {
+		if time.Now().After(deadline) {
+			rt.Close()
+			t.Fatal("the upload never started its transfer")
+		}
+		rt.Do(func() { flowing = cloud.DC.Net().ActiveFlows() > 0 })
+	}
+	rt.Close()
+
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler still waiting on its result 5 s after the gate closed")
+	}
+	if rec.Code != 503 || !strings.Contains(rec.Body.String(), "ServerBusy") {
+		t.Fatalf("in-flight request: status %d body %q, want 503 ServerBusy", rec.Code, rec.Body.String())
+	}
+}
+
 // TestWireRecordedSessionReplays is the record/replay acceptance at the
 // HTTP level: a live free-run session is recorded, then replayed on a fresh
 // cloud with the same seed, and every request must resolve to the same
