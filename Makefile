@@ -3,7 +3,7 @@
 # suite under the race detector, smoke-runs every benchmark once so the
 # bench harness can never rot, self-tests the perfbench module, and gives
 # each fuzz target a short live-fuzz burst beyond its seed corpus.
-.PHONY: check fmt-check build vet test bench-smoke perfbench-selftest fuzz-smoke bench netbench storagebench schedbench simbench simbench-gate scalebench scalebench-smoke domainbench domainbench-smoke domainbench-gate geobench geobench-smoke geobench-smoke-gate geobench-gate validate serve wiresmoke
+.PHONY: check fmt-check build vet test test-nofma bench-smoke perfbench-selftest fuzz-smoke bench netbench storagebench schedbench simbench simbench-gate scalebench scalebench-smoke domainbench domainbench-smoke domainbench-gate geobench geobench-smoke geobench-smoke-gate geobench-gate validate serve wiresmoke
 
 check: fmt-check build vet test bench-smoke perfbench-selftest fuzz-smoke scalebench-smoke domainbench-smoke geobench-smoke-gate wiresmoke
 
@@ -19,6 +19,13 @@ vet:
 
 test:
 	go test -race ./...
+
+# Floating-point guard: amd64 math.Exp takes an FMA path when the CPU has
+# one. With FMA switched off every result must still pass, goldens included,
+# so a trace cannot come to depend on the host's FMA support. -count=1 so
+# no cached result of a run with FMA on can stand in for this one.
+test-nofma:
+	GODEBUG=cpu.fma=off go test -count=1 ./internal/...
 
 # One iteration of every benchmark — correctness of the harness, not timing.
 bench-smoke:

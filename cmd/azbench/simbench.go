@@ -95,12 +95,12 @@ type simBenchReport struct {
 
 const churnTick = time.Microsecond
 
-// cancelChurn is the netsim remove pattern distilled: per fired completion, a
-// flow removal cancels its pending completion somewhere in the window and
-// schedules the successor flow's, and the bandwidth handed back moves the
-// completions of the seven flows that inherit it. One callback closure per
-// slot, created once and reused across reschedules, exactly as netsim caches
-// one onFire per flow.
+// cancelChurn is a kernel churn pattern with one pending event per flow, as
+// netsim kept before a fabric held a single completion event: per fired
+// completion, a flow removal cancels its pending completion somewhere in the
+// window and schedules the successor flow's, and the bandwidth handed back
+// moves the completions of the seven flows that inherit it. One callback
+// closure per slot, created once and reused across reschedules.
 func cancelChurn(pop, iters int) {
 	const cancels = 1
 	eng := sim.NewEngine()
@@ -111,7 +111,7 @@ func cancelChurn(pop, iters int) {
 	for s := range fns {
 		s := s
 		fns[s] = func() {
-			eng.Recycle(evs[s]) // fired event back to the pool, as netsim's onComplete does
+			eng.Recycle(evs[s]) // fired event back to the pool
 			evs[s] = nil
 			refill = append(refill, s)
 		}
@@ -154,9 +154,9 @@ func churnOffsets(pop int) []time.Duration {
 	return offs
 }
 
-// reschedChurn is the netsim move idiom: rate changes push the completion
-// times of still-pending events around the window, eight moves per fired
-// event, spread pseudorandomly (fixed Knuth hash table, so every capture
+// reschedChurn is the per-flow-event move idiom netsim used before a fabric
+// held a single completion event: rate changes push the completion times of
+// still-pending events around the window, eight moves per fired event, spread pseudorandomly (fixed Knuth hash table, so every capture
 // runs the identical event sequence).
 func reschedChurn(pop, iters int) {
 	eng := sim.NewEngine()

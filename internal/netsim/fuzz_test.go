@@ -204,13 +204,13 @@ func (m *settleModel) check(f *Fabric) string {
 	return ""
 }
 
-// nextCompletion is the earliest scheduled completion among active flows.
+// nextCompletion is the earliest predicted completion among active flows.
 func nextCompletion(f *Fabric) (time.Duration, bool) {
 	var next time.Duration
 	ok := false
 	for _, fl := range f.flows {
-		if fl.st().complete != nil && (!ok || fl.st().complete.Time() < next) {
-			next, ok = fl.st().complete.Time(), true
+		if at := fl.st().at; at >= 0 && (!ok || at < next) {
+			next, ok = at, true
 		}
 	}
 	return next, ok

@@ -2,7 +2,7 @@
 // system: transfers are flows traversing a path of links, and the rate of
 // every active flow is the progressive-filling max-min fair allocation over
 // link capacities. When the flow set changes, rates are recomputed and every
-// flow's completion event is rescheduled.
+// flow's completion is re-predicted.
 //
 // Links may carry a concurrency-dependent effective capacity
 // (SetCapacityFn), which is how the calibrated "black box" overheads of the
@@ -23,13 +23,13 @@
 // in untouched components keep their rates.
 //
 // A reallocation touches each flow's memory as few times as it can. The
-// per-flow state every pass reads (remaining bytes, rate, the pending
-// completion event and its time, the walk mark) sits in one array parallel
-// to the flow list, and each flow's path sits at a fixed stride in a second
-// array, so the passes stream through contiguous memory instead of chasing
-// a pointer per flow. Every active flow was settled at the previous
-// reallocation instant, so one settle step (now-last).Seconds() serves
-// them all, and each flow is settled once. A link crossed by a single
+// per-flow state every pass reads (remaining bytes, rate, the predicted
+// completion time and its sequence number, the walk mark) sits in one array
+// parallel to the flow list, and each flow's path sits at a fixed stride in
+// a second array, so the passes stream through contiguous memory instead
+// of chasing a pointer per flow. Every active flow was settled at the
+// previous reallocation instant, so one settle step (now-last).Seconds()
+// serves them all, and each flow is settled once. A link crossed by a single
 // flow carries no solver state: its fair share is its capacity for one
 // flow, cached in the flow's hop, so the walk does not queue it and the
 // filling pass never charges it. A shared link's fair share is computed
@@ -37,9 +37,6 @@
 // every private capacity in the component, the scan for the bottleneck
 // stops at the first hop on such a link. Per-link solver state lives on the
 // Link itself, stamped with a walk epoch instead of rebuilt in a map.
-// Completion events are only moved when the predicted completion time
-// actually changed, and retired events are recycled through the kernel's
-// event pool.
 //
 // The fast path is bit-exact with the from-scratch progressive-filling
 // solver: components never interact (a flow's rate depends only on links it
@@ -47,14 +44,30 @@
 // order and their hops in path order so tie-breaking between equally-loaded
 // links is unchanged, a private link's cached share equals capRem/1
 // exactly, every flow is settled exactly once per reallocation at the rate
-// it held, and kept events fire at exactly the time a recomputation would
-// have produced. The property tests and FuzzFabricChurn cross-check
+// it held, and kept predictions equal what a recomputation would have
+// produced. The property tests and FuzzFabricChurn cross-check
 // incremental against from-scratch allocations on random churn sequences,
 // TestTimedChurnHash pins a clock-advancing churn of about 2,000 flows, and
 // internal/core's trace goldens pin whole experiment runs to the bit. With
 // invariants enabled, every solve also checks that rates are non-negative
 // and that no link of the solved component carries more than its effective
-// capacity.
+// capacity, and every reallocation that the fabric's one event sits at the
+// minimum key.
+//
+// # One calendar entry per fabric
+//
+// Only the earliest prediction can fire next, so a fabric keeps exactly one
+// event in the kernel's calendar, however many flows are in flight: the
+// completion of the flow whose prediction has the smallest (time, sequence
+// number) key. A prediction takes a fresh kernel sequence number
+// (Engine.TakeSeq) only when its time actually moves — exactly where a
+// per-flow completion event would have been rescheduled — and reschedule,
+// which visits every flow anyway, tracks the minimum key in the same pass
+// and moves the one event there (Engine.ScheduleSeq, RescheduleSeq). Every
+// sequence number is consumed in the order per-flow events consumed them,
+// and the one event sits where the earliest per-flow event sat, so it fires
+// at the same instant and in the same order against every other event, and
+// the number of events fired is unchanged.
 package netsim
 
 import (
@@ -174,7 +187,6 @@ type Flow struct {
 	finalRate      float64 // the rate the flow left the fabric with
 	finalRemaining float64 // the bytes it left undelivered
 	done           sim.Signal
-	onFire         func() // cached completion callback (one closure per flow)
 }
 
 // hop is one link of a flow's path as the solver sees it. While the flow
@@ -197,9 +209,9 @@ type hop struct {
 type flowState struct {
 	remaining float64       // bytes
 	rate      float64       // bytes/sec, assigned by the solver
-	at        time.Duration // when complete fires
-	complete  *sim.Event
-	epoch     uint64 // walk that last reached this flow
+	at        time.Duration // predicted completion; < 0 for none (stalled, or not yet predicted)
+	seq       uint64        // engine sequence number taken when at last moved
+	epoch     uint64        // walk that last reached this flow
 }
 
 // st returns the state of an active flow.
@@ -259,6 +271,14 @@ type Fabric struct {
 	reached    []*Link // shared links marked by the current walk, in visit order
 	minCap1    float64 // smallest private-link capacity on the marked flows
 	unfixed    []int32 // slots of the flows being solved
+
+	// next is the fabric's one calendar entry: the completion of the
+	// earliest prediction, keyed by that flow's (at, seq), which nextFlow
+	// holds; nil while no flow holds a prediction. onFire is f.fire, bound
+	// once.
+	next     *sim.Event
+	nextFlow *Flow
+	onFire   func()
 }
 
 // route returns the hops of the flow in slot i.
@@ -289,7 +309,9 @@ func (f *Fabric) widen(n int) {
 
 // NewFabric creates an empty network bound to the engine.
 func NewFabric(eng *sim.Engine) *Fabric {
-	return &Fabric{eng: eng}
+	f := &Fabric{eng: eng}
+	f.onFire = f.fire
+	return f
 }
 
 // NewLink creates a link with the given nominal capacity (> 0).
@@ -379,14 +401,13 @@ func (f *Fabric) StartFlow(size int64, path ...*Link) *Flow {
 		}
 	}
 	fl := &Flow{fab: f, index: len(f.flows)}
-	fl.onFire = func() { f.onComplete(fl) }
 	fl.path = append(fl.pathBuf[:0], path...)
 	if len(path) > f.stride {
 		f.widen(len(path))
 	}
 	slot := int32(fl.index)
 	f.flows = append(f.flows, fl)
-	f.state = append(f.state, flowState{remaining: float64(size)})
+	f.state = append(f.state, flowState{remaining: float64(size), at: -1})
 	f.hops = append(f.hops, make([]hop, f.stride)...)
 	r := f.hops[int(slot)*f.stride:][:len(path)]
 	for i, l := range path {
@@ -428,12 +449,8 @@ func (f *Fabric) remove(fl *Flow) {
 	fl.completed = true
 	i, last := int32(fl.index), int32(len(f.flows)-1)
 	s := &f.state[i]
-	if s.complete != nil {
-		// Lazy cancel: the event stays queued until the kernel pops it, and
-		// CancelRecycle hands its allocation back to the pool at that point.
-		f.eng.CancelRecycle(s.complete)
-		s.complete = nil
-	}
+	// The flow's prediction leaves with it; the reallocation that follows
+	// every removal re-arms the fabric's event.
 	fl.finalRate, fl.finalRemaining = s.rate, s.remaining
 	// Leave each link's flow list by swap-delete.
 	for _, h := range f.route(i) {
@@ -479,16 +496,24 @@ func (f *Fabric) markDirty(l *Link) {
 func (f *Fabric) reallocate() {
 	if len(f.flows) == 0 {
 		f.dirtyLinks = f.dirtyLinks[:0]
+		f.arm(-1)
 		return
 	}
 	step := f.step()
-	if len(f.dirtyLinks) > 0 {
+	solved := len(f.dirtyLinks) > 0
+	if solved {
 		f.solve(step)
 		f.dirtyLinks = f.dirtyLinks[:0]
 		step = 0
 	}
 	f.reschedule(step)
 	f.settledAt = f.eng.Now()
+	if inv := f.eng.Invariants(); inv != nil {
+		if solved {
+			f.checkSolve(inv)
+		}
+		f.checkNext(inv)
+	}
 }
 
 // step is the time since the last reallocation in seconds: the one settle
@@ -578,9 +603,6 @@ func (f *Fabric) solve(step float64) {
 		}
 		unfixed = unfixed[:n]
 	}
-	if inv := f.eng.Invariants(); inv != nil {
-		f.checkSolve(inv)
-	}
 }
 
 // bottleneck finds one filling round's bottleneck: the first hop, scanning
@@ -648,10 +670,10 @@ func (f *Fabric) fix(i int32, r []hop, share float64) {
 	}
 }
 
-// checkSolve is the solver's invariant check, run after every solve when
-// the engine checks invariants: every rate is non-negative, and no link of
-// the solved component carries more than its effective capacity, up to a
-// relative rounding tolerance.
+// checkSolve is the solver's invariant check, run after every reallocation
+// that solved when the engine checks invariants: every rate is
+// non-negative, and no link of the solved component carries more than its
+// effective capacity, up to a relative rounding tolerance.
 func (f *Fabric) checkSolve(inv *sim.Invariants) {
 	const tol = 1e-9
 	for i := range f.state {
@@ -763,15 +785,18 @@ func (f *Fabric) SameComponent(a, b *Flow) bool {
 }
 
 // reschedule settles every flow by step seconds (0 when solve already
-// settled them) and brings its completion event in line with its remaining
-// bytes and rate.
+// settled them), brings its prediction in line with its remaining bytes and
+// rate, and arms the fabric's one completion event at the earliest
+// prediction.
 // Every flow is visited because every flow's remaining bytes moved: its
 // prediction is recomputed from the settled value, exactly as a
-// from-scratch pass would. An event is re-created only when the predicted
-// completion time actually moved; an unchanged prediction keeps the
-// already-scheduled event, and retired events return to the kernel pool.
+// from-scratch pass would. A prediction takes a fresh sequence number only
+// when its time actually moved, exactly where a per-flow completion event
+// would have been rescheduled, so the one event fires where the earliest
+// per-flow event would have, in the same order against every other event.
 func (f *Fabric) reschedule(step float64) {
 	now := f.eng.Now()
+	first, firstAt, firstSeq := -1, time.Duration(0), uint64(0)
 	for i := range f.state {
 		s := &f.state[i]
 		if step > 0 {
@@ -779,10 +804,7 @@ func (f *Fabric) reschedule(step float64) {
 		}
 		if s.rate <= 0 {
 			// Stalled; a future reallocate will revive it.
-			if s.complete != nil {
-				f.eng.CancelRecycle(s.complete)
-				s.complete = nil
-			}
+			s.at = -1
 			continue
 		}
 		var at time.Duration
@@ -800,30 +822,75 @@ func (f *Fabric) reschedule(step float64) {
 				at = now + 1
 			}
 		}
-		if s.complete != nil {
-			if s.at == at {
-				continue
-			}
-			// Sift the pending event to its new slot in place. The event
-			// takes a fresh sequence number, exactly as the old
-			// cancel/recycle/schedule round trip did, so traces stay
-			// bit-identical while the hot reallocation path skips the heap
-			// removal and free-list churn entirely.
-			f.eng.Reschedule(s.complete, at)
-		} else {
-			s.complete = f.eng.Schedule(at, f.flows[i].onFire)
+		if s.at != at {
+			s.at, s.seq = at, f.eng.TakeSeq()
 		}
-		s.at = at
+		if first < 0 || s.at < firstAt || (s.at == firstAt && s.seq < firstSeq) {
+			first, firstAt, firstSeq = i, s.at, s.seq
+		}
+	}
+	f.arm(first)
+}
+
+// arm keeps the fabric's one calendar entry at the prediction of the flow
+// in slot i, the earliest; i < 0 means no flow holds one. Sequence numbers
+// are unique and taken with each new prediction time, so an unchanged seq
+// means an unchanged key and the event stays where it is.
+func (f *Fabric) arm(i int) {
+	if i < 0 {
+		if f.next != nil {
+			f.eng.CancelRecycle(f.next)
+		}
+		f.next, f.nextFlow = nil, nil
+		return
+	}
+	s := &f.state[i]
+	f.nextFlow = f.flows[i]
+	switch {
+	case f.next == nil:
+		f.next = f.eng.ScheduleSeq(s.at, s.seq, f.onFire)
+	case f.next.Seq() != s.seq:
+		f.eng.RescheduleSeq(f.next, s.at, s.seq)
 	}
 }
 
-func (f *Fabric) onComplete(fl *Flow) {
-	s := &f.state[fl.index]
-	ev := s.complete
-	s.complete = nil
-	if ev != nil {
-		f.eng.Recycle(ev)
+// checkNext is the calendar invariant, run after every reallocation when
+// the engine checks invariants: the fabric's one pending event sits at the
+// minimum (at, seq) over the flows' predictions, and nextFlow holds it.
+func (f *Fabric) checkNext(inv *sim.Invariants) {
+	first := -1
+	for i := range f.state {
+		s := &f.state[i]
+		if s.at < 0 {
+			continue
+		}
+		if first < 0 || s.at < f.state[first].at || (s.at == f.state[first].at && s.seq < f.state[first].seq) {
+			first = i
+		}
 	}
+	if first < 0 {
+		inv.Checkf(f.next == nil, "netsim: completion event pending while no flow holds a prediction")
+		return
+	}
+	s := &f.state[first]
+	if f.next == nil || f.next.Canceled() {
+		inv.Checkf(false, "netsim: no completion event pending for the earliest prediction (%v, %d)", s.at, s.seq)
+		return
+	}
+	inv.Checkf(f.next.Time() == s.at && f.next.Seq() == s.seq && f.nextFlow == f.flows[first],
+		"netsim: completion event at (%v, %d), earliest prediction (%v, %d)", f.next.Time(), f.next.Seq(), s.at, s.seq)
+}
+
+// fire runs when the fabric's event comes due: the flow holding the
+// earliest prediction completes, or re-predicts if rates moved at this same
+// instant. Its prediction is spent, so whatever it predicts next takes a
+// fresh sequence number.
+func (f *Fabric) fire() {
+	f.eng.Recycle(f.next)
+	fl := f.nextFlow
+	f.next, f.nextFlow = nil, nil
+	s := &f.state[fl.index]
+	s.at = -1
 	rem := s.settled(f.step())
 	if rem > 0.5 {
 		if !math.IsInf(s.rate, 1) {

@@ -244,7 +244,10 @@ func scratchRates(f *Fabric) map[*Flow]float64 {
 }
 
 // assertMatchesScratch compares every live flow's incremental rate and
-// completion-event time bitwise against the from-scratch oracle.
+// predicted completion time bitwise against the from-scratch oracle. That
+// the fabric's one completion event sits at the earliest prediction is
+// checked by the fabric itself after every reallocation, as invariants are
+// on throughout this package (TestMain).
 func assertMatchesScratch(f *Fabric, now time.Duration) string {
 	want := scratchRates(f)
 	for _, fl := range f.flows {
@@ -252,8 +255,8 @@ func assertMatchesScratch(f *Fabric, now time.Duration) string {
 			return fmt.Sprintf("flow rate %v, from-scratch solver says %v (Δbits)", fl.st().rate, w)
 		}
 		if fl.st().rate <= 0 {
-			if fl.st().complete != nil {
-				return "stalled flow still holds a completion event"
+			if fl.st().at >= 0 {
+				return "stalled flow still holds a completion prediction"
 			}
 			continue
 		}
@@ -266,15 +269,15 @@ func assertMatchesScratch(f *Fabric, now time.Duration) string {
 				at = now + 1
 			}
 		}
-		if fl.st().complete == nil {
-			return "live flow has no completion event"
+		if fl.st().at < 0 {
+			return "live flow has no completion prediction"
 		}
-		if got := fl.st().complete.Time(); got < at {
-			// A kept event may never be earlier than the fresh prediction;
+		if got := fl.st().at; got < at {
+			// A kept prediction may never be earlier than the fresh one;
 			// equal is the required case (reschedule recomputes every time).
-			return fmt.Sprintf("completion event at %v, fresh prediction %v", got, at)
+			return fmt.Sprintf("completion predicted at %v, fresh prediction %v", got, at)
 		} else if got != at {
-			return fmt.Sprintf("stale completion event: %v vs predicted %v", got, at)
+			return fmt.Sprintf("stale completion prediction: %v vs predicted %v", got, at)
 		}
 	}
 	return ""

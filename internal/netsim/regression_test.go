@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -109,8 +111,9 @@ func TestCapacityFnNegativePanics(t *testing.T) {
 	fab.StartFlow(MB, l)
 }
 
-// Completion events survive churn that does not move their firing time: a
-// flow on a private link must keep its scheduled event (same *sim.Event)
+// Completion predictions survive churn that does not move their firing
+// time: a flow on a private link must keep its prediction's sequence number,
+// and the fabric its completion event (same *sim.Event at the same key),
 // while unrelated flows come and go.
 func TestUnrelatedChurnKeepsCompletionEvent(t *testing.T) {
 	eng := sim.NewEngine()
@@ -118,17 +121,17 @@ func TestUnrelatedChurnKeepsCompletionEvent(t *testing.T) {
 	private := fab.NewLink("private", 10*MBps)
 	other := fab.NewLink("other", 10*MBps)
 	fl := fab.StartFlow(100*MB, private)
-	ev := fl.st().complete
-	if ev == nil {
+	ev, seq := fab.next, fl.st().seq
+	if ev == nil || fl.st().at < 0 {
 		t.Fatal("no completion event scheduled")
 	}
 	tmp := fab.StartFlow(50*MB, other)
 	fab.abandon(tmp)
-	if fl.st().complete != ev {
-		t.Fatal("churn on a disjoint component replaced an unchanged flow's completion event")
+	if fl.st().seq != seq || fab.next != ev || ev.Seq() != seq {
+		t.Fatal("churn on a disjoint component replaced an unchanged flow's completion prediction")
 	}
-	if got := ev.Time(); got != 10*time.Second {
-		t.Fatalf("completion time %v, want 10s", got)
+	if got := ev.Time(); got != 10*time.Second || fl.st().at != got {
+		t.Fatalf("completion time %v (predicted %v), want 10s", got, fl.st().at)
 	}
 	eng.Run()
 	if fab.ActiveFlows() != 0 {
@@ -171,6 +174,102 @@ func TestSolveInvariantCatchesOverload(t *testing.T) {
 				}
 			}()
 			fab.checkSolve(eng.Invariants())
+		})
+	}
+}
+
+// However many flows are in flight, the fabric keeps exactly one event in
+// the calendar, and flows predicted to finish at the same instant finish in
+// the order their predictions were made (their sequence numbers), not in
+// the slot order that swap-delete reshuffles as flows leave.
+func TestOneCalendarEntryPerFabric(t *testing.T) {
+	const n = 16
+	eng := sim.NewEngine()
+	fab := NewFabric(eng)
+	shared := fab.NewLink("shared", 10*MBps)
+	flows := make([]*Flow, n)
+	for i := range flows {
+		// Half the flows cross one shared link (1.25 MB/s each once all
+		// eight are in), the other half a private link each; every size is
+		// chosen so all finish at 8 s.
+		if i%2 == 0 {
+			flows[i] = fab.StartFlow(10*MB, shared)
+		} else {
+			flows[i] = fab.StartFlow(80*MB, fab.NewLink("nic", 10*MBps))
+		}
+		if got := eng.Pending(); got != 1 {
+			t.Fatalf("%d flows in flight, %d events pending, want 1", i+1, got)
+		}
+	}
+	seqs := make([]uint64, n)
+	for i, fl := range flows {
+		if fl.st().at != 8*time.Second {
+			t.Fatalf("flow %d predicted at %v, want 8s", i, fl.st().at)
+		}
+		seqs[i] = fl.st().seq
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(seqs[a], seqs[b]) })
+	for k, want := range order {
+		if !eng.Step() {
+			t.Fatalf("calendar empty after %d completions", k)
+		}
+		if eng.Now() != 8*time.Second {
+			t.Fatalf("completion %d at %v, want 8s", k, eng.Now())
+		}
+		if !flows[want].completed {
+			t.Fatalf("completion %d: flow %d (lowest remaining seq) did not finish", k, want)
+		}
+		for _, j := range order[k+1:] {
+			if flows[j].completed {
+				t.Fatalf("completion %d: flow %d finished ahead of flow %d", k, j, want)
+			}
+		}
+		if left, got := n-k-1, eng.Pending(); (left > 0) != (got == 1) || got > 1 {
+			t.Fatalf("%d flows in flight, %d events pending", left, got)
+		}
+	}
+	if eng.Step() {
+		t.Fatal("an event outlived the last flow")
+	}
+}
+
+// The calendar invariant flags a fabric event that has left the minimum
+// (at, seq) over the flows' predictions, is armed for the wrong flow, or is
+// missing while a prediction stands.
+func TestNextInvariantCatchesMisplacedEvent(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(fab *Fabric, eng *sim.Engine, other *Flow)
+		want    string
+	}{
+		{"moved", func(fab *Fabric, eng *sim.Engine, _ *Flow) {
+			eng.RescheduleSeq(fab.next, fab.next.Time()+1, fab.next.Seq())
+		}, "earliest prediction"},
+		{"wrong flow", func(fab *Fabric, _ *sim.Engine, other *Flow) {
+			fab.nextFlow = other
+		}, "earliest prediction"},
+		{"missing", func(fab *Fabric, eng *sim.Engine, _ *Flow) {
+			eng.CancelRecycle(fab.next)
+			fab.next = nil
+		}, "no completion event pending"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			fab := NewFabric(eng)
+			fab.StartFlow(10*MB, fab.NewLink("fast", 10*MBps))
+			other := fab.StartFlow(10*MB, fab.NewLink("slow", 5*MBps))
+			tc.corrupt(fab, eng, other)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "invariant violated") || !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want an invariant violation naming %q", msg, tc.want)
+				}
+			}()
+			fab.checkNext(eng.Invariants())
 		})
 	}
 }

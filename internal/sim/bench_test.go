@@ -28,10 +28,11 @@ func uncheckedEngines(b *testing.B) {
 	b.Cleanup(func() { SetDefaultInvariants(true) })
 }
 
-// BenchmarkCancelChurn is the netsim remove pattern: per fired completion,
-// one flow retires its pending completion (CancelRecycle + Schedule of the
-// successor) and the reallocated bandwidth moves seven others — the same
-// composite the azbench cancel-churn suite runs.
+// BenchmarkCancelChurn is a per-flow-event churn pattern (netsim's remove
+// path before a fabric held a single completion event): per fired
+// completion, one flow retires its pending completion (CancelRecycle +
+// Schedule of the successor) and the reallocated bandwidth moves seven
+// others — the same composite the azbench cancel-churn suite runs.
 func BenchmarkCancelChurn(b *testing.B) {
 	uncheckedEngines(b)
 	const pop = 1024

@@ -57,6 +57,10 @@ type Event struct {
 // Time reports the virtual time at which the event is (or was) scheduled.
 func (ev *Event) Time() time.Duration { return ev.at }
 
+// Seq reports the event's sequence number: among events scheduled for the
+// same time, the lower seq fires first.
+func (ev *Event) Seq() uint64 { return ev.seq }
+
 // Canceled reports whether Cancel was called on the event.
 func (ev *Event) Canceled() bool { return ev.canceled }
 
@@ -235,9 +239,9 @@ type Engine struct {
 	pendingPanic *procPanic
 
 	// pool holds recycled Event structs for reuse by the scheduling methods.
-	// High-churn subsystems (netsim reschedules every active flow's
-	// completion on each rate change) return events here via Recycle instead
-	// of leaving one garbage Event per churn event. Capped at poolCap().
+	// High-churn callers (the kernel's own wake events, a netsim fabric's
+	// completion event) return events here via Recycle instead of leaving
+	// one garbage Event per churn event. Capped at poolCap().
 	pool []*Event
 
 	// eventsHigh is the calendar's high-water mark (pending entries,
@@ -367,16 +371,46 @@ func (e *Engine) scheduleActor(at time.Duration, a *Actor) *Event {
 	return e.enqueue(Event{at: at, act: a, daemon: a.daemon, reclaim: true})
 }
 
-// enqueue copies ev into a pooled event, stamps it with the next sequence
-// number and pushes it onto the calendar.
+// enqueue stamps ev with the next sequence number and pushes it onto the
+// calendar.
 func (e *Engine) enqueue(ev Event) *Event {
 	if ev.at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", ev.at, e.now))
 	}
+	ev.seq = e.TakeSeq()
+	return e.push(ev)
+}
+
+// TakeSeq consumes the next sequence number, the tie-breaker every
+// scheduling call takes, and returns it. A caller that keeps many
+// predictions but arms only the earliest takes a seq for each prediction
+// where a Schedule or Reschedule would have, then arms the winner with
+// ScheduleSeq or RescheduleSeq: the calendar then orders it exactly as the
+// per-prediction event would have been ordered.
+func (e *Engine) TakeSeq() uint64 {
+	s := e.seq
+	e.seq++
+	return s
+}
+
+// ScheduleSeq is Schedule with a sequence number taken earlier by TakeSeq:
+// the event fires where a Schedule made at the moment seq was taken would
+// have fired. Scheduling in the past panics, as does a seq not yet taken.
+func (e *Engine) ScheduleSeq(at time.Duration, seq uint64, fn func()) *Event {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
+	}
+	if seq >= e.seq {
+		panic(fmt.Sprintf("sim: schedule with seq %d not yet taken", seq))
+	}
+	return e.push(Event{at: at, seq: seq, fn: fn})
+}
+
+// push copies ev, already stamped with its sequence number, into a pooled
+// event and puts it on the calendar.
+func (e *Engine) push(ev Event) *Event {
 	p := e.alloc()
 	*p = ev
-	p.seq = e.seq
-	e.seq++
 	e.heapPush(p)
 	if !ev.daemon {
 		e.foreground++
@@ -544,24 +578,32 @@ func (e *Engine) CancelRecycle(ev *Event) {
 // a free-list round trip and a push. Rescheduling an event that already
 // fired, was canceled, or was recycled panics.
 func (e *Engine) Reschedule(ev *Event, at time.Duration) {
+	e.RescheduleSeq(ev, at, e.TakeSeq())
+}
+
+// RescheduleSeq moves a still-pending event to the key (at, seq), seq taken
+// earlier by TakeSeq: the event then fires where a Schedule made at the
+// moment seq was taken would have fired. The sift goes up or down by
+// comparing the new key with the old one. Moving to a time before now, to a
+// seq not yet taken, or moving an event that is not pending panics.
+func (e *Engine) RescheduleSeq(ev *Event, at time.Duration, seq uint64) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: reschedule at %v before now %v", at, e.now))
+	}
+	if seq >= e.seq {
+		panic(fmt.Sprintf("sim: reschedule with seq %d not yet taken", seq))
 	}
 	if ev == nil || ev.canceled || ev.pooled || ev.index < 0 {
 		panic("sim: Reschedule of an event that is not pending")
 	}
-	old := ev.at
-	ev.at = at
-	ev.seq = e.seq
-	e.seq++
-	e.events[ev.index].at = at
-	e.events[ev.index].seq = ev.seq
-	// A fresh (larger) seq never moves an event up past an equal-time entry,
-	// so only one direction of sift is needed per time change.
-	if at >= old {
-		e.heapSiftDown(ev.index)
+	up := at < ev.at || (at == ev.at && seq < ev.seq)
+	ev.at, ev.seq = at, seq
+	i := ev.index
+	e.events[i].at, e.events[i].seq = at, seq
+	if up {
+		e.heapSiftUp(i)
 	} else {
-		e.heapSiftUp(ev.index)
+		e.heapSiftDown(i)
 	}
 }
 
