@@ -3,9 +3,9 @@
 # suite under the race detector, smoke-runs every benchmark once so the
 # bench harness can never rot, self-tests the perfbench module, and gives
 # each fuzz target a short live-fuzz burst beyond its seed corpus.
-.PHONY: check fmt-check build vet test test-nofma bench-smoke perfbench-selftest fuzz-smoke bench netbench storagebench schedbench simbench simbench-gate scalebench scalebench-smoke domainbench domainbench-smoke domainbench-gate geobench geobench-smoke geobench-smoke-gate geobench-gate validate serve wiresmoke
+.PHONY: check fmt-check build vet test test-nofma bench-smoke perfbench-selftest fuzz-smoke bench netbench storagebench schedbench simbench simbench-gate scalebench scalebench-smoke validate serve wiresmoke
 
-check: fmt-check build vet test bench-smoke perfbench-selftest fuzz-smoke scalebench-smoke domainbench-smoke geobench-smoke-gate wiresmoke
+check: fmt-check build vet test bench-smoke perfbench-selftest fuzz-smoke scalebench-smoke wiresmoke
 
 # Fails when gofmt would reformat any file; `gofmt -l .` lists them.
 fmt-check:
@@ -44,7 +44,6 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzFaultConfig$$' -fuzztime 30s ./internal/storage/reqpath
 	go test -run '^$$' -fuzz '^FuzzRetryClassify$$' -fuzztime 30s ./internal/azure
 	go test -run '^$$' -fuzz '^FuzzGeoRoute$$' -fuzztime 30s ./internal/geo
-	go test -race -run '^$$' -fuzz '^FuzzDomainMailOrder$$' -fuzztime 30s ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzFabricChurn$$' -fuzztime 30s ./internal/netsim
 	go test -run '^$$' -fuzz '^FuzzParseOp$$' -fuzztime 30s ./internal/wire
 	go test -run '^$$' -fuzz '^FuzzParseArrivals$$' -fuzztime 30s ./internal/wire
@@ -83,50 +82,6 @@ scalebench:
 # artifact to /tmp so the checked-in full-scale capture stays untouched.
 scalebench-smoke:
 	go run ./cmd/azbench -run scalebench -quick -benchout /tmp/BENCH_scale_smoke.json
-
-# Domain-sharded kernel ladder (domains 1/2/4/8 over a 100k-client scale
-# cell split into 8 fixed shards) refreshing the checked-in
-# BENCH_domains.json; every rung — including the windowed coordinator row —
-# must produce the identical trace hash.
-domainbench:
-	go run ./cmd/azbench -run domainbench
-
-# Reduced ladder (domains 1/2, 10k scale cell) with the same cross-domain
-# trace-equality assertions. Writes its artifact to /tmp so the checked-in
-# full-scale capture stays untouched.
-domainbench-smoke:
-	go run ./cmd/azbench -run domainbench -quick -benchout /tmp/BENCH_domains_smoke.json
-
-# Regression step through the gate the three domain ladders share: rerun
-# the scale cell at domains=1 (min of five) and fail on >10% slowdown — or
-# any trace drift — against the checked-in BENCH_domains.json. The row
-# prices the coordinator's single-domain overhead.
-domainbench-gate:
-	go run ./cmd/azbench -run domainbench -gate BENCH_domains.json
-
-# Multi-region geo ladder (domains 1/2/4 over the four-region fig8geo cell
-# and a 1k-client geo-pop world) refreshing the checked-in BENCH_geo.json;
-# every rung must produce the identical trace hash.
-geobench:
-	go run ./cmd/azbench -run geobench
-
-# Reduced ladder (domains 1/2) with the same cross-domain trace-equality
-# assertions. Writes its artifact to /tmp so the checked-in full-scale
-# capture stays untouched.
-geobench-smoke:
-	go run ./cmd/azbench -run geobench -quick -benchout /tmp/BENCH_geo_smoke.json
-
-# The smoke capture is its own gate baseline: the gate must accept the file
-# just written (hash equality and the 10% wall band). A wall-clock bound, so
-# it runs here, alone, and not among the parallel packages of go test.
-geobench-smoke-gate: geobench-smoke
-	go run ./cmd/azbench -run geobench -gate /tmp/BENCH_geo_smoke.json
-
-# Regression step through the shared ladder gate: rerun the fig8geo cell
-# at domains=1 (min of five) and fail on >10% slowdown — or any trace drift —
-# against the checked-in BENCH_geo.json.
-geobench-gate:
-	go run ./cmd/azbench -run geobench -gate BENCH_geo.json
 
 # Serve the simulated cloud over the 2009 Azure REST surface on
 # localhost:10000 (freerun clock; see cmd/azserve for paced mode and

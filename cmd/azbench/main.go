@@ -43,11 +43,10 @@ func main() { os.Exit(run(os.Args[1:])) }
 func run(args []string) int {
 	fs := flag.NewFlagSet("azbench", flag.ExitOnError)
 	var (
-		runName = fs.String("run", "all", "artifact: all|"+strings.Join(core.Names(), "|")+"|netbench|storagebench|schedbench|simbench|scalebench|domainbench|geobench")
+		runName = fs.String("run", "all", "artifact: all|"+strings.Join(core.Names(), "|")+"|netbench|storagebench|schedbench|simbench|scalebench")
 		seed    = fs.Uint64("seed", 42, "root random seed")
 		quick   = fs.Bool("quick", false, "reduced scale for fast runs")
 		workers = fs.Int("workers", 1, "scheduler width: independent experiment cells run on this many goroutines (1 = serial; results are bit-identical at any width)")
-		domains = fs.Int("domains", 0, "sim.Domains width for fig8geo, whose worlds shard their regions across this many concurrently-executing engines (0 = one domain; results are bit-identical at any width, and -domains composes with -workers)")
 		entity  = fs.Int("entity", 4096, "fig2 entity size in bytes (1024|4096|16384|65536)")
 		msg     = fs.Int("msg", 512, "fig3 message size in bytes (512|1024|4096|8192)")
 		csv     = fs.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -55,7 +54,7 @@ func run(args []string) int {
 		bench   = fs.String("benchout", "", "output path for the netbench/storagebench/schedbench/simbench artifact (default BENCH_<suite>.json)")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf = fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
-		gate    = fs.String("gate", "", "simbench/domainbench/geobench: regression-gate mode — rerun the gated suites and fail if >10% slower than this BENCH_sim.json / BENCH_domains.json / BENCH_geo.json")
+		gate    = fs.String("gate", "", "simbench: regression-gate mode — rerun the gated suites and fail if >10% slower than this BENCH_sim.json")
 	)
 	fs.Parse(args)
 	if *cpuProf != "" {
@@ -142,27 +141,9 @@ func run(args []string) int {
 			out = "BENCH_scale.json"
 		}
 		return runScaleBench(*seed, *quick, out)
-	case "domainbench":
-		if *gate != "" {
-			return runDomainGate(*gate)
-		}
-		out := *bench
-		if out == "" {
-			out = "BENCH_domains.json"
-		}
-		return runDomainBench(*seed, *quick, out)
-	case "geobench":
-		if *gate != "" {
-			return runGeoGate(*gate)
-		}
-		out := *bench
-		if out == "" {
-			out = "BENCH_geo.json"
-		}
-		return runGeoBench(*seed, *quick, out)
 	}
 
-	proto := core.Proto{Seed: *seed, Workers: *workers, Domains: *domains}
+	proto := core.Proto{Seed: *seed, Workers: *workers}
 	if *quick {
 		proto.Scale = core.QuickScale
 	}

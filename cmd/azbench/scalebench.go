@@ -163,25 +163,11 @@ func (c *scaleClient) opDone(err error) {
 // server-busy rate (so the retry machinery actually runs) and a pre-seeded
 // 64×64 key grid of 1 kB entities.
 func newScaleCloud(seed uint64) (*azure.Cloud, *scaleHarness) {
-	return newScaleCloudOn(nil, seed)
-}
-
-// newScaleCloudOn is newScaleCloud on an existing engine (nil: a fresh
-// standalone one). domainbench's sharded scale cell builds one shard cloud
-// per domain member through this path; each shard is a self-contained world
-// — its own cloud, service, key grid, and harness tallies — so shards only
-// share an engine, never state.
-func newScaleCloudOn(eng *sim.Engine, seed uint64) (*azure.Cloud, *scaleHarness) {
 	ccfg := azure.Config{Seed: seed}
 	ccfg.Fabric = fabric.DefaultConfig()
 	ccfg.Fabric.Degradation = false
 	ccfg.Table.ServerBusyProb = 0.01
-	var cloud *azure.Cloud
-	if eng == nil {
-		cloud = azure.NewCloud(ccfg)
-	} else {
-		cloud = azure.NewCloudOn(eng, ccfg)
-	}
+	cloud := azure.NewCloud(ccfg)
 
 	h := &scaleHarness{
 		eng:    cloud.Engine,

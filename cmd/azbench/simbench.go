@@ -32,7 +32,6 @@ var seedSimNs = map[string]float64{
 	"resched-churn/1024": 738.8,
 	"spawn-churn":        677.7,
 	"sleep-ladder":       671.8,
-	"mixed":              2167.2,
 }
 
 // seedSimAllocs are the matching pre-overhaul allocations per op.
@@ -42,7 +41,6 @@ var seedSimAllocs = map[string]float64{
 	"resched-churn/1024": 2.0,
 	"spawn-churn":        6.03,
 	"sleep-ladder":       4.00,
-	"mixed":              20.58,
 }
 
 // seedFig1CellMS is the pre-overhaul wall time of the 192-client cell, and
@@ -235,76 +233,6 @@ func sleepLadder(iters int) {
 	eng.Run()
 }
 
-// mixedWorkload runs queue producers/consumers with timeouts plus resource
-// contention — the storage-station shape, including the timer-cancel path
-// that every successful GetTimeout exercises.
-func mixedWorkload(iters int) {
-	eng := sim.NewEngine()
-	q := sim.NewQueue[int]()
-	r := sim.NewResource(eng, "svc", 4)
-	produced, consumed := 0, 0
-	for k := 0; k < 8; k++ {
-		eng.Spawn("prod", func(p *sim.Proc) {
-			for produced < iters {
-				produced++
-				r.Use(p, 1, func() { p.Sleep(200 * time.Microsecond) })
-				q.Put(1)
-			}
-		})
-	}
-	for k := 0; k < 8; k++ {
-		eng.Spawn("cons", func(p *sim.Proc) {
-			for consumed < iters {
-				if _, ok := q.GetTimeout(p, time.Millisecond); ok {
-					consumed++
-				}
-			}
-		})
-	}
-	eng.Run()
-}
-
-// mailChurn is the cross-domain mail path distilled: four domains, each
-// running one process that mails eight messages per window to the other
-// domains, then sleeps to the next boundary. Every iteration exercises
-// Send (gather), flushMail (pooled batch assembly) and deliverBatch
-// (pooled slice recycling); the counters on the receiving side make the
-// deliveries real work the compiler cannot elide. Width is fixed at four
-// so GOMAXPROCS=1 captures stay comparable — the suite prices the mail
-// machinery, not the parallelism.
-func mailChurn(iters int) {
-	const width, perRound = 4, 8
-	g := sim.NewDomains(width)
-	g.SetWindow(100 * time.Microsecond)
-	received := make([]int, width)
-	rounds := iters / (width * perRound)
-	if rounds < 1 {
-		rounds = 1
-	}
-	for d := 0; d < width; d++ {
-		d := d
-		eng := g.Domain(d)
-		eng.Spawn("mailer", func(p *sim.Proc) {
-			for r := 0; r < rounds; r++ {
-				for j := 0; j < perRound; j++ {
-					dst := (d + j + 1) % width
-					eng.Send(dst, func() { received[dst]++ })
-				}
-				p.Sleep(100 * time.Microsecond)
-			}
-		})
-	}
-	g.Run()
-	want := width * perRound * rounds
-	total := 0
-	for _, n := range received {
-		total += n
-	}
-	if total != want {
-		panic(fmt.Sprintf("simbench: mail-churn delivered %d of %d", total, want))
-	}
-}
-
 // fig1Cell192 runs one closed-loop fig1-style cell: 192 clients each issuing
 // sequential ParallelGet requests against one shared blob, the workload whose
 // per-request process fan-out motivated worker reuse. It returns the wall
@@ -396,9 +324,7 @@ var simSuites = []struct {
 	{"cancel-churn/8192", 50000, true, func(n int) { cancelChurn(8192, n) }},
 	{"resched-churn/1024", 200000, true, func(n int) { reschedChurn(1024, n) }},
 	{"spawn-churn", 300000, true, spawnChurn},
-	{"mail-churn", 400000, true, mailChurn},
 	{"sleep-ladder", 500000, false, sleepLadder},
-	{"mixed", 100000, false, mixedWorkload},
 }
 
 func runSimBench(seed uint64, quick bool, out string) int {
@@ -408,8 +334,9 @@ func runSimBench(seed uint64, quick bool, out string) int {
 		GoVersion:  runtime.Version(),
 		NumCPU:     runtime.NumCPU(),
 		Note: "kernel microbenchmarks: cancel-churn retires the soonest pending completion and " +
-			"schedules a replacement (netsim remove idiom); resched-churn moves eight pending " +
-			"completions per fired event (netsim rate-change idiom); spawn-churn is the " +
+			"schedules a replacement; resched-churn moves eight pending completions per fired " +
+			"event (both are the per-flow-event patterns netsim used before each fabric kept a " +
+			"single completion event); spawn-churn is the " +
 			"closed-loop one-process-per-request pattern, where the remaining steady-state " +
 			"allocation is the Proc descriptor itself (events, channels, goroutines and " +
 			"closures are all reused); allocs_per_op from MemStats. seed_* fields were " +

@@ -39,5 +39,5 @@
 // neither. Both drivers schedule exactly one event per wake, so a
 // blocking call and its flat form are trace-identical by construction —
 // pinned by the per-service golden traces and equivalence tests and the
-// scalebench/domainbench trace gates.
+// scalebench trace gate.
 package azureobs

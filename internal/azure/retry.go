@@ -132,8 +132,9 @@ type retryCall struct {
 	err error
 }
 
-// retryCalls pools Do's state; Do may run on any engine of any domain, so
-// the pool is the concurrency-safe sync.Pool.
+// retryCalls pools Do's state; Do may run on engines driven from several
+// goroutines at once (the cell scheduler), so the pool is the
+// concurrency-safe sync.Pool.
 var retryCalls = sync.Pool{New: func() any {
 	c := &retryCall{}
 	c.Init(c.request, c.finished)

@@ -20,9 +20,8 @@ import (
 //   - "kill": the primary region dies whole and is repaired — failover
 //     RTO, RPO exposure, lost-write count and routing-flap discipline.
 //
-// Each world is domain-sharded (one domain per region is the natural
-// partition); traces are bit-identical at every (workers, domains)
-// combination, pinned by TestGeoEquivalence.
+// Each world runs on one engine; traces are bit-identical at every
+// scheduler width, pinned by TestGeoEquivalence.
 
 // Fig8GeoConfig sizes the three scenario worlds.
 type Fig8GeoConfig struct {
@@ -87,7 +86,6 @@ func (cfg Fig8GeoConfig) worldConfig(scenario int) geo.Config {
 	gc := geo.Config{
 		Seed:             cfg.Seed + uint64(scenario)*271_828_181,
 		Regions:          cfg.Regions,
-		Domains:          cfg.Domains,
 		Window:           cfg.Window,
 		Horizon:          cfg.Horizon,
 		ClientsPerRegion: cfg.ClientsPerRegion,
@@ -120,16 +118,13 @@ type Fig8GeoResult struct {
 }
 
 // RunFig8Geo executes the three scenario worlds, sharded over the cell
-// scheduler; each world additionally shards its regions over cfg.Domains.
+// scheduler.
 func RunFig8Geo(cfg Fig8GeoConfig) *Fig8GeoResult {
 	cfg = cfg.withDefaults()
 	pool := sched.New(cfg.Workers)
 	reports := sched.Map(pool, 3, func(i int) *geo.Report {
 		w := geo.NewWorld(cfg.worldConfig(i))
 		w.Run()
-		if cfg.DomainStats != nil {
-			cfg.DomainStats.Add(w.Stats())
-		}
 		return w.Report()
 	})
 	return &Fig8GeoResult{

@@ -180,7 +180,7 @@ func encodeResult(g *goldenHasher, res Result) {
 
 // encodeGeoReport serializes every field of a geo world report in
 // declaration order — the fig8geo equivalence test byte-compares these
-// streams across (workers, domains) sweeps.
+// streams across scheduler widths.
 func encodeGeoReport(g *goldenHasher, r *geo.Report) {
 	g.i64(int64(r.Regions))
 	g.i64(r.ReadsOK)

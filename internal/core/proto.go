@@ -1,7 +1,5 @@
 package core
 
-import "azureobs/internal/sim"
-
 // Scale selects which variant of an experiment's protocol a registry Run
 // uses. The concrete numbers for each scale live with the experiment's
 // ConfigFor function, so cmd/azbench and cmd/azvalidate no longer carry
@@ -48,17 +46,6 @@ type Proto struct {
 
 	Scale Scale // which protocol variant a registry Run expands to
 	Size  int   // payload-size override in bytes (blob/entity/message); 0 = scale default
-
-	// Domains is the sim.Domains width for fig8geo, whose worlds are
-	// coupled regions that exchange mail: each world shards its regions
-	// across this many engines. 0 is one domain. Traces are bit-identical
-	// at every width, and Domains composes with Workers. Every other
-	// experiment ignores it: their cells already shard over Workers.
-	Domains int
-
-	// DomainStats, when non-nil, accumulates coordinator accounting
-	// (rounds, mail, busy/wall) across every Domains group fig8geo creates.
-	DomainStats *sim.DomainAccum
 }
 
 // Defaults returns the Proto block the paper-scale protocols start from:
@@ -85,7 +72,5 @@ func (p Proto) Apply(base Proto) Proto {
 	}
 	base.Scale = p.Scale
 	base.Size = p.Size
-	base.Domains = p.Domains
-	base.DomainStats = p.DomainStats
 	return base
 }

@@ -8,24 +8,15 @@
 // curves, and a chaos schedule can kill and repair a whole region to
 // measure failover RTO/RPO.
 //
-// Execution is domain-sharded: the world always runs on a windowed
-// sim.Domains group — one domain per region is the natural partition — and
-// the trace is bit-identical at every domain count. Two mechanisms make
-// that hold:
-//
-//   - Region state is disjoint. Each region owns its engine-local cloud,
-//     RNG root (cfg.Seed + region·1_000_003), replica bookkeeping and
-//     population, so a region's causal order never depends on which other
-//     regions share its engine.
-//
-//   - Cross-region effects are canonicalized. All inter-region
-//     communication goes through World.send, which stamps each message
-//     with a per-(src,dst) sequence number and delivers it into the
-//     destination's inbox at a window boundary; a per-region drain event
-//     then sorts the boundary's arrivals by (source region, sequence) —
-//     both domain-invariant quantities — before executing them. Arrival
-//     boundaries are pure functions of the send instant and the window
-//     size, so neither timing nor ordering can vary with the domain count.
+// The whole world runs on one sim.Engine. Each region owns its cloud, RNG
+// root (cfg.Seed + region·1_000_003), replica bookkeeping and population;
+// regions share only the engine. Cross-region messages travel on a grid
+// of windows: World.send stamps each message with a per-(src,dst)
+// sequence number, and a message posted at virtual time s arrives at the
+// next grid boundary (⌊s/Window⌋+1)·Window, after every event before that
+// boundary has fired. A per-region drain event then runs the boundary's
+// arrivals in (source region, sequence) order. World.Run keeps that
+// order with a serial loop of engine windows (sim.Engine.RunWindow).
 package geo
 
 import (
@@ -60,8 +51,7 @@ const (
 type Config struct {
 	Seed    uint64
 	Regions int
-	Domains int           // sim.Domains width, clamped to [1, Regions]
-	Window  time.Duration // virtual-time window of the domain coordinator
+	Window  time.Duration // cross-region messages arrive on this virtual-time grid
 	Horizon time.Duration // populations stop issuing at this virtual time
 
 	// Population shape (per region).
@@ -124,7 +114,6 @@ func DefaultConfig() Config {
 	return Config{
 		Seed:             42,
 		Regions:          4,
-		Domains:          1,
 		Window:           20 * time.Millisecond,
 		Horizon:          120 * time.Second,
 		ClientsPerRegion: 48,
@@ -206,12 +195,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.HostsPerRack == 0 {
 		cfg.HostsPerRack = def.HostsPerRack
 	}
-	if cfg.Domains < 1 {
-		cfg.Domains = 1
-	}
-	if cfg.Domains > cfg.Regions {
-		cfg.Domains = cfg.Regions
-	}
 	return cfg
 }
 
@@ -220,28 +203,30 @@ const Container = "geo"
 
 // message is one canonicalized cross-region delivery.
 type message struct {
-	src int
-	seq uint64
-	fn  func()
+	src, dst int
+	seq      uint64
+	fn       func()
 }
 
 // World is a running multi-region simulation.
 type World struct {
 	cfg     Config
-	group   *sim.Domains
+	eng     *sim.Engine
 	regions []*region
 	store   *geoStore
 	names   []string
 	ran     bool
 
-	// requestedDomains is the pre-clamp Config.Domains ask; withDefaults
-	// cuts it to the region count (a domain with no region would idle every
-	// round), and Stats surfaces the difference rather than hiding it.
-	requestedDomains int
+	// posted collects the messages posted in the current window. At the
+	// window's boundary Run swaps it with due, the batch deliverFn hands to
+	// the regions; the two buffers trade places every window, so delivery
+	// allocates nothing in steady state.
+	posted    []message
+	due       []message
+	deliverFn func()
 }
 
-// region is one datacenter plus everything homed in it. All of its fields
-// are mutated only from its own engine's context once the world runs.
+// region is one datacenter plus everything homed in it.
 type region struct {
 	w     *World
 	index int
@@ -268,14 +253,9 @@ func (r *region) eng() *sim.Engine { return r.cloud.Engine }
 // NewWorld builds the regions, trunks, replicas, routers, populations and
 // chaos schedule. Call Run once to execute to drain.
 func NewWorld(cfg Config) *World {
-	requested := cfg.Domains
 	cfg = cfg.withDefaults()
-	if requested < 1 {
-		requested = cfg.Domains // defaulted, not clamped
-	}
-	w := &World{cfg: cfg, requestedDomains: requested}
-	w.group = sim.NewDomains(cfg.Domains)
-	w.group.SetWindow(cfg.Window)
+	w := &World{cfg: cfg, eng: sim.NewEngine()}
+	w.deliverFn = w.deliver
 
 	w.names = make([]string, cfg.HotNames)
 	for k := range w.names {
@@ -292,7 +272,7 @@ func NewWorld(cfg Config) *World {
 				Degradation:  false,
 			},
 		}
-		cloud := azure.NewCloudOn(w.group.Domain(i%cfg.Domains), ccfg)
+		cloud := azure.NewCloudOn(w.eng, ccfg)
 		r := &region{
 			w:      w,
 			index:  i,
@@ -323,40 +303,46 @@ func NewWorld(cfg Config) *World {
 	return w
 }
 
-// Run executes the world to drain and returns the coordinator stats.
-func (w *World) Run() sim.DomainStats {
+// Run executes the world to drain, one window of the message grid at a
+// time: fire the events before the boundary, schedule the delivery of the
+// window's messages at the boundary, and jump over windows with no event.
+// The delivery is scheduled only after every event before the boundary has
+// fired, so it runs after the events already pending at the boundary and
+// before any scheduled there later.
+func (w *World) Run() {
 	if w.ran {
 		panic("geo: World.Run called twice")
 	}
 	w.ran = true
-	w.group.Run()
-	return w.Stats()
+	win := w.cfg.Window
+	var boundary time.Duration
+	for {
+		next, ok := w.eng.RunWindow(boundary)
+		if len(w.posted) > 0 {
+			w.posted, w.due = w.due, w.posted
+			w.eng.Schedule(boundary, w.deliverFn)
+			next, ok = boundary, true
+		}
+		if !ok {
+			return
+		}
+		boundary = (next/win + 1) * win
+	}
 }
 
-// Stats returns the coordinator stats (valid after Run), with Requested
-// carrying the pre-clamp Config.Domains ask.
-func (w *World) Stats() sim.DomainStats {
-	s := w.group.Stats()
-	s.Requested = w.requestedDomains
-	return s
+// deliver hands one boundary's messages, in posting order, to their
+// destination regions. It fires before the next window's boundary, so due
+// is empty again by the time Run swaps the buffers.
+func (w *World) deliver() {
+	for i, m := range w.due {
+		w.regions[m.dst].enqueue(m)
+		w.due[i] = message{}
+	}
+	w.due = w.due[:0]
 }
 
-// RequestedDomains returns the Config.Domains ask before the region-count
-// clamp; EffectiveDomains the width the world actually runs at.
-func (w *World) RequestedDomains() int { return w.requestedDomains }
-
-// EffectiveDomains returns the clamped domain width.
-func (w *World) EffectiveDomains() int { return w.cfg.Domains }
-
-// EventsFired sums fired events across all member engines.
-func (w *World) EventsFired() uint64 { return w.group.EventsFired() }
-
-// Now returns the maximum member virtual clock.
-func (w *World) Now() time.Duration { return w.group.Now() }
-
-// MailDelivered returns the cross-domain mail count (domain-count
-// dependent; excluded from trace hashes).
-func (w *World) MailDelivered() uint64 { return w.group.MailDelivered() }
+// Now returns the world's virtual clock.
+func (w *World) Now() time.Duration { return w.eng.Now() }
 
 // oneWayRow builds region i's propagation-delay row: LocalProbe at self,
 // BaseOneWay + HopOneWay·distance elsewhere.
@@ -379,26 +365,21 @@ func (w *World) oneWay(i, j int) time.Duration {
 	return w.cfg.BaseOneWay + time.Duration(d)*w.cfg.HopOneWay
 }
 
-// send delivers fn into region dst at the first window boundary after
-// now+delay on src's clock. The arrival boundary is a pure function of the
-// send instant and the window size; the (src, seq) stamp fixes the
-// execution order among same-boundary arrivals. Must run in src's engine
-// context.
+// send posts fn to region dst at now+delay; it arrives at the first window
+// boundary after that instant. The (src, seq) stamp fixes the execution
+// order among same-boundary arrivals.
 func (w *World) send(src, dst int, delay time.Duration, fn func()) {
 	r := w.regions[src]
-	eng := r.eng()
-	m := message{src: src, seq: r.outSeq[dst], fn: fn}
+	m := message{src: src, dst: dst, seq: r.outSeq[dst], fn: fn}
 	r.outSeq[dst]++
-	dd := dst % w.cfg.Domains
-	eng.Schedule(eng.Now()+delay, func() {
-		eng.Send(dd, func() { w.regions[dst].enqueue(m) })
-	})
+	w.eng.Schedule(w.eng.Now()+delay, func() { w.posted = append(w.posted, m) })
 }
 
 // enqueue buffers a boundary arrival and arms the region's drain at the
-// current instant. All of a boundary's mail callbacks run before the drain
-// (the drain event is scheduled later at the same timestamp), so the drain
-// sees the complete arrival set and can sort it canonically.
+// current instant. The boundary's delivery event enqueues every arrival
+// before the drain runs (the drain is scheduled later at the same
+// timestamp), so the drain sees the complete arrival set and can sort it
+// canonically.
 func (r *region) enqueue(m message) {
 	r.inbox = append(r.inbox, m)
 	if !r.drainArmed {
@@ -409,7 +390,7 @@ func (r *region) enqueue(m message) {
 }
 
 // drainInbox executes one boundary's arrivals in (source region, sequence)
-// order — a total order independent of the domain count.
+// order.
 func (r *region) drainInbox() {
 	r.drainArmed = false
 	msgs := r.inbox
@@ -427,8 +408,8 @@ func (r *region) drainInbox() {
 
 // scheduleHeartbeat arms the k-th health-probe tick. Ticks are foreground
 // events on the absolute grid k·Heartbeat, gated by the horizon, so every
-// region beats the same number of times regardless of how long its
-// engine-mates keep their shared engine busy.
+// region beats the same number of times however long other work keeps the
+// engine busy.
 func (r *region) scheduleHeartbeat(k int64) {
 	at := time.Duration(k) * r.w.cfg.Heartbeat
 	if at > r.w.cfg.Horizon {

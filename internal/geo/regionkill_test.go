@@ -103,23 +103,14 @@ func TestRegionKillSecondary(t *testing.T) {
 	}
 }
 
-// TestRegionKillDomainEquivalence pins the chaos scenario's whole report
-// across domain widths — the kill, detection, failover and repair all land
-// identically no matter how the regions are sharded.
-func TestRegionKillDomainEquivalence(t *testing.T) {
-	var base *Report
-	for _, d := range []int{1, 2, 4} {
-		cfg := killConfig()
-		cfg.Domains = d
-		w := NewWorld(cfg)
-		w.Run()
-		rep := w.Report()
-		if d == 1 {
-			base = rep
-			continue
-		}
-		if *rep != *base {
-			t.Fatalf("domains=%d diverged:\n%+v\nwant:\n%+v", d, rep, base)
-		}
+// TestRegionKillReportGolden pins the chaos scenario's whole report: the
+// kill, detection, failover and repair land exactly where they did when the
+// world ran on a one-domain sim.Domains group.
+func TestRegionKillReportGolden(t *testing.T) {
+	w := NewWorld(killConfig())
+	w.Run()
+	rep := w.Report()
+	if got, want := reportHash(rep), uint64(0x2d2e23aaad454a13); got != want {
+		t.Fatalf("report hash %#016x, want %#016x:\n%+v", got, want, rep)
 	}
 }

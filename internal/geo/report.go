@@ -11,8 +11,7 @@ import (
 // Report aggregates one world run into the quantities the fig8geo
 // experiments anchor: traffic counters, the replication-lag distribution,
 // the stale-read fraction under the configured consistency mode, and — when
-// a kill was scripted — failover RTO, RPO and routing-flap counts. All
-// fields are domain-invariant; geobench hashes the whole struct.
+// a kill was scripted — failover RTO, RPO and routing-flap counts.
 type Report struct {
 	Regions int
 
@@ -45,8 +44,7 @@ type Report struct {
 }
 
 // Report computes the post-run aggregate. Call after Run; it walks all
-// regions' state single-threaded in region order, so every derived number
-// is independent of the domain count.
+// regions' state in region order.
 func (w *World) Report() *Report {
 	cfg := &w.cfg
 	rep := &Report{Regions: cfg.Regions}

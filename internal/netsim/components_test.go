@@ -7,7 +7,7 @@ import (
 	"azureobs/internal/sim"
 )
 
-// TestComponentsPartition pins the domain-sharding oracle: disjoint
+// TestComponentsPartition pins the partition oracle: disjoint
 // client↔service pairs are separate components, flows chained through any
 // shared link collapse into one, and querying between solves must not
 // disturb rate allocation (the solver restamps its scratch every pass).

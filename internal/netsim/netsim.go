@@ -748,13 +748,10 @@ func (f *Fabric) walk(i int) {
 }
 
 // Components returns the number of connected components in the active flow
-// graph: flows are connected when their paths share a link. This is the
-// kernel-sharding partition oracle — flows in different components can never
-// influence each other's rates (a solve touches exactly one component), so a
-// workload whose flow graph stays partitioned into k components is safe to
-// split across up to k simulation domains, one fabric per domain, with no
-// cross-domain mail. Links no flow currently crosses count toward no
-// component. The query walks link membership with its own epoch, so it
+// graph: flows are connected when their paths share a link. Flows in
+// different components can never influence each other's rates (a solve
+// touches exactly one component). Links no flow currently crosses count
+// toward no component. The query walks link membership with its own epoch, so it
 // never disturbs allocation.
 func (f *Fabric) Components() int {
 	f.newWalk()
@@ -772,8 +769,8 @@ func (f *Fabric) Components() int {
 
 // SameComponent reports whether two active flows share a connected component
 // — whether any chain of overlapping paths couples their rate allocations.
-// Flows in different components are independent: domain-sharding them apart
-// cannot change either one's trace. A finished flow is in no component.
+// Flows in different components are independent: moving them onto separate
+// fabrics cannot change either one's trace. A finished flow is in no component.
 func (f *Fabric) SameComponent(a, b *Flow) bool {
 	if a.index < 0 || b.index < 0 {
 		return false

@@ -165,76 +165,3 @@ func BenchmarkSleepLadder(b *testing.B) {
 		b.Fatalf("done = %d, want %d", done, total)
 	}
 }
-
-// BenchmarkMixed pushes producers and timeout-guarded consumers through a
-// queue and a resource — the full primitive stack under one benchmark.
-func BenchmarkMixed(b *testing.B) {
-	uncheckedEngines(b)
-	e := NewEngine()
-	q := NewQueue[int]()
-	r := NewResource(e, "disk", 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	const pairs = 8
-	for i := 0; i < pairs; i++ {
-		share := b.N / pairs
-		if i < b.N%pairs {
-			share++
-		}
-		e.Spawn("producer", func(p *Proc) {
-			for k := 0; k < share; k++ {
-				r.Use(p, 1, func() { p.Sleep(200 * time.Microsecond) })
-				q.Put(k)
-			}
-		})
-		e.Spawn("consumer", func(p *Proc) {
-			for k := 0; k < share; k++ {
-				q.GetTimeout(p, time.Millisecond)
-			}
-		})
-	}
-	e.Run()
-}
-
-// BenchmarkDomainMail is the cross-domain mail path: four domains, each
-// mailing eight messages per window to the others — Send gather, flushMail
-// pooled batch assembly, deliverBatch slice recycling. The azbench
-// mail-churn suite runs the same shape at fixed scale; this variant is for
-// interactive profiling:
-//
-//	go test -run xx -bench BenchmarkDomainMail -cpuprofile cpu.out ./internal/sim
-func BenchmarkDomainMail(b *testing.B) {
-	uncheckedEngines(b)
-	const width, perRound = 4, 8
-	g := NewDomains(width)
-	g.SetWindow(100 * time.Microsecond)
-	received := make([]int, width)
-	rounds := b.N / (width * perRound)
-	if rounds < 1 {
-		rounds = 1
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for d := 0; d < width; d++ {
-		d := d
-		eng := g.Domain(d)
-		eng.Spawn("mailer", func(p *Proc) {
-			for r := 0; r < rounds; r++ {
-				for j := 0; j < perRound; j++ {
-					dst := (d + j + 1) % width
-					eng.Send(dst, func() { received[dst]++ })
-				}
-				p.Sleep(100 * time.Microsecond)
-			}
-		})
-	}
-	g.Run()
-	b.StopTimer()
-	total := 0
-	for _, n := range received {
-		total += n
-	}
-	if want := width * perRound * rounds; total != want {
-		b.Fatalf("delivered %d of %d", total, want)
-	}
-}

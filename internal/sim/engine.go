@@ -4,7 +4,7 @@
 // Simulated activities can be expressed either as plain scheduled callbacks
 // (Engine.Schedule / Engine.After) or as processes (Engine.Spawn): ordinary
 // Go functions running on their own goroutines that block on kernel
-// primitives such as Proc.Sleep, Resource.Acquire or Queue.Get.
+// primitives such as Proc.Sleep, Signal.Wait or Queue.Get.
 //
 // Determinism: at most one goroutine — the kernel or exactly one process —
 // runs at any instant. Control is handed over synchronously through
@@ -265,12 +265,6 @@ type Engine struct {
 	// inv is the invariant harness; nil unless EnableInvariants was called
 	// (or SetDefaultInvariants flipped the package default before NewEngine).
 	inv *Invariants
-
-	// group/domIndex place the engine inside a sim.Domains group: group is
-	// nil for a standalone engine, and domIndex is the engine's position in
-	// the group's deterministic merge order. Set once by NewDomains.
-	group    *Domains
-	domIndex int
 }
 
 type procPanic struct {
@@ -700,15 +694,6 @@ func (e *Engine) Run() {
 		e.running = false
 		e.releaseIdleWorkers()
 	}()
-	e.runToDrain()
-}
-
-// runToDrain is Run's kernel loop: fire events until no foreground work
-// remains or Stop is called. It is split from Run so a Domains coordinator
-// round can drive the same loop without the enter/exit bookkeeping — in
-// particular without retiring parked workers, which the coordinator reuses
-// across window rounds and releases once, when the whole group run ends.
-func (e *Engine) runToDrain() {
 	for !e.stopped {
 		if e.foreground == 0 && e.procs == 0 && e.flats == 0 {
 			break
@@ -757,7 +742,50 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 	}
 }
 
-// Stop makes Run / RunUntil return after the current event completes.
+// RunWindow fires the events with time strictly before limit: the half-open
+// window [·, limit) of a run that pauses on a grid of boundaries, where an
+// event at exactly limit belongs to the next window. Unlike RunUntil it
+// leaves the clock at the last event fired, and, as in Run, events fire only
+// while foreground work remains. It returns the time of the earliest live
+// event left and true, or false once the run is over: no foreground work,
+// live processes or actors but no live event to move them (a stuck world,
+// which Run would also leave), or Stop. Parked workers survive from window to
+// window and are retired when RunWindow reports false.
+func (e *Engine) RunWindow(limit time.Duration) (next time.Duration, ok bool) {
+	if e.running {
+		panic("sim: RunWindow reentered")
+	}
+	e.running = true
+	e.stopped = false
+	defer func() {
+		e.running = false
+		if !ok {
+			e.releaseIdleWorkers()
+		}
+	}()
+	for !e.stopped && (e.foreground > 0 || e.procs > 0 || e.flats > 0) {
+		if len(e.events) == 0 {
+			break
+		}
+		root := e.events[0].ev
+		if root.canceled {
+			e.heapPop()
+			e.dead--
+			if root.reclaim {
+				e.recycle(root)
+			}
+			continue
+		}
+		if root.at >= limit {
+			return root.at, true
+		}
+		e.Step()
+	}
+	return 0, false
+}
+
+// Stop makes Run, RunUntil and RunWindow return after the current event
+// completes.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Drained reports whether the simulation has fully quiesced: no pending

@@ -115,6 +115,85 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestRunWindowHalfOpen pins the window: an event at exactly the limit
+// belongs to the next window, the clock stays at the last event fired, and
+// RunWindow reports the next live event (skipping a canceled one) until the
+// calendar is empty.
+func TestRunWindowHalfOpen(t *testing.T) {
+	const w = 10 * time.Millisecond
+	e := NewEngine()
+	var fired []time.Duration
+	note := func() { fired = append(fired, e.Now()) }
+	e.Schedule(w-time.Nanosecond, note)
+	e.Schedule(w, note)
+	e.Cancel(e.Schedule(w+time.Nanosecond, note))
+	e.Schedule(3*w, note)
+
+	next, ok := e.RunWindow(w)
+	if !ok || next != w || len(fired) != 1 || e.Now() != w-time.Nanosecond {
+		t.Fatalf("first window: next=%v ok=%v fired=%v now=%v", next, ok, fired, e.Now())
+	}
+	next, ok = e.RunWindow(2 * w)
+	if !ok || next != 3*w || len(fired) != 2 || e.Now() != w {
+		t.Fatalf("second window: next=%v ok=%v fired=%v now=%v", next, ok, fired, e.Now())
+	}
+	if next, ok = e.RunWindow(4 * w); ok || len(fired) != 3 || e.Now() != 3*w {
+		t.Fatalf("last window: next=%v ok=%v fired=%v now=%v", next, ok, fired, e.Now())
+	}
+}
+
+// TestRunWindowStuckWorldEnds: a live process with no event left to wake it
+// ends the windowed run, as it ends Run, and leaves the engine undrained.
+func TestRunWindowStuckWorldEnds(t *testing.T) {
+	e := NewEngine()
+	var sig Signal
+	e.Spawn("parked", func(p *Proc) { sig.Wait(p) }) // never fired
+	e.Spawn("fine", func(p *Proc) { p.Sleep(time.Millisecond) })
+	limit := time.Duration(0)
+	for {
+		next, ok := e.RunWindow(limit)
+		if !ok {
+			break
+		}
+		limit = next + time.Microsecond
+	}
+	if e.Drained() {
+		t.Fatal("engine reports drained with a parked process leaked")
+	}
+	if e.Now() != time.Millisecond {
+		t.Fatalf("clock stopped at %v, want 1ms", e.Now())
+	}
+}
+
+// TestRunWindowKeepsWorkersUntilDone: parked workers survive window
+// boundaries, so a process-driven world does not rebuild its pool every
+// window, and the window that ends the run retires them.
+func TestRunWindowKeepsWorkersUntilDone(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("driver", func(p *Proc) {
+		for s := 0; s < 50; s++ {
+			e.Spawn("step", func(*Proc) {})
+			p.Sleep(time.Millisecond) // one window boundary per step
+		}
+	})
+	windows := 0
+	for limit := time.Millisecond; ; limit += time.Millisecond {
+		windows++
+		if _, ok := e.RunWindow(limit); !ok {
+			break
+		}
+	}
+	if windows < 50 {
+		t.Fatalf("ran %d windows, want at least 50", windows)
+	}
+	if got := e.WorkersCreated(); got > 2 {
+		t.Fatalf("created %d workers across %d windows; pool not reused", got, windows)
+	}
+	if e.workersLive != 0 {
+		t.Fatalf("workersLive = %d after the last window, want 0", e.workersLive)
+	}
+}
+
 func TestStop(t *testing.T) {
 	e := NewEngine()
 	count := 0

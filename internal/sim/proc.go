@@ -49,7 +49,7 @@ type Proc struct {
 	wake *Event
 
 	// detach removes the process from the wait list it is parked on, so a
-	// Kill can take it out of a Resource/Signal/Queue queue. It must be
+	// Kill can take it out of a Signal/Queue wait list. It must be
 	// idempotent. nil when not parked on a list.
 	detach func()
 
@@ -153,9 +153,10 @@ func (e *Engine) parkWorker(p *Proc, w *worker) {
 	e.idle = append(e.idle, w)
 }
 
-// releaseIdleWorkers retires every parked worker. Run/RunUntil call it on
-// the way out so an engine abandoned after a run leaks no goroutines; the
-// next run simply rebuilds the pool on first spawn.
+// releaseIdleWorkers retires every parked worker. Run, RunUntil and the
+// RunWindow call that ends a windowed run call it on the way out so an
+// engine abandoned after a run leaks no goroutines; the next run simply
+// rebuilds the pool on first spawn.
 func (e *Engine) releaseIdleWorkers() {
 	for i, w := range e.idle {
 		close(w.task)

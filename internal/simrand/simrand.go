@@ -95,13 +95,6 @@ func (r *RNG) NormFloat64() float64 { return rand.New(&r.pcg).NormFloat64() }
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int { return rand.New(&r.pcg).Perm(n) }
 
-// ForkDomain derives the stream for simulation domain d. It is ForkN under a
-// reserved label, named so domain-sharded drivers fork per-domain roots the
-// same way everywhere: the stream for domain d depends only on (seed, d) —
-// never on how many domains exist — so resharding a workload from 1 to N
-// domains cannot shift any domain's draws.
-func (r *RNG) ForkDomain(d int) *RNG { return r.ForkN("domain", d) }
-
 // splitmix64 is the finalizer of the SplitMix64 generator, used to decorrelate
 // derived seeds.
 func splitmix64(x uint64) uint64 {

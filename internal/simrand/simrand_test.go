@@ -55,28 +55,6 @@ func TestForkNDistinct(t *testing.T) {
 	}
 }
 
-func TestForkDomainStable(t *testing.T) {
-	// A domain's stream depends only on (seed, index): equal to ForkN under
-	// the reserved label, distinct across domains, and — the property the
-	// domain-sharded drivers lean on — independent of how many domains exist.
-	root := New(42)
-	seen := map[uint64]bool{}
-	for d := 0; d < 16; d++ {
-		a := root.ForkDomain(d)
-		b := New(42).ForkN("domain", d)
-		for i := 0; i < 50; i++ {
-			if a.Uint64() != b.Uint64() {
-				t.Fatalf("ForkDomain(%d) diverges from ForkN(\"domain\", %d)", d, d)
-			}
-		}
-		first := New(42).ForkDomain(d).Uint64()
-		if seen[first] {
-			t.Fatalf("domain %d stream repeats an earlier first draw", d)
-		}
-		seen[first] = true
-	}
-}
-
 func TestForkIndependentOfConsumptionOrder(t *testing.T) {
 	// Drawing from the root stream must not perturb forked streams.
 	r1 := New(3)
@@ -462,7 +440,7 @@ func streams() []*RNG {
 	for _, seed := range []uint64{1, 7} {
 		root := New(seed)
 		out = append(out, root.Fork("tablesvc"), root.Fork(""), root.ForkN("client", 0),
-			root.ForkN("client", 199_999), root.ForkDomain(3), root.Fork("a").Fork("b"))
+			root.ForkN("client", 199_999), root.ForkN("domain", 3), root.Fork("a").Fork("b"))
 	}
 	return out
 }
