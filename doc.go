@@ -29,8 +29,7 @@
 //
 // The blocking form takes the calling *sim.Proc and returns results
 // directly: it drives the same machine on the process's own goroutine
-// (sim.Proc.Drive), and a Kill of the parked process runs the machine's
-// abort. azure.Retry is the retry loop in the same shape, with
+// (sim.Proc.Drive). azure.Retry is the retry loop in the same shape, with
 // RetryPolicy.Do its blocking form.
 //
 // Flat steps obey the actor's arm-or-finish discipline: every step either

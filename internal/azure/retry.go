@@ -153,11 +153,11 @@ func (c *retryCall) finished(err error) { c.err = err }
 func (rp RetryPolicy) Do(p *sim.Proc, op func() error) error {
 	c := retryCalls.Get().(*retryCall)
 	c.Policy = rp
-	p.Drive(c.Begin, nil)
+	p.Drive(c.Begin)
 	for c.due {
 		c.due = false
 		err := op()
-		p.Drive(func(*sim.Actor) { c.Done(err) }, nil)
+		p.Drive(func(*sim.Actor) { c.Done(err) })
 	}
 	err := c.err
 	c.Policy, c.err = RetryPolicy{}, nil

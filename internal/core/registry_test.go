@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestRegistryNamesComplete(t *testing.T) {
@@ -116,6 +118,32 @@ func TestSchedulerEquivalence(t *testing.T) {
 					t.Fatalf("%s at %d workers: anchors differ\nserial:   %v\nparallel: %v",
 						e.Name(), workers, wantAnchors, got.Anchors())
 				}
+			}
+		})
+	}
+}
+
+// TestRegistryGoroutineBaseline runs every registered experiment at reduced
+// scale and checks that the goroutine count returns to its value before the
+// run: no process, parked worker or scheduler goroutine may outlive an
+// experiment, whether it ran on processes or on actors.
+func TestRegistryGoroutineBaseline(t *testing.T) {
+	for _, e := range Experiments() {
+		t.Run(e.Name(), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e.Run(reducedProto(e.Name()))
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				n := runtime.NumGoroutine()
+				if n <= base {
+					return
+				}
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					buf = buf[:runtime.Stack(buf, true)]
+					t.Fatalf("%d goroutines after %s, baseline %d:\n%s", n, e.Name(), base, buf)
+				}
+				time.Sleep(5 * time.Millisecond)
 			}
 		})
 	}

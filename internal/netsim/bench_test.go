@@ -53,7 +53,7 @@ func BenchmarkFlowChurn(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				slot := i % n
-				fab.abandon(flows[slot])
+				fab.Abandon(flows[slot])
 				flows[slot] = fab.StartFlow(1000*GB, trunk, nics[slot])
 			}
 		})
@@ -78,7 +78,7 @@ func BenchmarkFlowChurnStaggered(b *testing.B) {
 		next += time.Microsecond
 		eng.RunUntil(next)
 		slot := i % n
-		fab.abandon(flows[slot])
+		fab.Abandon(flows[slot])
 		flows[slot] = fab.StartFlow(1000*GB, trunk, nics[slot])
 	}
 }
@@ -120,10 +120,10 @@ func BenchmarkFlowChurnComponents(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := i % len(downs)
-		fab.abandon(downs[d])
+		fab.Abandon(downs[d])
 		downs[d] = fab.StartFlow(1000*GB, egress[d%churnGroups], down[d])
 		u := i % churnUploaders
-		fab.abandon(ups[u])
+		fab.Abandon(ups[u])
 		ups[u] = fab.StartFlow(1000*GB, up[u], ingress)
 	}
 }

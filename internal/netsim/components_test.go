@@ -7,6 +7,41 @@ import (
 	"azureobs/internal/sim"
 )
 
+// Components returns the number of connected components in the active flow
+// graph: flows are connected when their paths share a link. Flows in
+// different components can never influence each other's rates (a solve
+// touches exactly one component). Links no flow currently crosses count
+// toward no component. The query walks link membership with its own epoch,
+// so it never disturbs allocation. It and SameComponent are test oracles for
+// the component-local solver.
+func (f *Fabric) Components() int {
+	f.newWalk()
+	n := 0
+	for i := range f.state {
+		if f.state[i].epoch != f.epoch {
+			n++
+			j := len(f.reached)
+			f.mark(int32(i))
+			f.walk(j)
+		}
+	}
+	return n
+}
+
+// SameComponent reports whether two active flows share a connected component
+// — whether any chain of overlapping paths couples their rate allocations.
+// Flows in different components are independent: moving them onto separate
+// fabrics cannot change either one's trace. A finished flow is in no component.
+func (f *Fabric) SameComponent(a, b *Flow) bool {
+	if a.index < 0 || b.index < 0 {
+		return false
+	}
+	f.newWalk()
+	f.mark(int32(a.index))
+	f.walk(0)
+	return f.state[b.index].epoch == f.epoch
+}
+
 // TestComponentsPartition pins the partition oracle: disjoint
 // client↔service pairs are separate components, flows chained through any
 // shared link collapse into one, and querying between solves must not

@@ -348,21 +348,12 @@ func (f *Fabric) ActiveFlows() int { return len(f.flows) }
 
 // Transfer moves size bytes across the given path, blocking the calling
 // process until the last byte arrives, and returns the elapsed virtual time.
-// A killed process abandons the transfer; the flow is withdrawn and the
-// bandwidth it held is redistributed.
 func (f *Fabric) Transfer(p *sim.Proc, size int64, path ...*Link) time.Duration {
 	if size <= 0 {
 		return 0
 	}
 	start := p.Now()
-	fl := f.StartFlow(size, path...)
-	defer func() {
-		if rec := recover(); rec != nil {
-			f.abandon(fl)
-			panic(rec)
-		}
-	}()
-	fl.done.Wait(p)
+	f.StartFlow(size, path...).done.Wait(p)
 	return p.Now() - start
 }
 
@@ -370,8 +361,7 @@ func (f *Fabric) Transfer(p *sim.Proc, size int64, path ...*Link) time.Duration 
 // arms then to run at the instant the last byte arrives, without parking a
 // goroutine. A zero-size transfer completes synchronously (then runs before
 // TransferFlat returns, and the returned flow is nil), mirroring Transfer's
-// immediate return. The returned flow is what an aborted request hands to
-// Abandon.
+// immediate return.
 func (f *Fabric) TransferFlat(a *sim.Actor, size int64, then func(), path ...*Link) *Flow {
 	if size <= 0 {
 		then()
@@ -427,12 +417,8 @@ func (f *Fabric) StartFlow(size int64, path ...*Link) *Flow {
 
 // Abandon withdraws an incomplete flow started with StartFlow: the flow is
 // removed, its done signal never fires, and its bandwidth is redistributed.
-// Abandoning a completed (or already abandoned) flow is a no-op. Transfer
-// callers never need this — a killed sender abandons implicitly.
-func (f *Fabric) Abandon(fl *Flow) { f.abandon(fl) }
-
-// abandon withdraws an incomplete flow (killed sender).
-func (f *Fabric) abandon(fl *Flow) {
+// Abandoning a completed (or already abandoned) flow is a no-op.
+func (f *Fabric) Abandon(fl *Flow) {
 	if fl.completed {
 		return
 	}
@@ -745,40 +731,6 @@ func (f *Fabric) walk(i int) {
 			}
 		}
 	}
-}
-
-// Components returns the number of connected components in the active flow
-// graph: flows are connected when their paths share a link. Flows in
-// different components can never influence each other's rates (a solve
-// touches exactly one component). Links no flow currently crosses count
-// toward no component. The query walks link membership with its own epoch, so it
-// never disturbs allocation.
-func (f *Fabric) Components() int {
-	f.newWalk()
-	n := 0
-	for i := range f.state {
-		if f.state[i].epoch != f.epoch {
-			n++
-			j := len(f.reached)
-			f.mark(int32(i))
-			f.walk(j)
-		}
-	}
-	return n
-}
-
-// SameComponent reports whether two active flows share a connected component
-// — whether any chain of overlapping paths couples their rate allocations.
-// Flows in different components are independent: moving them onto separate
-// fabrics cannot change either one's trace. A finished flow is in no component.
-func (f *Fabric) SameComponent(a, b *Flow) bool {
-	if a.index < 0 || b.index < 0 {
-		return false
-	}
-	f.newWalk()
-	f.mark(int32(a.index))
-	f.walk(0)
-	return f.state[b.index].epoch == f.epoch
 }
 
 // reschedule settles every flow by step seconds (0 when solve already

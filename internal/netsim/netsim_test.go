@@ -147,18 +147,16 @@ func TestCapacityFn(t *testing.T) {
 	}
 }
 
+// TestKilledSenderReleasesBandwidth: abandoning a flow mid-transfer hands
+// its bandwidth to the flows that shared its links.
 func TestKilledSenderReleasesBandwidth(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := NewFabric(eng)
 	shared := fab.NewLink("shared", 10*MBps)
-	var victim *sim.Proc
-	victim = eng.Spawn("victim", func(p *sim.Proc) {
-		fab.Transfer(p, 1000*MB, shared)
-		t.Error("victim transfer completed despite kill")
-	})
+	victim := fab.StartFlow(1000*MB, shared)
 	var tOther time.Duration
 	eng.Spawn("other", func(p *sim.Proc) { tOther = fab.Transfer(p, 50*MB, shared) })
-	eng.After(2*time.Second, func() { victim.Kill() })
+	eng.After(2*time.Second, func() { fab.Abandon(victim) })
 	eng.Run()
 	// Other: 10MB in [0,2s) at 5 MB/s, then 40MB at 10 MB/s → 2+4 = 6s.
 	if tOther != 6*time.Second {
@@ -166,6 +164,9 @@ func TestKilledSenderReleasesBandwidth(t *testing.T) {
 	}
 	if fab.ActiveFlows() != 0 {
 		t.Fatalf("flows left: %d", fab.ActiveFlows())
+	}
+	if victim.done.Fires() != 0 {
+		t.Fatal("the abandoned flow signalled completion")
 	}
 }
 

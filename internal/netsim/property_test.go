@@ -301,7 +301,7 @@ func TestPropertyIncrementalMatchesScratchStatic(t *testing.T) {
 		for op := 0; op < ops; op++ {
 			if len(live) > 0 && rng.IntN(3) == 0 {
 				i := rng.IntN(len(live))
-				fab.abandon(live[i])
+				fab.Abandon(live[i])
 				live[i] = live[len(live)-1]
 				live = live[:len(live)-1]
 			} else {
@@ -356,7 +356,7 @@ func TestPropertyIncrementalMatchesScratchTimed(t *testing.T) {
 			live = live[:n]
 			if len(live) > 0 && rng.IntN(3) == 0 {
 				i := rng.IntN(len(live))
-				fab.abandon(live[i])
+				fab.Abandon(live[i])
 				live[i] = live[len(live)-1]
 				live = live[:len(live)-1]
 			} else {

@@ -126,7 +126,7 @@ func TestUnrelatedChurnKeepsCompletionEvent(t *testing.T) {
 		t.Fatal("no completion event scheduled")
 	}
 	tmp := fab.StartFlow(50*MB, other)
-	fab.abandon(tmp)
+	fab.Abandon(tmp)
 	if fl.st().seq != seq || fab.next != ev || ev.Seq() != seq {
 		t.Fatal("churn on a disjoint component replaced an unchanged flow's completion prediction")
 	}

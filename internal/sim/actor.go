@@ -27,10 +27,9 @@ import "time"
 //
 // A process can drive the same continuations itself (Proc.Drive): its
 // actor's wakes then resume the process instead of stepping the actor, so
-// a flat state machine doubles as the body of a blocking call. A process
-// killed while parked in Drive runs the abort it was given (see
-// Proc.Drive); an actor driven by the kernel is withdrawn by its owner with
-// Cancel, the flat mirror of Proc.Kill.
+// a flat state machine doubles as the body of a blocking call. Only an
+// actor driven by the kernel can be withdrawn before it finishes: its
+// owner does so with Cancel.
 type Actor struct {
 	eng      *Engine
 	name     string
@@ -124,31 +123,28 @@ func (a *Actor) Finish() {
 	}
 }
 
-// Cancel withdraws a live actor at its owner's request — the flat mirror
-// of Proc.Kill on a parked process. The pending wake (a sleep, the start
-// event, or a wake a Fire or Put already scheduled) is cancelled and the
-// armed continuation is discarded; then one event is scheduled at the
-// current instant that runs unwind (may be nil) and finishes the actor —
-// the same event, at the same sequence number, at which a killed process
-// unwinds its deferred calls.
+// Cancel withdraws a live actor at its owner's request. The pending wake (a
+// sleep, the start event, or a wake a Fire or Put already scheduled) is
+// cancelled and the armed continuation is discarded; then one event is
+// scheduled at the current instant that runs unwind (may be nil) and
+// finishes the actor.
 //
 // unwind releases what the actor holds at its current stage: the abort of
 // an in-flight storage op (reqpath.CtxFlat.Abort), a queue item a Put had
 // already handed over (Getter.Reput), a token it must give back. The owner
-// withdraws a parked registration first, as Kill does for a process: a
-// queue's with Getter.Cancel, so no Put hands an item to the withdrawn
-// actor, and a signal's with Signal.CancelFlat, so the signal drops the
-// actor's waiter; Cancel panics on an actor still parked on a signal.
-// Either way the actor may later start again. Cancelling an actor that is
-// finished or already cancelled is a no-op. Cancel is called from outside
-// the actor's own steps, as Kill on another process is; process-driven
-// actors are withdrawn by killing their process.
+// withdraws a parked registration first: a queue's with Getter.Cancel, so
+// no Put hands an item to the withdrawn actor, and a signal's with
+// Signal.CancelFlat, so the signal drops the actor's waiter; Cancel panics
+// on an actor still parked on a signal. Either way the actor may later
+// start again. Cancelling an actor that is finished or already cancelled
+// is a no-op. Cancel is called from outside the actor's own steps; an
+// actor a process drives (Proc.Drive) cannot be cancelled.
 func (a *Actor) Cancel(unwind func()) {
 	if !a.live || a.canceled {
 		return
 	}
 	if a.proc != nil {
-		panic("sim: Cancel of actor " + a.name + ", which a process drives; Kill the process")
+		panic("sim: Cancel of actor " + a.name + ", which a process drives")
 	}
 	if a.waiter.a != nil && !a.waiter.released {
 		panic("sim: Cancel of actor " + a.name + ", which is parked on a signal; withdraw it with Signal.CancelFlat first")
@@ -172,7 +168,7 @@ func (a *Actor) Cancel(unwind func()) {
 func (a *Actor) armEvent(at time.Duration, then func()) {
 	a.arm(then)
 	if a.proc != nil {
-		a.proc.scheduleResumeAt(at, false)
+		a.proc.scheduleResumeAt(at)
 		return
 	}
 	a.wake = a.eng.scheduleActor(at, a)

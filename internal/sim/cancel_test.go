@@ -84,58 +84,29 @@ func TestQueueGetFlatMatchesGet(t *testing.T) {
 	}
 }
 
-// cancelProgram parks three victims — one sleeping, one on a signal, one on
-// a queue whose item a Put hands over in the very event that kills it —
-// beside a surviving consumer, kills or cancels each, and logs the unwinds
-// and deliveries.
-func cancelProgram(flat bool) (log []string, fired, seq uint64) {
+// cancelProgram parks three victim actors — one sleeping, one on a signal,
+// one on a queue whose item a Put hands over in the very event that
+// cancels it — beside a surviving consumer process, cancels each, and logs
+// the unwinds and deliveries.
+func cancelProgram() (log []string, fired, seq uint64) {
 	e := NewEngine()
 	q := NewQueue[int]()
 	var sig Signal
 	note := func(format string, args ...any) {
 		log = append(log, fmt.Sprintf("%v ", e.Now())+fmt.Sprintf(format, args...))
 	}
-	var kill [3]func()
-	if flat {
-		sleeper, waiter, getter := &Actor{}, &Actor{}, &Actor{}
-		sleeper.Bind(e, "sleeper")
-		sleeper.Go(func() { sleeper.Sleep(10*time.Second, func() { note("sleeper woke"); sleeper.Finish() }) })
-		kill[0] = func() { sleeper.Cancel(func() { note("sleeper unwound") }) }
+	sleeper, waiter, getter := &Actor{}, &Actor{}, &Actor{}
+	sleeper.Bind(e, "sleeper")
+	sleeper.Go(func() { sleeper.Sleep(10*time.Second, func() { note("sleeper woke"); sleeper.Finish() }) })
 
-		waiter.Bind(e, "waiter")
-		waiter.Go(func() { sig.WaitFlat(waiter, func() { note("waiter woke"); waiter.Finish() }) })
-		kill[1] = func() {
-			sig.CancelFlat(waiter)
-			waiter.Cancel(func() { note("waiter unwound") })
-		}
+	waiter.Bind(e, "waiter")
+	waiter.Go(func() { sig.WaitFlat(waiter, func() { note("waiter woke"); waiter.Finish() }) })
 
-		getter.Bind(e, "getter")
-		g := &Getter[int]{}
-		g.Bind(getter)
-		getter.Go(func() { q.GetFlat(g, func(i int) { note("getter got %d", i); getter.Finish() }) })
-		kill[2] = func() {
-			g.Cancel()
-			getter.Cancel(func() { g.Reput(); note("getter unwound") })
-		}
-	} else {
-		sleeper := e.Spawn("sleeper", func(p *Proc) {
-			defer note("sleeper unwound")
-			p.Sleep(10 * time.Second)
-			note("sleeper woke")
-		})
-		kill[0] = sleeper.Kill
-		waiter := e.Spawn("waiter", func(p *Proc) {
-			defer note("waiter unwound")
-			sig.Wait(p)
-			note("waiter woke")
-		})
-		kill[1] = waiter.Kill
-		getter := e.Spawn("getter", func(p *Proc) {
-			defer note("getter unwound")
-			note("getter got %d", q.Get(p))
-		})
-		kill[2] = getter.Kill
-	}
+	getter.Bind(e, "getter")
+	g := &Getter[int]{}
+	g.Bind(getter)
+	getter.Go(func() { q.GetFlat(g, func(i int) { note("getter got %d", i); getter.Finish() }) })
+
 	// The survivor parks on the queue behind the getter and on the signal
 	// behind the waiter.
 	e.Spawn("survivor", func(p *Proc) {
@@ -144,16 +115,18 @@ func cancelProgram(flat bool) (log []string, fired, seq uint64) {
 		sig.Wait(p)
 		note("survivor woke")
 	})
-	e.Schedule(time.Second, kill[0])
+	e.Schedule(time.Second, func() { sleeper.Cancel(func() { note("sleeper unwound") }) })
 	e.Schedule(2*time.Second, func() {
-		kill[1]()
-		// Like Kill, the withdrawal takes the waiter off the signal at
-		// once: only the survivor is left parked there.
+		sig.CancelFlat(waiter)
+		waiter.Cancel(func() { note("waiter unwound") })
+		// The withdrawal takes the waiter off the signal at once: only the
+		// survivor is left parked there.
 		note("%d waiting", sig.Waiting())
 	})
 	e.Schedule(3*time.Second, func() {
-		q.Put(7) // handed to the getter, whose wake the kill pre-empts
-		kill[2]()
+		q.Put(7) // handed to the getter, whose wake the cancel pre-empts
+		g.Cancel()
+		getter.Cancel(func() { g.Reput(); note("getter unwound") })
 	})
 	e.Schedule(4*time.Second, func() { q.Put(8) })
 	e.Schedule(5*time.Second, func() { sig.Fire() })
@@ -168,14 +141,13 @@ func cancelProgram(flat bool) (log []string, fired, seq uint64) {
 }
 
 // TestActorCancelMatchesKill: cancelling a parked actor unwinds at the
-// same event and sequence number as killing the equivalent process, and a
-// queue item handed over to the victim goes back to the head of the queue.
+// event and sequence number where a killed process used to run its defers,
+// and a queue item handed over to the victim goes back to the head of the
+// queue. The log, the events fired and the final sequence number were
+// recorded from the same program written as processes and killed with the
+// retired Proc.Kill; the actor run must reproduce all three.
 func TestActorCancelMatchesKill(t *testing.T) {
-	pl, pf, ps := cancelProgram(false)
-	fl, ff, fs := cancelProgram(true)
-	if !reflect.DeepEqual(pl, fl) || pf != ff || ps != fs {
-		t.Fatalf("proc run %v (fired=%d seq=%d)\nflat run %v (fired=%d seq=%d)", pl, pf, ps, fl, ff, fs)
-	}
+	log, fired, seq := cancelProgram()
 	want := []string{
 		"1s sleeper unwound",
 		"2s 0 waiting",
@@ -185,8 +157,82 @@ func TestActorCancelMatchesKill(t *testing.T) {
 		"4s survivor got 7",
 		"5s survivor woke",
 	}
-	if !reflect.DeepEqual(fl, want) {
-		t.Fatalf("log %v, want %v", fl, want)
+	const wantFired, wantSeq = 14, 16
+	if !reflect.DeepEqual(log, want) || fired != wantFired || seq != wantSeq {
+		t.Fatalf("log %v (fired=%d seq=%d)\nwant %v (fired=%d seq=%d)", log, fired, seq, want, wantFired, wantSeq)
+	}
+}
+
+// TestKillSleeping: cancelling a sleeping actor ends it at the cancel's
+// instant. Its continuation never runs, and the sleep's wake is withdrawn,
+// so Run does not wait the sleep out.
+func TestKillSleeping(t *testing.T) {
+	e := NewEngine()
+	var a Actor
+	a.Bind(e, "victim")
+	reached := false
+	a.Go(func() { a.Sleep(time.Hour, func() { reached = true; a.Finish() }) })
+	e.Schedule(time.Second, func() { a.Cancel(nil) })
+	e.Run()
+	if reached {
+		t.Fatal("cancelled actor ran past its sleep")
+	}
+	if a.Live() {
+		t.Fatal("cancelled actor still live")
+	}
+	if e.Now() != time.Second {
+		t.Fatalf("clock = %v; the cancel should not wait out the sleep", e.Now())
+	}
+	if !e.Drained() {
+		t.Fatal("engine not drained after the cancel")
+	}
+}
+
+// TestKillBeforeStart: an actor cancelled before its start event never
+// runs its first step.
+func TestKillBeforeStart(t *testing.T) {
+	e := NewEngine()
+	var a Actor
+	a.Bind(e, "unborn")
+	ran := false
+	a.GoAt(time.Minute, func() { ran = true; a.Finish() })
+	e.Schedule(time.Second, func() { a.Cancel(nil) })
+	e.Run()
+	if ran {
+		t.Fatal("actor cancelled before start ran")
+	}
+	if a.Live() || !e.Drained() || e.Now() != time.Second {
+		t.Fatalf("live=%v drained=%v now=%v; the cancelled start should end cleanly at 1s", a.Live(), e.Drained(), e.Now())
+	}
+}
+
+// TestKillFinishedNoop: cancelling an actor that already finished does
+// nothing; its unwind never runs.
+func TestKillFinishedNoop(t *testing.T) {
+	e := NewEngine()
+	var a Actor
+	a.Bind(e, "quick")
+	a.Go(a.Finish)
+	unwound := false
+	e.Schedule(time.Second, func() { a.Cancel(func() { unwound = true }) })
+	e.Run()
+	if unwound || a.Live() {
+		t.Fatalf("unwound=%v live=%v after cancelling a finished actor", unwound, a.Live())
+	}
+}
+
+// TestKillDeferredCleanupRuns: a cancelled actor's unwind runs, at the
+// cancel's instant.
+func TestKillDeferredCleanupRuns(t *testing.T) {
+	e := NewEngine()
+	var a Actor
+	a.Bind(e, "victim")
+	cleanedAt := time.Duration(-1)
+	a.Go(func() { a.Sleep(time.Hour, a.Finish) })
+	e.Schedule(time.Second, func() { a.Cancel(func() { cleanedAt = e.Now() }) })
+	e.Run()
+	if cleanedAt != time.Second {
+		t.Fatalf("unwind ran at %v, want 1s", cleanedAt)
 	}
 }
 

@@ -91,23 +91,29 @@ func TestDaemonCanWakeForegroundProcess(t *testing.T) {
 	}
 }
 
+// TestKillDaemon: a daemon actor cancelled mid-run stops ticking, while
+// the foreground work runs on.
 func TestKillDaemon(t *testing.T) {
 	e := NewEngine()
+	var d Actor
+	d.BindDaemon(e, "ticker")
 	ticks := 0
-	d := e.SpawnDaemon("ticker", func(p *Proc) {
-		for {
-			p.Sleep(time.Second)
+	var tick func()
+	tick = func() {
+		d.Sleep(time.Second, func() {
 			ticks++
-		}
-	})
-	e.Schedule(5*time.Second+time.Millisecond, func() { d.Kill() })
+			tick()
+		})
+	}
+	d.Go(tick)
+	e.Schedule(5*time.Second+time.Millisecond, func() { d.Cancel(nil) })
 	e.Schedule(20*time.Second, func() {})
 	e.Run()
 	if ticks != 5 {
-		t.Fatalf("killed daemon ticked %d times, want 5", ticks)
+		t.Fatalf("cancelled daemon ticked %d times, want 5", ticks)
 	}
-	if !d.Finished() {
-		t.Fatal("killed daemon not finished")
+	if d.Live() || e.Now() != 20*time.Second {
+		t.Fatalf("live=%v now=%v, want the daemon finished and Run ending at 20s", d.Live(), e.Now())
 	}
 }
 

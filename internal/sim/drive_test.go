@@ -55,7 +55,7 @@ func TestDriveMatchesKernelActor(t *testing.T) {
 	returned := false
 	pLog, pFired, pEnd := driveWorld(func(e *Engine, sig *Signal, log func(string)) {
 		e.Spawn("proc", func(p *Proc) {
-			p.Drive(func(a *Actor) { driveMachine(a, sig, log, func() {}) }, nil)
+			p.Drive(func(a *Actor) { driveMachine(a, sig, log, func() {}) })
 			returned = true
 		})
 	})
@@ -68,48 +68,6 @@ func TestDriveMatchesKernelActor(t *testing.T) {
 	}
 }
 
-// TestDriveKillRunsAbort kills processes parked inside Drive — one in a
-// sleep, one in a signal wait — and checks each runs its abort exactly once,
-// leaves no waiter on the signal, and never returns from Drive; a Drive that
-// completes normally never runs its abort.
-func TestDriveKillRunsAbort(t *testing.T) {
-	e := NewEngine()
-	var sig Signal
-	aborts := map[string]int{}
-	drive := func(name string, park func(a *Actor, done func())) *Proc {
-		return e.Spawn(name, func(p *Proc) {
-			p.Drive(func(a *Actor) { park(a, func() {}) }, func() { aborts[name]++ })
-			if name != "finisher" {
-				t.Errorf("%s: killed Drive returned", name)
-			}
-		})
-	}
-	sleeper := drive("sleeper", func(a *Actor, done func()) { a.Sleep(time.Hour, done) })
-	waiter := drive("waiter", func(a *Actor, done func()) { sig.WaitFlat(a, done) })
-	drive("finisher", func(a *Actor, done func()) { a.Sleep(time.Second, done) })
-	e.Schedule(5*time.Second, func() {
-		if sig.Waiting() != 1 {
-			t.Fatalf("before kill: %d waiters, want 1", sig.Waiting())
-		}
-		sleeper.Kill()
-		waiter.Kill()
-		if sig.Waiting() != 0 {
-			t.Fatalf("killed waiter still parked on the signal (%d waiters)", sig.Waiting())
-		}
-	})
-	e.Schedule(6*time.Second, sig.Fire)
-	e.Run()
-	if aborts["sleeper"] != 1 || aborts["waiter"] != 1 || aborts["finisher"] != 0 {
-		t.Fatalf("aborts = %v, want sleeper 1, waiter 1, finisher 0", aborts)
-	}
-	if !sleeper.Finished() || !waiter.Finished() || e.LiveProcs() != 0 {
-		t.Fatalf("processes left live: %d", e.LiveProcs())
-	}
-	if e.Now() != 6*time.Second {
-		t.Fatalf("run ended at %v, want 6s (the killed sleeper's wake must be canceled)", e.Now())
-	}
-}
-
 // TestDriveNested runs a blocking call inside a continuation of an outer
 // Drive on the same process: the inner machine completes first, then the
 // outer one resumes with its own continuation.
@@ -119,11 +77,11 @@ func TestDriveNested(t *testing.T) {
 	e.Spawn("nested", func(p *Proc) {
 		p.Drive(func(a *Actor) {
 			a.Sleep(time.Second, func() {
-				p.Drive(func(a *Actor) { a.Sleep(2*time.Second, func() {}) }, nil)
+				p.Drive(func(a *Actor) { a.Sleep(2*time.Second, func() {}) })
 				got = append(got, p.Now())
 				a.Sleep(3*time.Second, func() { got = append(got, p.Now()) })
 			})
-		}, nil)
+		})
 		got = append(got, p.Now())
 	})
 	e.Run()

@@ -1,20 +1,9 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"time"
-)
-
-// procState tracks where a process is in its lifecycle.
-type procState uint8
-
-const (
-	procCreated   procState = iota // spawned, start event not yet fired
-	procRunning                    // its goroutine holds the execution token
-	procSuspended                  // parked on a kernel primitive
-	procFinished                   // body returned or was killed
 )
 
 // Proc is a simulated process: user code running on a worker goroutine that
@@ -31,37 +20,20 @@ type Proc struct {
 	// before start and after the worker is handed back.
 	w *worker
 
-	state  procState
-	killed bool
-	daemon bool
-
-	// wakeKill is latched by scheduleResumeAt and read by the wake event:
-	// keeping it on the Proc (instead of capturing it in a per-wake closure)
-	// is what lets every wake share the closure-free (*Proc).wakeup path.
-	wakeKill bool
+	finished bool // the body has returned (or panicked)
+	daemon   bool
 
 	// body holds the user function between Spawn and the start event.
 	body func(p *Proc)
 
 	// wake is the scheduled event that will resume this process, when it is
 	// suspended with a known resume time (Sleep) or has been selected for
-	// wakeup by a primitive. Kill cancels it to avoid a double resume.
+	// wakeup by a primitive; it guards against a double resume.
 	wake *Event
 
-	// detach removes the process from the wait list it is parked on, so a
-	// Kill can take it out of a Signal/Queue wait list. It must be
-	// idempotent. nil when not parked on a list.
-	detach func()
-
 	// act is the actor Drive runs flat state machines on, created on the
-	// first Drive and reused by every later one (nested Drives share it);
-	// flatSig is the signal its pending WaitFlat is parked on, for Kill.
-	act     *Actor
-	flatSig *Signal
-}
-
-type resumeMsg struct {
-	kill bool
+	// first Drive and reused by every later one (nested Drives share it).
+	act *Actor
 }
 
 // worker is a reusable process executor: one goroutine plus the unbuffered
@@ -72,7 +44,7 @@ type resumeMsg struct {
 // creations with a handful.
 type worker struct {
 	task   chan workItem // kernel -> worker: run a process body
-	resume chan resumeMsg
+	resume chan struct{}
 	yield  chan struct{}
 }
 
@@ -96,13 +68,11 @@ func (w *worker) exec(item *workItem) {
 	*item = workItem{}
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(killError); !ok {
-				// Genuine panic in user code. Transport it to the kernel
-				// goroutine so it surfaces from Run() on the caller's stack.
-				p.eng.pendingPanic = &procPanic{value: r, stack: debug.Stack(), proc: p.name}
-			}
+			// Transport the panic to the kernel goroutine so it surfaces
+			// from Run() on the caller's stack.
+			p.eng.pendingPanic = &procPanic{value: r, stack: debug.Stack(), proc: p.name}
 		}
-		p.state = procFinished
+		p.finished = true
 		if !p.daemon {
 			p.eng.procs--
 		}
@@ -127,7 +97,7 @@ func (e *Engine) getWorker() *worker {
 	}
 	w := &worker{
 		task:   make(chan workItem),
-		resume: make(chan resumeMsg),
+		resume: make(chan struct{}),
 		yield:  make(chan struct{}),
 	}
 	e.workersCreated++
@@ -140,12 +110,12 @@ func (e *Engine) getWorker() *worker {
 }
 
 // parkWorker returns a worker whose process finished to the idle pool, or
-// retires it (closing its task channel ends the goroutine). Kill and panic
-// unwinds retire the worker rather than reuse it: both leave by a recover,
-// and a retired worker is provably clean at the cost of one goroutine spawn
-// on a path that is rare by construction. Kernel context.
-func (e *Engine) parkWorker(p *Proc, w *worker) {
-	if p.killed || e.pendingPanic != nil || len(e.idle) >= maxIdleWorkers {
+// retires it (closing its task channel ends the goroutine). A panic unwind
+// retires the worker rather than reuse it: it leaves by a recover, and a
+// retired worker is provably clean at the cost of one goroutine spawn on a
+// path that ends the run anyway. Kernel context.
+func (e *Engine) parkWorker(w *worker) {
+	if e.pendingPanic != nil || len(e.idle) >= maxIdleWorkers {
 		close(w.task)
 		e.workersLive--
 		return
@@ -165,15 +135,6 @@ func (e *Engine) releaseIdleWorkers() {
 	}
 	e.idle = e.idle[:0]
 }
-
-// killError is the panic payload used to unwind a killed process. It is
-// recovered by the worker's exec wrapper and never escapes user code.
-type killError struct{ name string }
-
-func (k killError) Error() string { return "sim: process killed: " + k.name }
-
-// ErrKilled is returned by primitives that report interruption by Kill.
-var ErrKilled = errors.New("sim: process killed")
 
 // Spawn starts fn as a new process at the current virtual time. The body
 // begins executing when the kernel reaches the start event, before any event
@@ -214,66 +175,42 @@ func (e *Engine) spawnAt(at time.Duration, name string, fn func(p *Proc), daemon
 // the process body, and wait for the first park or finish — the synchronous
 // handoff that makes the simulation deterministic.
 func (p *Proc) start() {
-	e := p.eng
 	fn := p.body
 	p.body = nil
-	if p.killed {
-		p.state = procFinished
-		if !p.daemon {
-			e.procs--
-		}
-		return
-	}
-	p.state = procRunning
-	w := e.getWorker()
+	w := p.eng.getWorker()
 	p.w = w
 	w.task <- workItem{p: p, fn: fn}
 	<-w.yield
-	if p.state == procFinished {
-		p.w = nil
-		e.parkWorker(p, w)
-	}
-	e.checkPanic()
+	p.afterTurn()
 }
 
 // wakeup is the wake event's body (kernel context): resume the suspended
 // process and wait for it to park again or finish.
 func (p *Proc) wakeup() {
-	e := p.eng
 	p.wake = nil
-	kill := p.wakeKill
-	p.wakeKill = false
 	w := p.w
-	w.resume <- resumeMsg{kill: kill}
+	w.resume <- struct{}{}
 	<-w.yield
-	if p.state == procFinished {
+	p.afterTurn()
+}
+
+// afterTurn runs in kernel context once the process has parked or
+// finished: a finished process hands its worker back, and a panic in its
+// body surfaces from Run.
+func (p *Proc) afterTurn() {
+	if p.finished {
+		p.eng.parkWorker(p.w)
 		p.w = nil
-		e.parkWorker(p, w)
 	}
-	e.checkPanic()
+	p.eng.checkPanic()
 }
 
 // suspend parks the process until some kernel-context actor schedules its
-// resume. detach (may be nil) must remove the process from whatever wait
-// list it is on; Kill uses it. suspend must only be called from the
-// process's own goroutine.
-func (p *Proc) suspend(detach func()) {
-	if p.park(detach) {
-		panic(killError{p.name})
-	}
-}
-
-// park is suspend without the unwind: it reports whether the resume was a
-// Kill's.
-func (p *Proc) park(detach func()) (killed bool) {
-	p.detach = detach
-	p.state = procSuspended
+// resume. It must only be called from the process's own goroutine.
+func (p *Proc) suspend() {
 	w := p.w
 	w.yield <- struct{}{}
-	msg := <-w.resume
-	p.state = procRunning
-	p.detach = nil
-	return msg.kill
+	<-w.resume
 }
 
 // Drive runs a flat state machine as a blocking call on the process's own
@@ -290,12 +227,8 @@ func (p *Proc) park(detach func()) (killed bool) {
 // the same stages.
 //
 // A continuation may itself make blocking calls, including nested Drives on
-// the same actor. If the process is killed while parked, Drive runs abort
-// (may be nil) before unwinding: abort must release whatever the machine
-// holds at its current stage (a station slot, a flow, a gauge) without
-// counting the request as served or delivering its completion.
-func (p *Proc) Drive(start func(a *Actor), abort func()) {
-	p.killCheck()
+// the same actor.
+func (p *Proc) Drive(start func(a *Actor)) {
 	a := p.act
 	if a == nil {
 		a = &Actor{eng: p.eng, name: p.name, daemon: p.daemon, proc: p}
@@ -304,39 +237,27 @@ func (p *Proc) Drive(start func(a *Actor), abort func()) {
 	if a.armed {
 		panic("sim: Drive by process " + p.name + " with a continuation already armed")
 	}
-	settled := false
-	defer func() {
-		if !settled && abort != nil {
-			abort()
-		}
-	}()
 	start(a)
 	for a.armed {
-		if p.park(nil) {
-			panic(killError{p.name})
-		}
-		p.flatSig = nil
+		p.suspend()
 		a.runNext()
 	}
-	settled = true
 }
 
 // scheduleResumeAt arranges the kernel to hand control back to the suspended
 // process at absolute time at. Must be called from kernel context, and only
 // when no resume is already pending. The wake event is engine-owned: the
-// kernel recycles it automatically when it fires or when a Kill's cancel is
-// lazily popped.
-func (p *Proc) scheduleResumeAt(at time.Duration, kill bool) {
+// kernel recycles it automatically when it fires.
+func (p *Proc) scheduleResumeAt(at time.Duration) {
 	if p.wake != nil {
 		panic("sim: double resume scheduled for process " + p.name)
 	}
-	p.wakeKill = kill
 	p.wake = p.eng.scheduleProc(at, (*Proc).wakeup, p, p.daemon)
 }
 
 // wakeNow schedules an immediate (current-instant) resume. FIFO order among
 // same-instant wakeups is preserved by event sequence numbers.
-func (p *Proc) wakeNow() { p.scheduleResumeAt(p.eng.now, false) }
+func (p *Proc) wakeNow() { p.scheduleResumeAt(p.eng.now) }
 
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.eng }
@@ -347,20 +268,13 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.eng.now }
 
-// Finished reports whether the process body has returned or been killed.
-func (p *Proc) Finished() bool { return p.state == procFinished }
-
-// Killed reports whether Kill has been called on the process.
-func (p *Proc) Killed() bool { return p.killed }
-
 // Sleep suspends the process for d of virtual time. Negative d panics.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v", d))
 	}
-	p.killCheck()
-	p.scheduleResumeAt(p.eng.now+d, false)
-	p.suspend(nil)
+	p.scheduleResumeAt(p.eng.now + d)
+	p.suspend()
 }
 
 // SleepUntil suspends the process until absolute virtual time t, which must
@@ -369,55 +283,10 @@ func (p *Proc) SleepUntil(t time.Duration) {
 	if t < p.eng.now {
 		panic(fmt.Sprintf("sim: SleepUntil %v before now %v", t, p.eng.now))
 	}
-	p.killCheck()
-	p.scheduleResumeAt(t, false)
-	p.suspend(nil)
+	p.scheduleResumeAt(t)
+	p.suspend()
 }
 
 // Yield lets every other event/process scheduled at the current instant run
 // before this process continues.
 func (p *Proc) Yield() { p.Sleep(0) }
-
-// Kill terminates the process at its next (or current) suspension point.
-// Killing a finished process is a no-op. A process may kill itself, in which
-// case it unwinds immediately. Kill on another process must be made from
-// kernel context (an event callback or another process's turn).
-func (p *Proc) Kill() {
-	if p.state == procFinished || p.killed {
-		return
-	}
-	p.killed = true
-	switch p.state {
-	case procRunning:
-		// Only the process itself can observe itself running; self-kill.
-		panic(killError{p.name})
-	case procSuspended:
-		if p.wake != nil {
-			// Lazy cancel; the event is engine-owned (reclaim), so it
-			// returns to the free list when the pop loop discards it.
-			p.eng.Cancel(p.wake)
-			p.wake = nil
-		}
-		if p.detach != nil {
-			p.detach()
-			p.detach = nil
-		}
-		if s := p.flatSig; s != nil {
-			// A flat wait parked inside Drive: take it off the signal
-			// unless a Fire already released it.
-			if !p.act.waiter.released {
-				s.remove(&p.act.waiter)
-			}
-			p.flatSig = nil
-		}
-		p.scheduleResumeAt(p.eng.now, true)
-	case procCreated:
-		// Start event will observe killed and finish immediately.
-	}
-}
-
-func (p *Proc) killCheck() {
-	if p.killed {
-		panic(killError{p.name})
-	}
-}

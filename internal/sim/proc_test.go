@@ -86,83 +86,6 @@ func TestYield(t *testing.T) {
 	}
 }
 
-func TestKillSleeping(t *testing.T) {
-	e := NewEngine()
-	reached := false
-	victim := e.Spawn("victim", func(p *Proc) {
-		p.Sleep(time.Hour)
-		reached = true
-	})
-	e.Schedule(time.Second, func() { victim.Kill() })
-	e.Run()
-	if reached {
-		t.Fatal("killed process ran past its sleep")
-	}
-	if !victim.Finished() {
-		t.Fatal("killed process not finished")
-	}
-	if e.Now() != time.Second {
-		t.Fatalf("clock = %v; kill should not wait out the sleep", e.Now())
-	}
-	if !e.Drained() {
-		t.Fatal("engine not drained after kill")
-	}
-}
-
-func TestKillBeforeStart(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	p := e.SpawnAt(time.Minute, "unborn", func(p *Proc) { ran = true })
-	e.Schedule(time.Second, func() { p.Kill() })
-	e.Run()
-	if ran {
-		t.Fatal("killed-before-start process ran")
-	}
-	if !p.Finished() || !e.Drained() {
-		t.Fatal("killed-before-start process did not finish cleanly")
-	}
-}
-
-func TestKillFinishedNoop(t *testing.T) {
-	e := NewEngine()
-	p := e.Spawn("quick", func(p *Proc) {})
-	e.Schedule(time.Second, func() { p.Kill() })
-	e.Run()
-	if !p.Finished() {
-		t.Fatal("process not finished")
-	}
-}
-
-func TestSelfKill(t *testing.T) {
-	e := NewEngine()
-	after := false
-	p := e.Spawn("suicidal", func(p *Proc) {
-		p.Kill()
-		after = true
-	})
-	e.Run()
-	if after {
-		t.Fatal("code after self-kill executed")
-	}
-	if !p.Finished() {
-		t.Fatal("self-killed process not finished")
-	}
-}
-
-func TestKillDeferredCleanupRuns(t *testing.T) {
-	e := NewEngine()
-	cleaned := false
-	victim := e.Spawn("victim", func(p *Proc) {
-		defer func() { cleaned = true }()
-		p.Sleep(time.Hour)
-	})
-	e.Schedule(time.Second, func() { victim.Kill() })
-	e.Run()
-	if !cleaned {
-		t.Fatal("defer in killed process did not run")
-	}
-}
-
 func TestUserPanicPropagates(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("bad", func(p *Proc) { panic("boom") })

@@ -1,7 +1,5 @@
 package sim
 
-import "time"
-
 // Queue is an unbounded FIFO message store connecting producer and consumer
 // processes. Put never blocks; Get blocks until an item is available. It is
 // the kernel-level building block under the simulated Azure queue service
@@ -20,7 +18,6 @@ type getWaiter[T any] struct {
 	a        *Actor
 	item     T
 	released bool
-	timedOut bool
 }
 
 // wake releases the parked party at the current instant; both sides
@@ -52,12 +49,9 @@ func (q *Queue[T]) Gets() uint64 { return q.gets }
 // called from any kernel-context code.
 func (q *Queue[T]) Put(item T) {
 	q.puts++
-	for len(q.getters) > 0 {
+	if len(q.getters) > 0 {
 		w := q.getters[0]
 		q.getters = q.getters[1:]
-		if w.released {
-			continue
-		}
 		w.released = true
 		w.item = item
 		q.gets++
@@ -81,8 +75,8 @@ func (q *Queue[T]) TryGet() (T, bool) {
 }
 
 // check asserts item conservation: everything ever put was either delivered
-// or is still buffered. The kill-unwind repath (reputIfKilled) is the spot
-// this historically guards.
+// or is still buffered. A cancelled consumer's Reput is the spot this
+// guards.
 func (q *Queue[T]) check(e *Engine) {
 	// Test before calling Checkf: its variadic arguments box on every call.
 	if q.puts != q.gets+uint64(len(q.items)) {
@@ -94,60 +88,14 @@ func (q *Queue[T]) check(e *Engine) {
 // Get removes and returns the head item, blocking the process until one is
 // available. Consumers are served in FIFO order.
 func (q *Queue[T]) Get(p *Proc) T {
-	p.killCheck()
 	q.check(p.eng)
 	if item, ok := q.TryGet(); ok {
 		return item
 	}
 	w := &getWaiter[T]{p: p}
 	q.getters = append(q.getters, w)
-	defer q.reputIfKilled(w)
-	p.suspend(func() { q.removeGetter(w) })
+	p.suspend()
 	return w.item
-}
-
-// reputIfKilled runs on the unwind path of a killed consumer: if an item had
-// already been handed to it but the wakeup was pre-empted by the kill, the
-// item goes back to the head of the queue so no message is lost.
-func (q *Queue[T]) reputIfKilled(w *getWaiter[T]) {
-	if rec := recover(); rec != nil {
-		if w.released && !w.timedOut {
-			q.items = append([]T{w.item}, q.items...)
-			q.gets--
-		}
-		panic(rec)
-	}
-}
-
-// GetTimeout is Get with a deadline: it returns the zero value and false if
-// no item arrived within d.
-func (q *Queue[T]) GetTimeout(p *Proc, d time.Duration) (T, bool) {
-	p.killCheck()
-	q.check(p.eng)
-	if item, ok := q.TryGet(); ok {
-		return item, true
-	}
-	w := &getWaiter[T]{p: p}
-	q.getters = append(q.getters, w)
-	timer := p.eng.After(d, func() {
-		if w.released {
-			return
-		}
-		w.released = true
-		w.timedOut = true
-		q.removeGetter(w)
-		w.p.wakeNow()
-	})
-	// CancelRecycle rather than Cancel: the timer is dead either way (fired
-	// or canceled), and this hands the allocation back to the event pool.
-	defer p.eng.CancelRecycle(timer)
-	defer q.reputIfKilled(w)
-	p.suspend(func() { q.removeGetter(w) })
-	if w.timedOut {
-		var zero T
-		return zero, false
-	}
-	return w.item, true
 }
 
 // Getter is a flat actor's reusable consumer registration on a Queue: the
@@ -184,7 +132,7 @@ func (q *Queue[T]) GetFlat(g *Getter[T], then func(item T)) {
 	}
 	a.arm(g.onWake)
 	g.q, g.then = q, then
-	g.w.released, g.w.timedOut = false, false
+	g.w.released = false
 	q.getters = append(q.getters, &g.w)
 }
 
@@ -196,9 +144,9 @@ func (g *Getter[T]) deliver() {
 }
 
 // Cancel withdraws a pending GetFlat, for an actor its owner cancels
-// (Actor.Cancel): a registration still waiting leaves the queue at once,
-// as a killed process's does. If a Put had already handed the getter an
-// item, the item stays with it until Reput.
+// (Actor.Cancel): a registration still waiting leaves the queue at once.
+// If a Put had already handed the getter an item, the item stays with it
+// until Reput.
 func (g *Getter[T]) Cancel() {
 	if g.q == nil || g.w.released {
 		return
@@ -209,7 +157,7 @@ func (g *Getter[T]) Cancel() {
 
 // Reput runs in a cancelled actor's unwind: an item a Put handed over but
 // whose wake the cancel pre-empted goes back to the head of the queue, so
-// no item is lost — the flat mirror of a killed consumer's unwind in Get.
+// no item is lost.
 func (g *Getter[T]) Reput() {
 	q := g.q
 	if q == nil {

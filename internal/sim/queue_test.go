@@ -73,48 +73,26 @@ func TestQueueTryGet(t *testing.T) {
 	}
 }
 
-func TestQueueGetTimeout(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int]()
-	var okFirst, okSecond bool
-	var at time.Duration
-	e.Spawn("c", func(p *Proc) {
-		_, okFirst = q.GetTimeout(p, 2*time.Second)
-		at = p.Now()
-		var v int
-		v, okSecond = q.GetTimeout(p, 10*time.Second)
-		if v != 9 {
-			t.Errorf("second GetTimeout item = %d, want 9", v)
-		}
-	})
-	e.Schedule(5*time.Second, func() { q.Put(9) })
-	e.Run()
-	if okFirst {
-		t.Fatal("first GetTimeout should have timed out")
-	}
-	if at != 2*time.Second {
-		t.Fatalf("timeout returned at %v, want 2s", at)
-	}
-	if !okSecond {
-		t.Fatal("second GetTimeout should have received the item")
-	}
-	if q.Waiting() != 0 {
-		t.Fatalf("Waiting = %d, want 0", q.Waiting())
-	}
-}
-
+// TestQueueKilledConsumerRequeuesItem: a Put hands the item to a parked
+// actor, then the actor is cancelled in the same instant, pre-empting its
+// wake. Its unwind (Getter.Reput) puts the item back, so it is not lost.
 func TestQueueKilledConsumerRequeuesItem(t *testing.T) {
 	e := NewEngine()
 	q := NewQueue[int]()
-	victim := e.Spawn("victim", func(p *Proc) {
-		q.Get(p)
-		t.Error("victim received item despite kill")
+	var victim Actor
+	victim.Bind(e, "victim")
+	var g Getter[int]
+	g.Bind(&victim)
+	victim.Go(func() {
+		q.GetFlat(&g, func(int) {
+			t.Error("victim received the item despite the cancel")
+			victim.Finish()
+		})
 	})
-	// Put and kill in the same instant: Put hands the item to the victim,
-	// then the kill pre-empts the wakeup. The item must survive.
 	e.Schedule(time.Second, func() {
 		q.Put(42)
-		victim.Kill()
+		g.Cancel()
+		victim.Cancel(g.Reput)
 	})
 	var rescued int
 	e.Spawn("rescuer", func(p *Proc) {
@@ -123,15 +101,25 @@ func TestQueueKilledConsumerRequeuesItem(t *testing.T) {
 	})
 	e.Run()
 	if rescued != 42 {
-		t.Fatalf("rescued = %d, want 42 (item lost on kill)", rescued)
+		t.Fatalf("rescued = %d, want 42 (item lost on cancel)", rescued)
 	}
 }
 
+// TestQueueKilledWaiterRemoved: a parked actor withdrawn with
+// Getter.Cancel leaves the queue at once, so the next Put goes to the
+// consumer behind it.
 func TestQueueKilledWaiterRemoved(t *testing.T) {
 	e := NewEngine()
 	q := NewQueue[int]()
-	victim := e.Spawn("victim", func(p *Proc) { q.Get(p) })
-	e.Schedule(time.Second, func() { victim.Kill() })
+	var victim Actor
+	victim.Bind(e, "victim")
+	var g Getter[int]
+	g.Bind(&victim)
+	victim.Go(func() { q.GetFlat(&g, func(int) { victim.Finish() }) })
+	e.Schedule(time.Second, func() {
+		g.Cancel()
+		victim.Cancel(nil)
+	})
 	var got int
 	e.Spawn("other", func(p *Proc) {
 		p.Sleep(2 * time.Second)

@@ -1,7 +1,5 @@
 package sim
 
-import "time"
-
 // Signal is a broadcast condition: processes Wait on it and are all released
 // by the next Fire. It carries no payload; pair it with shared state the
 // waker updates before firing. The zero value is usable.
@@ -17,7 +15,6 @@ type sigWaiter struct {
 	p        *Proc
 	a        *Actor
 	released bool
-	timedOut bool
 }
 
 // wake releases the parked party at the current instant; both sides schedule
@@ -39,32 +36,8 @@ func (s *Signal) Waiting() int { return len(s.waiters) }
 
 // Wait parks the process until the next Fire.
 func (s *Signal) Wait(p *Proc) {
-	p.killCheck()
-	w := &sigWaiter{p: p}
-	s.waiters = append(s.waiters, w)
-	p.suspend(func() { s.remove(w) })
-}
-
-// WaitTimeout parks the process until the next Fire or until d elapses,
-// whichever is first. It reports whether the wait timed out.
-func (s *Signal) WaitTimeout(p *Proc, d time.Duration) (timedOut bool) {
-	p.killCheck()
-	w := &sigWaiter{p: p}
-	s.waiters = append(s.waiters, w)
-	timer := p.eng.After(d, func() {
-		if w.released {
-			return
-		}
-		w.released = true
-		w.timedOut = true
-		s.remove(w)
-		w.p.wakeNow()
-	})
-	// CancelRecycle rather than Cancel: the timer is dead either way (fired
-	// or canceled), and this hands the allocation back to the event pool.
-	defer p.eng.CancelRecycle(timer)
-	p.suspend(func() { s.remove(w) })
-	return w.timedOut
+	s.waiters = append(s.waiters, &sigWaiter{p: p})
+	p.suspend()
 }
 
 // Fire releases every currently parked process, in arrival order. Processes
@@ -74,9 +47,6 @@ func (s *Signal) Fire() {
 	ws := s.waiters
 	s.waiters = nil
 	for _, w := range ws {
-		if w.released {
-			continue
-		}
 		w.released = true
 		w.wake()
 	}
@@ -85,39 +55,31 @@ func (s *Signal) Fire() {
 // FireOne releases the longest-waiting parked process, if any, and reports
 // whether one was released.
 func (s *Signal) FireOne() bool {
-	for len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		if w.released {
-			continue
-		}
-		s.fires++
-		w.released = true
-		w.wake()
-		return true
+	if len(s.waiters) == 0 {
+		return false
 	}
-	return false
+	w := s.waiters[0]
+	s.waiters = s.waiters[1:]
+	s.fires++
+	w.released = true
+	w.wake()
+	return true
 }
 
 // WaitFlat parks a flat actor on the signal: the next Fire runs then at the
 // fire instant, exactly when a parked process's wake would run. The actor's
 // embedded waiter is reused, so the wait allocates nothing — which also
-// means an actor can wait on at most one signal at a time. There is no flat
-// timeout wait; actors needing one stay on the process API.
+// means an actor can wait on at most one signal at a time.
 func (s *Signal) WaitFlat(a *Actor, then func()) {
 	a.arm(then)
 	a.waiter = sigWaiter{a: a}
-	if a.proc != nil {
-		a.proc.flatSig = s
-	}
 	s.waiters = append(s.waiters, &a.waiter)
 }
 
 // CancelFlat withdraws a's pending WaitFlat registration on s, so that the
 // owner can then withdraw the actor with Actor.Cancel; it is the signal's
-// counterpart of Getter.Cancel and removes the waiter as Proc.Kill does for
-// a parked process. It does nothing if a is not waiting on s (a Fire already
-// released it, or it never waited).
+// counterpart of Getter.Cancel. It does nothing if a is not waiting on s (a
+// Fire already released it, or it never waited).
 func (s *Signal) CancelFlat(a *Actor) {
 	if w := &a.waiter; !w.released && s.remove(w) {
 		w.released = true

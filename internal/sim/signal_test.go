@@ -77,39 +77,27 @@ func TestSignalLateWaiterMissesFire(t *testing.T) {
 	}
 }
 
-func TestSignalWaitTimeout(t *testing.T) {
-	e := NewEngine()
-	var s Signal
-	var timedOut, gotSignal bool
-	e.Spawn("w", func(p *Proc) {
-		timedOut = s.WaitTimeout(p, 2*time.Second)
-		gotSignal = !s.WaitTimeout(p, 10*time.Second)
-	})
-	e.Schedule(5*time.Second, func() { s.Fire() })
-	e.Run()
-	if !timedOut {
-		t.Fatal("first wait should have timed out")
-	}
-	if !gotSignal {
-		t.Fatal("second wait should have been signalled")
-	}
-	if s.Waiting() != 0 {
-		t.Fatalf("Waiting = %d, want 0", s.Waiting())
-	}
-}
-
+// TestSignalKillWaiter: an actor withdrawn from a signal (CancelFlat,
+// then Cancel) leaves no waiter behind, and the next Fire does not wake it.
 func TestSignalKillWaiter(t *testing.T) {
 	e := NewEngine()
 	var s Signal
-	victim := e.Spawn("victim", func(p *Proc) {
-		s.Wait(p)
-		t.Error("victim released after kill")
+	var victim Actor
+	victim.Bind(e, "victim")
+	victim.Go(func() {
+		s.WaitFlat(&victim, func() {
+			t.Error("victim released after the cancel")
+			victim.Finish()
+		})
 	})
-	e.Schedule(time.Second, func() { victim.Kill() })
+	e.Schedule(time.Second, func() {
+		s.CancelFlat(&victim)
+		victim.Cancel(nil)
+	})
 	e.Schedule(2*time.Second, func() { s.Fire() })
 	e.Run()
-	if !victim.Finished() || !e.Drained() {
-		t.Fatal("killed signal waiter did not clean up")
+	if victim.Live() || s.Waiting() != 0 || !e.Drained() {
+		t.Fatalf("live=%v waiting=%d drained=%v; the cancelled waiter did not clean up", victim.Live(), s.Waiting(), e.Drained())
 	}
 }
 

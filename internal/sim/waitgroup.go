@@ -37,7 +37,7 @@ func (wg *WaitGroup) Wait(p *Proc) {
 }
 
 // Go spawns fn as a process accounted in the wait group: Add(1) now,
-// Done when fn returns (or is killed).
+// Done when fn returns.
 func (wg *WaitGroup) Go(e *Engine, name string, fn func(p *Proc)) *Proc {
 	wg.Add(1)
 	return e.Spawn(name, func(p *Proc) {

@@ -73,20 +73,3 @@ func TestWaitGroupNegativePanics(t *testing.T) {
 	}()
 	wg.Done()
 }
-
-func TestWaitGroupKilledChildStillCounts(t *testing.T) {
-	e := NewEngine()
-	var wg WaitGroup
-	var joinAt time.Duration
-	var child *Proc
-	e.Spawn("parent", func(p *Proc) {
-		child = wg.Go(e, "child", func(q *Proc) { q.Sleep(time.Hour) })
-		wg.Wait(p)
-		joinAt = p.Now()
-	})
-	e.Schedule(time.Second, func() { child.Kill() })
-	e.Run()
-	if joinAt != time.Second {
-		t.Fatalf("join at %v; killed child did not release the group", joinAt)
-	}
-}

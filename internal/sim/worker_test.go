@@ -8,7 +8,7 @@ import (
 )
 
 // The worker pool must be invisible to simulation semantics: these tests
-// drive the lifecycle edges (kill, panic, daemon, Stop) with reuse active
+// drive the lifecycle edges (panic, daemon, Stop) with reuse active
 // and assert that accounting — especially Drained leak detection — behaves
 // exactly as it did when every process owned a fresh goroutine.
 
@@ -44,53 +44,6 @@ func TestWorkerReusedAcrossSequentialSpawns(t *testing.T) {
 	}
 	if !e.Drained() {
 		t.Fatal("engine not drained")
-	}
-}
-
-func TestKillSleepingWithWorkerPool(t *testing.T) {
-	e := NewEngine()
-	// Warm the pool so the victim runs on a reused worker.
-	e.Spawn("warm", func(p *Proc) {})
-	e.Run()
-
-	var victim *Proc
-	cleanup := false
-	victim = e.Spawn("victim", func(p *Proc) {
-		defer func() { cleanup = true }()
-		p.Sleep(time.Hour)
-		t.Error("victim survived kill")
-	})
-	e.Schedule(time.Second, func() { victim.Kill() })
-	e.Run()
-	if !cleanup {
-		t.Fatal("deferred cleanup did not run on kill unwind")
-	}
-	if e.Now() != time.Second {
-		t.Fatalf("clock at %v, want 1s (kill must not run the canceled wake)", e.Now())
-	}
-	if !victim.Finished() || !e.Drained() {
-		t.Fatalf("finished=%v drained=%v after kill", victim.Finished(), e.Drained())
-	}
-}
-
-func TestKillUnwindRetiresWorker(t *testing.T) {
-	e := NewEngine()
-	var victim *Proc
-	victim = e.Spawn("victim", func(p *Proc) { p.Sleep(time.Hour) })
-	e.Schedule(time.Second, func() { victim.Kill() })
-	e.Run()
-	// The kill unwind leaves by a recover; the worker retires rather than
-	// rejoining the pool, and the Run-exit drain retires any idle ones, so
-	// no worker goroutines remain either way.
-	if live := e.workersLive; live != 0 {
-		t.Fatalf("workersLive = %d after kill + run exit, want 0", live)
-	}
-	// A later spawn simply builds a fresh worker and runs normally.
-	ran := false
-	e.Spawn("after", func(p *Proc) { ran = true })
-	e.Run()
-	if !ran || !e.Drained() {
-		t.Fatalf("ran=%v drained=%v after respawn", ran, e.Drained())
 	}
 }
 

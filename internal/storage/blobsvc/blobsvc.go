@@ -248,7 +248,7 @@ func (s *Service) NewSession(id int) *Session {
 // size.
 func (sess *Session) Get(p *sim.Proc, container, name string) (size int64, err error) {
 	c := sess.svc.call()
-	p.Drive(func(a *sim.Actor) { c.r.begin(a, sess, "blob.Get", bGet, container, name, 0, 0, false) }, c.r.abort)
+	p.Drive(func(a *sim.Actor) { c.r.begin(a, sess, "blob.Get", bGet, container, name, 0, 0, false) })
 	return c.release()
 }
 
@@ -259,7 +259,7 @@ func (sess *Session) GetRange(p *sim.Proc, container, name string, offset, lengt
 	c := sess.svc.call()
 	p.Drive(func(a *sim.Actor) {
 		c.r.begin(a, sess, "blob.GetRange", bGetRange, container, name, offset, length, false)
-	}, c.r.abort)
+	})
 	return c.release()
 }
 
@@ -269,7 +269,7 @@ func (sess *Session) GetRange(p *sim.Proc, container, name string, offset, lengt
 // already exists" entries).
 func (sess *Session) Put(p *sim.Proc, container, name string, size int64, overwrite bool) error {
 	c := sess.svc.call()
-	p.Drive(func(a *sim.Actor) { c.r.begin(a, sess, "blob.Put", bPut, container, name, 0, size, overwrite) }, c.r.abort)
+	p.Drive(func(a *sim.Actor) { c.r.begin(a, sess, "blob.Put", bPut, container, name, 0, size, overwrite) })
 	_, err := c.release()
 	return err
 }
@@ -277,7 +277,7 @@ func (sess *Session) Put(p *sim.Proc, container, name string, size int64, overwr
 // Exists checks blob existence with a lightweight request.
 func (sess *Session) Exists(p *sim.Proc, container, name string) (ok bool, err error) {
 	c := sess.svc.call()
-	p.Drive(func(a *sim.Actor) { c.r.begin(a, sess, "blob.Exists", bExists, container, name, 0, 0, false) }, c.r.abort)
+	p.Drive(func(a *sim.Actor) { c.r.begin(a, sess, "blob.Exists", bExists, container, name, 0, 0, false) })
 	n, err := c.release()
 	return n != 0, err
 }
@@ -285,7 +285,7 @@ func (sess *Session) Exists(p *sim.Proc, container, name string) (ok bool, err e
 // Delete removes a blob.
 func (sess *Session) Delete(p *sim.Proc, container, name string) error {
 	c := sess.svc.call()
-	p.Drive(func(a *sim.Actor) { c.r.begin(a, sess, "blob.Delete", bDelete, container, name, 0, 0, false) }, c.r.abort)
+	p.Drive(func(a *sim.Actor) { c.r.begin(a, sess, "blob.Delete", bDelete, container, name, 0, 0, false) })
 	_, err := c.release()
 	return err
 }

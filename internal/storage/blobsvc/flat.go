@@ -1,7 +1,6 @@
 package blobsvc
 
 import (
-	"azureobs/internal/netsim"
 	"azureobs/internal/sim"
 	"azureobs/internal/storage/reqpath"
 	"azureobs/internal/storage/storerr"
@@ -38,7 +37,6 @@ type reqFlat struct {
 	offset, size    int64 // size: the upload, range or downloaded length
 	overwrite       bool
 	b               *Blob
-	flow            *netsim.Flow // the transfer in progress, for abort
 
 	// The completion: done receives the op's byte count (1/0 for Exists, 0
 	// for Delete) unless a typed callback of the flat Exists/Delete forms is
@@ -179,7 +177,7 @@ func (r *reqFlat) admitted() {
 			r.finish(err)
 			return
 		}
-		r.transfer(b.egress, sess.down)
+		r.c.Transfer(r.size, r.afterXfer, b.egress, sess.down)
 	case bPut:
 		cont, ok := svc.containers[r.container]
 		if !ok {
@@ -190,7 +188,7 @@ func (r *reqFlat) admitted() {
 			r.finish(r.c.Failf(storerr.CodeBlobExists, "%s/%s", r.container, r.name))
 			return
 		}
-		r.transfer(sess.up, svc.ingress)
+		r.c.Transfer(r.size, r.afterXfer, sess.up, svc.ingress)
 	case bExists:
 		// A lookup only — no station, no transfer.
 		r.size = 0
@@ -209,27 +207,7 @@ func (r *reqFlat) admitted() {
 	}
 }
 
-// transfer moves the request's payload across path. An empty payload
-// completes before Transfer returns and may already have begun this
-// state's next request, so only a real flow is recorded.
-func (r *reqFlat) transfer(path ...*netsim.Link) {
-	if fl := r.c.Transfer(r.size, r.afterXfer, path...); fl != nil {
-		r.flow = fl
-	}
-}
-
-// abort is the kill path of a blocking request: the flow in progress is
-// abandoned, then the context withdrawn.
-func (r *reqFlat) abort() {
-	if r.flow != nil {
-		r.c.AbortTransfer(r.flow)
-		r.flow = nil
-	}
-	r.c.Abort()
-}
-
 func (r *reqFlat) transferred() {
-	r.flow = nil
 	svc := r.sess.svc
 	if r.op != bPut {
 		svc.downloads++

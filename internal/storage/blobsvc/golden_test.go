@@ -84,49 +84,3 @@ func TestGoldenTrace(t *testing.T) {
 		t.Fatalf("blob trace hash = %#016x, want %#016x", got, goldenBlobTrace)
 	}
 }
-
-// TestKillMidTransfer kills a process inside a blob download's fabric
-// transfer: the flow must be withdrawn and its bandwidth handed back, and
-// the killed request must reach no hook.
-func TestKillMidTransfer(t *testing.T) {
-	eng, svc := newSvc(Config{})
-	b := svc.Seed("data", "big", 100*netsim.MB)
-	hooks := 0
-	svc.Pipeline().AddHook(func(reqpath.Event) { hooks++ })
-	sess := svc.NewSession(0)
-	// A raw flow sharing the session's access link shows the bandwidth the
-	// killed download held coming back.
-	other := svc.net.StartFlow(1000*netsim.MB, sess.down)
-	p := eng.Spawn("victim", func(p *sim.Proc) {
-		sess.Get(p, "data", "big")
-		t.Error("killed download returned")
-	})
-	var shared netsim.Bandwidth
-	eng.Schedule(2*time.Second, func() {
-		if n := svc.net.ActiveFlows(); n != 2 {
-			t.Fatalf("before kill: %d active flows, want 2", n)
-		}
-		shared = other.Rate()
-		p.Kill()
-	})
-	eng.RunUntil(3 * time.Second)
-	if !p.Finished() {
-		t.Fatal("victim not finished")
-	}
-	if n := svc.net.ActiveFlows(); n != 1 {
-		t.Fatalf("after kill: %d active flows, want only the raw flow", n)
-	}
-	if b.egress.Flows() != 0 || sess.down.Flows() != 1 {
-		t.Fatalf("links still carry the killed flow: egress %d, session down %d", b.egress.Flows(), sess.down.Flows())
-	}
-	if other.Rate() <= shared {
-		t.Fatalf("raw flow rate %v after kill, want more than the shared %v", other.Rate(), shared)
-	}
-	svc.net.Abandon(other)
-	if n := svc.net.ActiveFlows(); n != 0 {
-		t.Fatalf("%d active flows at the end", n)
-	}
-	if hooks != 0 || svc.Downloads() != 0 {
-		t.Fatalf("killed download reached %d hooks, %d downloads", hooks, svc.Downloads())
-	}
-}

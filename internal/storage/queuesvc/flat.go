@@ -22,8 +22,8 @@ const (
 // implementation. A kernel-driven caller owns one (one outstanding request
 // at a time), runs it on its own actor and reuses it for every op it ever
 // issues; the blocking methods (Add, Peek, ...) drive a pooled one on the
-// calling process through sim.Proc.Drive, with CtxFlat.Abort as the kill
-// path.
+// calling process through sim.Proc.Drive. A caller that cancels its actor
+// withdraws the request in flight with Abort.
 //
 // Stages: admission (the queue pipeline has no request-latency stage, so no
 // wake is scheduled there), the op's station visit, then the op body at the

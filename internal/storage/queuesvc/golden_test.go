@@ -84,37 +84,63 @@ func TestGoldenTrace(t *testing.T) {
 	}
 }
 
-// TestKillMidVisit kills a process inside a Receive's station visit: the
-// station's client count must return to its prior value without counting
-// the visit as served, no message may be hidden, and the killed request
-// must reach no hook.
+// TestKillMidVisit withdraws two actors inside a station visit, one
+// adding and one receiving, the way ModisAzure's crash handler withdraws a
+// worker: Actor.Cancel with the request's ReqFlat.Abort as the unwind. Each
+// station's client count must return to its pinned load without counting
+// the visit as served, no message may be added or hidden, and neither
+// request may reach a hook or its completion.
 func TestKillMidVisit(t *testing.T) {
 	eng, svc := newSvc()
 	q := svc.CreateQueue("work")
 	q.Prefill(1, 256)
+	const pinned = 2 // standing load attached outside any visit
+	for i := 0; i < pinned; i++ {
+		svc.add.Attach()
+	}
 	hooks := 0
 	svc.Pipeline().AddHook(func(reqpath.Event) { hooks++ })
-	victim := eng.Spawn("recv", func(p *sim.Proc) {
-		svc.Receive(p, q, time.Minute)
-		t.Error("killed receive returned")
+	var adder, receiver sim.Actor
+	adder.Bind(eng, "add")
+	receiver.Bind(eng, "recv")
+	add, recv := svc.NewReqFlat(), svc.NewReqFlat()
+	adder.Go(func() {
+		add.BeginAdd(&adder, q, "task", nil, 256, func(uint64, error) {
+			t.Error("cancelled add completed")
+			adder.Finish()
+		})
+	})
+	receiver.Go(func() {
+		recv.BeginReceive(&receiver, q, time.Minute, func(*Message, Receipt, bool, error) {
+			t.Error("cancelled receive completed")
+			receiver.Finish()
+		})
 	})
 	eng.Schedule(10*time.Millisecond, func() {
-		if svc.receive.Attached() != 1 {
-			t.Fatalf("before kill: receive attached %d, want 1", svc.receive.Attached())
+		if svc.add.Attached() != pinned+1 || svc.receive.Attached() != 1 {
+			t.Fatalf("before the cancel: add attached %d, receive attached %d; want %d, 1",
+				svc.add.Attached(), svc.receive.Attached(), pinned+1)
 		}
-		victim.Kill()
+		adder.Cancel(add.Abort)
+		receiver.Cancel(recv.Abort)
 	})
 	eng.Run()
-	if !victim.Finished() {
-		t.Fatal("victim not finished")
+	if adder.Live() || receiver.Live() {
+		t.Fatal("cancelled actors still live")
+	}
+	if svc.add.Attached() != pinned || svc.add.Ops() != 0 {
+		t.Fatalf("after the cancel: add attached %d, ops %d; want %d, 0", svc.add.Attached(), svc.add.Ops(), pinned)
 	}
 	if svc.receive.Attached() != 0 || svc.receive.Ops() != 0 {
-		t.Fatalf("after kill: receive attached %d, ops %d; want 0, 0", svc.receive.Attached(), svc.receive.Ops())
+		t.Fatalf("after the cancel: receive attached %d, ops %d; want 0, 0", svc.receive.Attached(), svc.receive.Ops())
 	}
 	if hooks != 0 {
-		t.Fatalf("killed receive reached %d hooks", hooks)
+		t.Fatalf("cancelled requests reached %d hooks", hooks)
+	}
+	if q.Len() != 1 {
+		t.Fatalf("queue holds %d messages, want the 1 prefilled (the cancelled add added one)", q.Len())
 	}
 	if q.firstVisible(eng.Now()) == nil {
-		t.Fatal("killed receive hid the message")
+		t.Fatal("cancelled receive hid the message")
 	}
 }

@@ -310,7 +310,7 @@ func (c *call) release() {
 // Add appends a message with the given body, padded to size bytes.
 func (s *Service) Add(p *sim.Proc, q *Queue, body string, size int) (uint64, error) {
 	c := s.call()
-	p.Drive(func(a *sim.Actor) { c.r.BeginAdd(a, q, body, nil, size, c.onAdd) }, c.r.c.Abort)
+	p.Drive(func(a *sim.Actor) { c.r.BeginAdd(a, q, body, nil, size, c.onAdd) })
 	id, err := c.id, c.err
 	c.release()
 	return id, err
@@ -320,7 +320,7 @@ func (s *Service) Add(p *sim.Proc, q *Queue, body string, size int) (uint64, err
 // ok=false when the queue has none.
 func (s *Service) Peek(p *sim.Proc, q *Queue) (*Message, bool, error) {
 	c := s.call()
-	p.Drive(func(a *sim.Actor) { c.r.BeginPeek(a, q, c.onPeek) }, c.r.c.Abort)
+	p.Drive(func(a *sim.Actor) { c.r.BeginPeek(a, q, c.onPeek) })
 	m, ok, err := c.m, c.ok, c.err
 	c.release()
 	return m, ok, err
@@ -330,7 +330,7 @@ func (s *Service) Peek(p *sim.Proc, q *Queue) (*Message, bool, error) {
 // window (see ReqFlat.BeginReceive).
 func (s *Service) Receive(p *sim.Proc, q *Queue, visibility time.Duration) (*Message, Receipt, bool, error) {
 	c := s.call()
-	p.Drive(func(a *sim.Actor) { c.r.BeginReceive(a, q, visibility, c.onRecv) }, c.r.c.Abort)
+	p.Drive(func(a *sim.Actor) { c.r.BeginReceive(a, q, visibility, c.onRecv) })
 	m, rcpt, ok, err := c.m, c.rcpt, c.ok, c.err
 	c.release()
 	return m, rcpt, ok, err
@@ -339,7 +339,7 @@ func (s *Service) Receive(p *sim.Proc, q *Queue, visibility time.Duration) (*Mes
 // Delete removes a received message (see ReqFlat.BeginDelete).
 func (s *Service) Delete(p *sim.Proc, q *Queue, r Receipt) error {
 	c := s.call()
-	p.Drive(func(a *sim.Actor) { c.r.BeginDelete(a, q, r, c.onDel) }, c.r.c.Abort)
+	p.Drive(func(a *sim.Actor) { c.r.BeginDelete(a, q, r, c.onDel) })
 	err := c.err
 	c.release()
 	return err

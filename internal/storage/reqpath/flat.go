@@ -14,8 +14,7 @@ import (
 // actor. Services embed one in their per-session (or per-client) request
 // state, so a steady-state request allocates nothing. It is the only
 // implementation of every stage: a blocking op drives the same state
-// machine through sim.Proc.Drive, and sqlsvc's blocking bodies (Ctx) reuse
-// its stages. The split is:
+// machine through sim.Proc.Drive. The split is:
 //
 //	Begin → AdmitPre → [sleep the returned latency] → AdmitPost →
 //	service body stages (Failf / ReadFault / CorruptRead / Visit /
@@ -23,7 +22,8 @@ import (
 //	Finish
 //
 // where the caller owns the sleeps on its actor. Visit records the station
-// slot the request holds; Abort gives it up.
+// slot the request holds; Abort gives it up when the actor's owner cancels
+// it.
 type CtxFlat struct {
 	pl    *Pipeline
 	a     *sim.Actor
@@ -39,12 +39,7 @@ func (c *CtxFlat) Begin(pl *Pipeline, op string, a *sim.Actor) {
 	if c.a != nil {
 		panic("reqpath: " + op + " begun with a request already in flight")
 	}
-	c.a = a
-	c.begin(pl, op, a.Now())
-}
-
-func (c *CtxFlat) begin(pl *Pipeline, op string, now time.Duration) {
-	c.pl, c.Op, c.start = pl, op, now
+	c.a, c.pl, c.Op, c.start = a, pl, op, a.Now()
 }
 
 // AdmitPre is the admission half before the request-latency sleep: the
@@ -167,20 +162,15 @@ func (c *CtxFlat) EndVisit() {
 
 // Transfer is the fabric TransferStage: a size-byte transfer across path
 // under max-min fair sharing; then runs when the last byte arrives (at
-// once, with a nil flow returned, for an empty payload). An aborted request
-// abandons the returned flow (AbortTransfer).
-func (c *CtxFlat) Transfer(size int64, then func(), path ...*netsim.Link) *netsim.Flow {
-	return c.pl.cfg.Net.TransferFlat(c.a, size, then, path...)
+// once for an empty payload).
+func (c *CtxFlat) Transfer(size int64, then func(), path ...*netsim.Link) {
+	c.pl.cfg.Net.TransferFlat(c.a, size, then, path...)
 }
 
-// AbortTransfer withdraws an unfinished flow begun by Transfer: its
-// bandwidth is redistributed and its completion never runs.
-func (c *CtxFlat) AbortTransfer(fl *netsim.Flow) { c.pl.cfg.Net.Abandon(fl) }
-
 // Abort withdraws the request at its current stage: a station slot is
-// given up without counting the op, and no hook sees the request. It is
-// the abort a blocking op hands to sim.Proc.Drive; machines that hold more
-// (a flow, a scan registration) release that first.
+// given up without counting the op, and no hook sees the request. It runs
+// in the unwind of an actor its owner cancels (sim.Actor.Cancel), as the
+// queue service's ReqFlat.Abort does for ModisAzure's crashed workers.
 func (c *CtxFlat) Abort() {
 	if c.st != nil {
 		c.st.AbortVisit()
@@ -194,10 +184,6 @@ func (c *CtxFlat) Abort() {
 func (c *CtxFlat) Finish(err error) {
 	now := c.a.Now()
 	c.st, c.a = nil, nil
-	c.finish(now, err)
-}
-
-func (c *CtxFlat) finish(now time.Duration, err error) {
 	for _, h := range c.pl.hs.hooks {
 		h(Event{Service: c.pl.cfg.Service, Op: c.Op, Start: c.start, Latency: now - c.start, Err: err})
 	}

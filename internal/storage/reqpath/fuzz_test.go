@@ -39,12 +39,12 @@ func FuzzFaultConfig(f *testing.F) {
 		eng := sim.NewEngine()
 		eng.Spawn("req", func(p *sim.Proc) {
 			for i := 0; i < 4; i++ {
-				err := pl.Do(p, "fuzz.op", func(c *Ctx) error {
+				err := do(p, pl, "fuzz.op", instant(func(c *CtxFlat) error {
 					if err := c.ReadFault(); err != nil {
 						return err
 					}
 					return c.CorruptRead("fuzzed corrupt read")
-				})
+				}))
 				if err != nil && storerr.CodeOf(err) == "" {
 					t.Errorf("untyped pipeline error: %v", err)
 				}

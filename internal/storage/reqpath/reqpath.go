@@ -21,11 +21,10 @@
 //     shares, so the azure client's RetryPolicy classifies faults from any
 //     service identically.
 //
-// Each stage is written once, on CtxFlat: blob, table and queue ops are
-// flat state machines over it, run either by a kernel-driven sim.Actor or,
-// for their blocking forms, by the calling process through sim.Proc.Drive.
-// Ctx adds the calling process for the one service written as blocking
-// bodies (sqlsvc).
+// Each stage is written once, on CtxFlat: blob, table, queue and SQL ops
+// are flat state machines over it, run either by a kernel-driven sim.Actor
+// or, for their blocking forms, by the calling process through
+// sim.Proc.Drive.
 //
 // Determinism: every stage draws from its own named simrand stream (forked
 // as "reqpath/<stage>"), and disabled stages (probability 0 or 1) draw
@@ -38,9 +37,7 @@ import (
 	"time"
 
 	"azureobs/internal/netsim"
-	"azureobs/internal/sim"
 	"azureobs/internal/simrand"
-	"azureobs/internal/storage/station"
 	"azureobs/internal/storage/storerr"
 )
 
@@ -282,41 +279,6 @@ func hit(r *simrand.RNG, p float64) bool {
 		return true
 	}
 	return r.Hit(p)
-}
-
-// Ctx is one in-flight request of a service written as a blocking body
-// (sqlsvc): the request state of CtxFlat plus the calling process, which
-// the body's blocking stages park.
-type Ctx struct {
-	CtxFlat
-	P *sim.Proc
-}
-
-// Do runs one request with a blocking body: admission (conn-fail → request
-// latency → server-busy), then body, then hook delivery. The returned error
-// is the body's, or the admission fault. Services whose ops are flat state
-// machines run them through CtxFlat instead.
-func (pl *Pipeline) Do(p *sim.Proc, op string, body func(*Ctx) error) error {
-	c := &Ctx{P: p}
-	c.begin(pl, op, p.Now())
-	sleep, hasSleep, err := c.AdmitPre()
-	if err == nil && hasSleep {
-		p.Sleep(sleep)
-	}
-	if err == nil {
-		err = c.AdmitPost()
-	}
-	if err == nil {
-		err = body(c)
-	}
-	c.finish(p.Now(), err)
-	return err
-}
-
-// Station is the StationStage for a blocking body: one contended visit,
-// with extra added to the sampled service time.
-func (c *Ctx) Station(st *station.Station, extra time.Duration) time.Duration {
-	return st.Visit(c.P, extra)
 }
 
 func bwCost(size int, bw netsim.Bandwidth) time.Duration {

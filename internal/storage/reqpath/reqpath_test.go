@@ -10,14 +10,59 @@ import (
 	"azureobs/internal/storage/storerr"
 )
 
-func runOne(t *testing.T, pl *Pipeline, op string, body func(*Ctx) error) (time.Duration, error) {
+// body is a request body under test: the stages between admission and hook
+// delivery. It must call done exactly once with the request's outcome.
+type body func(c *CtxFlat, done func(error))
+
+// instant adapts a body whose stages take no time.
+func instant(f func(c *CtxFlat) error) body {
+	return func(c *CtxFlat, done func(error)) { done(f(c)) }
+}
+
+// empty is the body with no stages.
+var empty = instant(func(*CtxFlat) error { return nil })
+
+// do runs one request on p as a flat machine over CtxFlat: admission
+// (conn-fail → request latency → server-busy), then b, then hook
+// delivery. It returns the admission fault or b's outcome.
+func do(p *sim.Proc, pl *Pipeline, op string, b body) error {
+	var c CtxFlat
+	var err error
+	finish := func(e error) {
+		err = e
+		c.Finish(e)
+	}
+	p.Drive(func(a *sim.Actor) {
+		c.Begin(pl, op, a)
+		sleep, hasSleep, e := c.AdmitPre()
+		if e != nil {
+			finish(e)
+			return
+		}
+		admitted := func() {
+			if e := c.AdmitPost(); e != nil {
+				finish(e)
+				return
+			}
+			b(&c, finish)
+		}
+		if hasSleep {
+			c.Sleep(sleep, admitted)
+			return
+		}
+		admitted()
+	})
+	return err
+}
+
+func runOne(t *testing.T, pl *Pipeline, op string, b body) (time.Duration, error) {
 	t.Helper()
 	eng := sim.NewEngine()
 	var d time.Duration
 	var err error
 	eng.Spawn("req", func(p *sim.Proc) {
 		start := p.Now()
-		err = pl.Do(p, op, body)
+		err = do(p, pl, op, b)
 		d = p.Now() - start
 	})
 	eng.Run()
@@ -26,13 +71,13 @@ func runOne(t *testing.T, pl *Pipeline, op string, body func(*Ctx) error) (time.
 
 func TestAdmissionFaults(t *testing.T) {
 	pl := New(simrand.New(1), Config{Service: "t", Faults: FaultConfig{ConnFailProb: 1}})
-	_, err := runOne(t, pl, "t.op", func(*Ctx) error { return nil })
+	_, err := runOne(t, pl, "t.op", empty)
 	if !storerr.IsCode(err, storerr.CodeConnection) {
 		t.Fatalf("conn fault = %v", err)
 	}
 
 	pl = New(simrand.New(1), Config{Service: "t", Faults: FaultConfig{ServerBusyProb: 1}})
-	_, err = runOne(t, pl, "t.op", func(*Ctx) error { return nil })
+	_, err = runOne(t, pl, "t.op", empty)
 	if !storerr.IsCode(err, storerr.CodeServerBusy) {
 		t.Fatalf("busy fault = %v", err)
 	}
@@ -44,7 +89,7 @@ func TestAdmissionFaults(t *testing.T) {
 		Faults:  FaultConfig{ConnFailProb: 1},
 		Latency: simrand.Const(0.5),
 	})
-	d, _ := runOne(t, pl, "t.op", func(*Ctx) error { return nil })
+	d, _ := runOne(t, pl, "t.op", empty)
 	if d != 0 {
 		t.Fatalf("conn fault elapsed %v, want 0", d)
 	}
@@ -52,24 +97,24 @@ func TestAdmissionFaults(t *testing.T) {
 
 func TestBodyStages(t *testing.T) {
 	pl := New(simrand.New(1), Config{Service: "t", Faults: FaultConfig{ReadFailProb: 1}})
-	_, err := runOne(t, pl, "t.op", func(c *Ctx) error { return c.ReadFault() })
+	_, err := runOne(t, pl, "t.op", instant((*CtxFlat).ReadFault))
 	if !storerr.IsCode(err, storerr.CodeTimeout) {
 		t.Fatalf("read fault = %v", err)
 	}
 
 	pl = New(simrand.New(1), Config{Service: "t", Faults: FaultConfig{CorruptReadProb: 1}})
-	_, err = runOne(t, pl, "t.op", func(c *Ctx) error { return c.CorruptRead("bad payload") })
+	_, err = runOne(t, pl, "t.op", instant(func(c *CtxFlat) error { return c.CorruptRead("bad payload") }))
 	if !storerr.IsCode(err, storerr.CodeCorruptRead) {
 		t.Fatalf("corrupt fault = %v", err)
 	}
 
 	pl = New(simrand.New(1), Config{Service: "t", ServerTimeout: 3 * time.Second})
-	d, err := runOne(t, pl, "t.op", func(c *Ctx) error {
+	d, err := runOne(t, pl, "t.op", func(c *CtxFlat, done func(error)) {
 		if !c.TimeoutHit(1) {
-			return nil
+			done(nil)
+			return
 		}
-		c.P.Sleep(c.ServerTimeout())
-		return c.TimeoutErrf("overloaded")
+		c.Sleep(c.ServerTimeout(), func() { done(c.TimeoutErrf("overloaded")) })
 	})
 	if !storerr.IsCode(err, storerr.CodeTimeout) {
 		t.Fatalf("timeout fault = %v", err)
@@ -94,12 +139,12 @@ func TestDisabledStagesDrawNothing(t *testing.T) {
 		eng.Spawn("req", func(p *sim.Proc) {
 			for i := 0; i < 50; i++ {
 				start := p.Now()
-				pl.Do(p, "t.op", func(c *Ctx) error {
+				do(p, pl, "t.op", instant(func(c *CtxFlat) error {
 					if err := c.ReadFault(); err != nil {
 						return err
 					}
 					return c.CorruptRead("x")
-				})
+				}))
 				out = append(out, p.Now()-start)
 			}
 		})
@@ -133,7 +178,7 @@ func TestStageStreamIndependence(t *testing.T) {
 		eng.Spawn("req", func(p *sim.Proc) {
 			for i := 0; i < 200; i++ {
 				before := p.Now()
-				err := pl.Do(p, "t.op", func(c *Ctx) error { return c.ReadFault() })
+				err := do(p, pl, "t.op", instant((*CtxFlat).ReadFault))
 				if err != nil {
 					if !storerr.IsCode(err, storerr.CodeTimeout) {
 						t.Errorf("op %d: unexpected %v", i, err)
@@ -175,7 +220,7 @@ func TestFaultRatesMatchProbabilities(t *testing.T) {
 		eng := sim.NewEngine()
 		eng.Spawn("req", func(p *sim.Proc) {
 			for i := 0; i < n; i++ {
-				if err := pl.Do(p, "t.op", func(*Ctx) error { return nil }); err != nil {
+				if err := do(p, pl, "t.op", empty); err != nil {
 					if !storerr.IsCode(err, tc.code) {
 						t.Errorf("%s: wrong code %v", tc.name, err)
 					}
@@ -199,8 +244,8 @@ func TestHooksSharedAcrossForks(t *testing.T) {
 	var events []Event
 	// Installed on the parent after the fork: must still observe the child.
 	pl.AddHook(func(e Event) { events = append(events, e) })
-	runOne(t, sess, "t.child", func(*Ctx) error { return nil })
-	runOne(t, pl, "t.parent", func(*Ctx) error { return storerr.New(storerr.CodeNotFound, "t.parent", "") })
+	runOne(t, sess, "t.child", empty)
+	runOne(t, pl, "t.parent", instant(func(*CtxFlat) error { return storerr.New(storerr.CodeNotFound, "t.parent", "") }))
 	if len(events) != 2 || events[0].Op != "t.child" || events[1].Op != "t.parent" {
 		t.Fatalf("hook events = %+v", events)
 	}
@@ -215,7 +260,7 @@ func TestSessionStreamsDecorrelated(t *testing.T) {
 		Latency: simrand.LogNormalMeanCV(0.01, 0.5),
 	})
 	lat := func(sess *Pipeline) time.Duration {
-		d, _ := runOne(t, sess, "t.op", func(*Ctx) error { return nil })
+		d, _ := runOne(t, sess, "t.op", empty)
 		return d
 	}
 	a, b := lat(pl.ForkN("session", 0)), lat(pl.ForkN("session", 1))

@@ -200,27 +200,78 @@ type Conn struct {
 // handshake is the TDS connection-establishment latency.
 var handshake = simrand.LogNormalMeanCV(0.025, 0.3)
 
+// do runs one request as a flat machine over reqpath.CtxFlat, driven by p:
+// admission (conn-fail, server-busy; the SQL pipeline has no request-
+// latency stage), then pre, the op's checks before its one wait, which
+// names that wait: a visit to st with extra added to the service time, or,
+// with st nil, a plain sleep of extra (Open's handshake). Then post (may
+// be nil), the semantics decided once the wait ends, and hook delivery. An
+// error from admission or pre ends the request without the wait.
+func (s *Service) do(p *sim.Proc, op string,
+	pre func(c *reqpath.CtxFlat) (st *station.Station, extra time.Duration, err error),
+	post func(c *reqpath.CtxFlat) error) error {
+	var c reqpath.CtxFlat
+	var err error
+	finish := func(e error) {
+		err = e
+		c.Finish(e)
+	}
+	p.Drive(func(a *sim.Actor) {
+		c.Begin(s.pl, op, a)
+		if _, _, e := c.AdmitPre(); e != nil {
+			finish(e)
+			return
+		}
+		if e := c.AdmitPost(); e != nil {
+			finish(e)
+			return
+		}
+		st, extra, e := pre(&c)
+		if e != nil {
+			finish(e)
+			return
+		}
+		end := func() {
+			var e error
+			if post != nil {
+				e = post(&c)
+			}
+			finish(e)
+		}
+		if st == nil {
+			c.Sleep(extra, end)
+			return
+		}
+		c.Visit(st, extra, func() {
+			c.EndVisit()
+			end()
+		})
+	})
+	return err
+}
+
 // Open establishes a connection, spending a handshake latency. It fails
 // with ServerBusy when the database's connection cap is reached.
-func (s *Service) Open(p *sim.Proc, dbName string, id int) (conn *Conn, err error) {
-	err = s.pl.Do(p, "sql.Open", func(c *reqpath.Ctx) error {
-		db, ok := s.dbs[dbName]
-		if !ok {
-			return c.Failf(storerr.CodeNotFound, "database %s", dbName)
+func (s *Service) Open(p *sim.Proc, dbName string, id int) (*Conn, error) {
+	var db *Database
+	err := s.do(p, "sql.Open", func(c *reqpath.CtxFlat) (*station.Station, time.Duration, error) {
+		var ok bool
+		if db, ok = s.dbs[dbName]; !ok {
+			return nil, 0, c.Failf(storerr.CodeNotFound, "database %s", dbName)
 		}
-		c.P.Sleep(c.Sample(handshake))
+		return nil, c.Sample(handshake), nil
+	}, func(c *reqpath.CtxFlat) error {
 		if db.conns >= s.cfg.MaxConnections {
 			s.throttled++
 			return c.Failf(storerr.CodeServerBusy, "connection limit %d reached", s.cfg.MaxConnections)
 		}
 		db.conns++
-		conn = &Conn{svc: s, db: db, id: id}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return conn, nil
+	return &Conn{svc: s, db: db, id: id}, nil
 }
 
 // Close releases the connection. Closing twice is a no-op.
@@ -231,14 +282,11 @@ func (c *Conn) Close() {
 	}
 }
 
-func (c *Conn) check(op string) error {
-	if c.closed {
-		return storerr.New(storerr.CodeInternal, op, "connection closed")
-	}
-	return nil
-}
-
+// table checks that the connection is open and returns the table it names.
 func (c *Conn) table(op, table string) (map[string]*Row, error) {
+	if c.closed {
+		return nil, storerr.New(storerr.CodeInternal, op, "connection closed")
+	}
 	tbl, ok := c.db.tables[table]
 	if !ok {
 		return nil, storerr.Newf(storerr.CodeNotFound, op, "table %s", table)
@@ -250,15 +298,11 @@ func (c *Conn) table(op, table string) (map[string]*Row, error) {
 // fails with ServerBusy-class pressure (SQL Azure returned error 40544).
 func (c *Conn) Insert(p *sim.Proc, table, key string, size int) error {
 	const op = "sql.Insert"
-	return c.svc.pl.Do(p, op, func(rc *reqpath.Ctx) error {
-		if err := c.check(op); err != nil {
-			return err
-		}
-		tbl, err := c.table(op, table)
-		if err != nil {
-			return err
-		}
-		rc.Station(c.svc.insert, rc.UploadCost(size))
+	var tbl map[string]*Row
+	return c.svc.do(p, op, func(rc *reqpath.CtxFlat) (st *station.Station, extra time.Duration, err error) {
+		tbl, err = c.table(op, table)
+		return c.svc.insert, rc.UploadCost(size), err
+	}, func(rc *reqpath.CtxFlat) error {
 		if _, exists := tbl[key]; exists {
 			return rc.Failf(storerr.CodeConflict, "duplicate key %s", key)
 		}
@@ -273,26 +317,23 @@ func (c *Conn) Insert(p *sim.Proc, table, key string, size int) error {
 }
 
 // Select fetches one row by primary key.
-func (c *Conn) Select(p *sim.Proc, table, key string) (row *Row, err error) {
+func (c *Conn) Select(p *sim.Proc, table, key string) (*Row, error) {
 	const op = "sql.Select"
-	err = c.svc.pl.Do(p, op, func(rc *reqpath.Ctx) error {
-		if err := c.check(op); err != nil {
-			return err
-		}
+	var row *Row
+	err := c.svc.do(p, op, func(rc *reqpath.CtxFlat) (*station.Station, time.Duration, error) {
 		tbl, err := c.table(op, table)
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
-		r, ok := tbl[key]
 		respSize := 0
-		if ok {
-			respSize = r.Size
+		if row = tbl[key]; row != nil {
+			respSize = row.Size
 		}
-		rc.Station(c.svc.sel, rc.DownloadCost(respSize))
-		if !ok {
+		return c.svc.sel, rc.DownloadCost(respSize), nil
+	}, func(rc *reqpath.CtxFlat) error {
+		if row == nil {
 			return rc.Failf(storerr.CodeNotFound, "key %s", key)
 		}
-		row = r
 		return nil
 	})
 	if err != nil {
@@ -304,15 +345,13 @@ func (c *Conn) Select(p *sim.Proc, table, key string) (row *Row, err error) {
 // SelectRange scans keys in [lo, hi) in key order, pricing the scan by row
 // count — the indexed range query a relational tier offers that table
 // storage (keys-only) cannot.
-func (c *Conn) SelectRange(p *sim.Proc, table, lo, hi string) (out []*Row, err error) {
+func (c *Conn) SelectRange(p *sim.Proc, table, lo, hi string) ([]*Row, error) {
 	const op = "sql.SelectRange"
-	err = c.svc.pl.Do(p, op, func(rc *reqpath.Ctx) error {
-		if err := c.check(op); err != nil {
-			return err
-		}
+	var out []*Row
+	err := c.svc.do(p, op, func(rc *reqpath.CtxFlat) (*station.Station, time.Duration, error) {
 		tbl, err := c.table(op, table)
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
 		var bytes int
 		for k, r := range tbl {
@@ -323,9 +362,8 @@ func (c *Conn) SelectRange(p *sim.Proc, table, lo, hi string) (out []*Row, err e
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 		scan := time.Duration(float64(len(tbl)) * c.svc.cfg.ScanSecPerRow * float64(time.Second))
-		rc.Station(c.svc.sel, scan+rc.DownloadCost(bytes))
-		return nil
-	})
+		return c.svc.sel, scan + rc.DownloadCost(bytes), nil
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -335,15 +373,11 @@ func (c *Conn) SelectRange(p *sim.Proc, table, lo, hi string) (out []*Row, err e
 // Update rewrites a row's payload.
 func (c *Conn) Update(p *sim.Proc, table, key string, size int) error {
 	const op = "sql.Update"
-	return c.svc.pl.Do(p, op, func(rc *reqpath.Ctx) error {
-		if err := c.check(op); err != nil {
-			return err
-		}
-		tbl, err := c.table(op, table)
-		if err != nil {
-			return err
-		}
-		rc.Station(c.svc.update, rc.UploadCost(size))
+	var tbl map[string]*Row
+	return c.svc.do(p, op, func(rc *reqpath.CtxFlat) (st *station.Station, extra time.Duration, err error) {
+		tbl, err = c.table(op, table)
+		return c.svc.update, rc.UploadCost(size), err
+	}, func(rc *reqpath.CtxFlat) error {
 		row, ok := tbl[key]
 		if !ok {
 			return rc.Failf(storerr.CodeNotFound, "key %s", key)
@@ -362,15 +396,11 @@ func (c *Conn) Update(p *sim.Proc, table, key string, size int) error {
 // Delete removes a row.
 func (c *Conn) Delete(p *sim.Proc, table, key string) error {
 	const op = "sql.Delete"
-	return c.svc.pl.Do(p, op, func(rc *reqpath.Ctx) error {
-		if err := c.check(op); err != nil {
-			return err
-		}
-		tbl, err := c.table(op, table)
-		if err != nil {
-			return err
-		}
-		rc.Station(c.svc.del, 0)
+	var tbl map[string]*Row
+	return c.svc.do(p, op, func(*reqpath.CtxFlat) (st *station.Station, extra time.Duration, err error) {
+		tbl, err = c.table(op, table)
+		return c.svc.del, 0, err
+	}, func(rc *reqpath.CtxFlat) error {
 		row, ok := tbl[key]
 		if !ok {
 			return rc.Failf(storerr.CodeNotFound, "key %s", key)

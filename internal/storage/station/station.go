@@ -16,7 +16,6 @@ import (
 	"math"
 	"time"
 
-	"azureobs/internal/sim"
 	"azureobs/internal/simrand"
 )
 
@@ -34,8 +33,8 @@ type Config struct {
 }
 
 // Station is a shared operation point. Concurrency n in the latency law is
-// the number of in-flight Visits: closed-loop clients (no think time) are
-// inside a Visit essentially always, so the in-flight count equals the
+// the number of in-flight visits: closed-loop clients (no think time) are
+// inside a visit essentially always, so the in-flight count equals the
 // offered concurrency without explicit registration. Attach/Detach allow
 // pinning additional standing load (e.g. background pollers between polls).
 type Station struct {
@@ -101,32 +100,19 @@ func (st *Station) SampleLatency() time.Duration {
 	return simrand.Duration(simrand.LogNormal{Mu: st.mu, Sigma: st.sigma}, st.rng)
 }
 
-// Visit performs one operation: the calling process sleeps for a service
-// time sampled at the current concurrency (including this visit), plus
-// extra (payload transfer, replication sync). It returns the total service
-// latency. A killed visitor still detaches.
-func (st *Station) Visit(p *sim.Proc, extra time.Duration) time.Duration {
-	st.attached++
-	defer func() { st.attached-- }()
-	d := st.SampleLatency() + extra
-	p.Sleep(d)
-	st.ops++
-	return d
-}
-
-// BeginVisit starts a flat-mode visit: the caller must sleep the returned
-// service latency (extra included) on its actor, then call EndVisit. The
-// latency is drawn with the visit already counted in the concurrency — the
-// same order Visit uses — so a flat visitor and a goroutine visitor draw
-// identical samples.
+// BeginVisit starts one operation: the caller must sleep the returned
+// service latency (extra included: payload transfer, replication sync) on
+// its actor, then call EndVisit. The latency is drawn with the visit
+// already counted in the concurrency, so n in the latency law includes the
+// visitor itself.
 func (st *Station) BeginVisit(extra time.Duration) time.Duration {
 	st.attached++
 	return st.SampleLatency() + extra
 }
 
-// AbortVisit withdraws a flat-mode visit begun with BeginVisit without
-// serving it — the killed-visitor path: the client detaches and the op does
-// not count.
+// AbortVisit withdraws a visit begun with BeginVisit without serving it —
+// the path of a visitor whose actor is cancelled: the client detaches and
+// the op does not count.
 func (st *Station) AbortVisit() {
 	if st.attached == 0 {
 		panic("station: AbortVisit without BeginVisit")
@@ -134,7 +120,7 @@ func (st *Station) AbortVisit() {
 	st.attached--
 }
 
-// EndVisit completes a flat-mode visit begun with BeginVisit.
+// EndVisit completes a visit begun with BeginVisit.
 func (st *Station) EndVisit() {
 	if st.attached == 0 {
 		panic("station: EndVisit without BeginVisit")

@@ -9,6 +9,15 @@ import (
 	"azureobs/internal/simrand"
 )
 
+// visit is one blocking visit: the process sleeps the service time
+// BeginVisit draws, then ends the visit.
+func visit(p *sim.Proc, st *Station, extra time.Duration) time.Duration {
+	d := st.BeginVisit(extra)
+	p.Sleep(d)
+	st.EndVisit()
+	return d
+}
+
 func TestMeanLatencyLaw(t *testing.T) {
 	st := New(Config{S0: 10 * time.Millisecond, N0: 8, Gamma: 2}, simrand.New(1))
 	// n=1: 10ms·(1+1/64) ≈ 10.16ms; n=8: 20ms; n=16: 50ms.
@@ -45,7 +54,7 @@ func TestVisitSelfAttaches(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		eng.Spawn("c", func(p *sim.Proc) {
 			p.Yield() // let all four start
-			st.Visit(p, 0)
+			visit(p, st, 0)
 			seen = append(seen, st.Attached())
 		})
 	}
@@ -76,7 +85,7 @@ func TestVisitLatencyScalesWithConcurrency(t *testing.T) {
 		for i := 0; i < clients; i++ {
 			eng.Spawn("c", func(p *sim.Proc) {
 				for j := 0; j < 50; j++ {
-					total += st.Visit(p, 0)
+					total += visit(p, st, 0)
 					ops++
 				}
 			})
@@ -96,7 +105,7 @@ func TestVisitExtraAdds(t *testing.T) {
 	st := New(Config{S0: 10 * time.Millisecond, N0: 1000, Gamma: 1}, simrand.New(1))
 	var d time.Duration
 	eng.Spawn("c", func(p *sim.Proc) {
-		d = st.Visit(p, 500*time.Millisecond)
+		d = visit(p, st, 500*time.Millisecond)
 	})
 	eng.Run()
 	if d < 500*time.Millisecond {
@@ -111,7 +120,7 @@ func TestJitterCV(t *testing.T) {
 	n := 5000
 	eng.Spawn("c", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			v := st.Visit(p, 0).Seconds()
+			v := visit(p, st, 0).Seconds()
 			sum += v
 			sum2 += v * v
 		}

@@ -17,8 +17,7 @@ import (
 // WriteFlat, QueryFlat), runs it on its own actor, and reuses it for every
 // request it ever issues, so steady-state requests allocate nothing. The
 // blocking methods (Get, Insert, ...) drive a pooled state on the calling
-// process through sim.Proc.Drive, with the state's CtxFlat.Abort as the
-// kill path.
+// process through sim.Proc.Drive.
 //
 // The table pipeline has no request-latency stage: AdmitPre never asks for
 // a sleep, so admission runs straight through without scheduling a wake.
@@ -300,10 +299,9 @@ type QueryFlat struct {
 	c   reqpath.CtxFlat
 
 	target
-	pred     func(*Entity) bool
-	scanning bool // counted in the service's concurrent scans
-	out      []*Entity
-	done     func([]*Entity, error)
+	pred func(*Entity) bool
+	out  []*Entity
+	done func([]*Entity, error)
 
 	afterYield   func() // cached: runs after the registration yield
 	afterScan    func() // cached: runs when the scan sleep ends
@@ -343,27 +341,8 @@ func (r *QueryFlat) Begin(a *sim.Actor, table, pk string, pred func(*Entity) boo
 		r.finish(r.c.Failf(storerr.CodeNotFound, "table %s", table))
 		return
 	}
-	r.hold(true)
+	r.svc.scans++ // a concurrent scan until its scan or timeout burn ends
 	r.c.Sleep(0, r.afterYield)
-}
-
-// hold registers (or unregisters) the request as a concurrent scan.
-func (r *QueryFlat) hold(on bool) {
-	r.scanning = on
-	if on {
-		r.svc.scans++
-	} else {
-		r.svc.scans--
-	}
-}
-
-// abort is the kill path of a blocking scan: the scan registration is
-// withdrawn, then the context.
-func (r *QueryFlat) abort() {
-	if r.scanning {
-		r.hold(false)
-	}
-	r.c.Abort()
 }
 
 func (r *QueryFlat) yielded() {
@@ -382,7 +361,7 @@ func (r *QueryFlat) yielded() {
 
 func (r *QueryFlat) timedOut() {
 	n := len(r.rows())
-	r.hold(false)
+	r.svc.scans--
 	r.finish(r.c.TimeoutErrf("scan of %d entities timed out", n))
 }
 
@@ -393,7 +372,7 @@ func (r *QueryFlat) scanned() {
 		}
 	}
 	slices.SortFunc(r.out, func(a, b *Entity) int { return strings.Compare(a.RowKey, b.RowKey) })
-	r.hold(false)
+	r.svc.scans--
 	r.finish(nil)
 }
 

@@ -100,48 +100,3 @@ func TestGoldenTrace(t *testing.T) {
 		t.Fatalf("table trace hash = %#016x, want %#016x", got, goldenTableTrace)
 	}
 }
-
-// TestKillMidRequest kills one process inside a station visit and one
-// inside a property-filter scan: the station's client count and the
-// service's scan count must return to their prior values, the visit must
-// not count as served, and neither killed request may reach a hook.
-func TestKillMidRequest(t *testing.T) {
-	eng, svc := newSvc()
-	svc.CreateTable("t")
-	for i := 0; i < 1000; i++ {
-		svc.Backdoor("t", PaddedEntity("big", fmt.Sprintf("r%04d", i), 256))
-	}
-	hooks := 0
-	svc.Pipeline().AddHook(func(reqpath.Event) { hooks++ })
-	inserter := eng.Spawn("insert", func(p *sim.Proc) {
-		svc.Insert(p, "t", PaddedEntity("hot", "k", 1024))
-		t.Error("killed insert returned")
-	})
-	scanner := eng.Spawn("scan", func(p *sim.Proc) {
-		svc.QueryFilter(p, "t", "big", func(*Entity) bool { return true })
-		t.Error("killed scan returned")
-	})
-	eng.Schedule(5*time.Millisecond, func() {
-		if svc.insert.Attached() != 1 || svc.scans != 1 {
-			t.Fatalf("before kill: insert attached %d, scans %d; want 1, 1", svc.insert.Attached(), svc.scans)
-		}
-		inserter.Kill()
-		scanner.Kill()
-	})
-	eng.Run()
-	if !inserter.Finished() || !scanner.Finished() {
-		t.Fatal("killed processes not finished")
-	}
-	if svc.insert.Attached() != 0 || svc.insert.Ops() != 0 {
-		t.Fatalf("after kill: insert attached %d, ops %d; want 0, 0", svc.insert.Attached(), svc.insert.Ops())
-	}
-	if svc.scans != 0 {
-		t.Fatalf("after kill: scans %d, want 0", svc.scans)
-	}
-	if hooks != 0 {
-		t.Fatalf("killed requests reached %d hooks", hooks)
-	}
-	if svc.PartitionSize("t", "hot") != 0 {
-		t.Fatal("killed insert stored its entity")
-	}
-}

@@ -327,7 +327,7 @@ func (c *call) release() {
 // Insert adds a new entity; inserting an existing (pk, rk) is a conflict.
 func (s *Service) Insert(p *sim.Proc, table string, e *Entity) error {
 	c := s.call()
-	p.Drive(func(a *sim.Actor) { c.write.BeginInsert(a, table, e) }, c.write.c.Abort)
+	p.Drive(func(a *sim.Actor) { c.write.BeginInsert(a, table, e) })
 	err := c.err
 	c.release()
 	return err
@@ -337,7 +337,7 @@ func (s *Service) Insert(p *sim.Proc, table string, e *Entity) error {
 // query path of the paper's Query experiment.
 func (s *Service) Get(p *sim.Proc, table, pk, rk string) (*Entity, error) {
 	c := s.call()
-	p.Drive(func(a *sim.Actor) { c.get.Begin(a, table, pk, rk) }, c.get.c.Abort)
+	p.Drive(func(a *sim.Actor) { c.get.Begin(a, table, pk, rk) })
 	ent, err := c.ent, c.err
 	c.release()
 	return ent, err
@@ -347,7 +347,7 @@ func (s *Service) Get(p *sim.Proc, table, pk, rk string) (*Entity, error) {
 // the mode the paper tested so concurrent clients can hit one entity.
 func (s *Service) Update(p *sim.Proc, table string, e *Entity) error {
 	c := s.call()
-	p.Drive(func(a *sim.Actor) { c.write.BeginUpdate(a, table, e) }, c.write.c.Abort)
+	p.Drive(func(a *sim.Actor) { c.write.BeginUpdate(a, table, e) })
 	err := c.err
 	c.release()
 	return err
@@ -356,7 +356,7 @@ func (s *Service) Update(p *sim.Proc, table string, e *Entity) error {
 // Delete removes one entity.
 func (s *Service) Delete(p *sim.Proc, table, pk, rk string) error {
 	c := s.call()
-	p.Drive(func(a *sim.Actor) { c.write.BeginDelete(a, table, pk, rk) }, c.write.c.Abort)
+	p.Drive(func(a *sim.Actor) { c.write.BeginDelete(a, table, pk, rk) })
 	err := c.err
 	c.release()
 	return err
@@ -366,7 +366,7 @@ func (s *Service) Delete(p *sim.Proc, table, pk, rk string) error {
 // QueryFlat) and returns the matches in ascending RowKey order.
 func (s *Service) QueryFilter(p *sim.Proc, table, pk string, pred func(*Entity) bool) ([]*Entity, error) {
 	c := s.call()
-	p.Drive(func(a *sim.Actor) { c.query.Begin(a, table, pk, pred) }, c.query.abort)
+	p.Drive(func(a *sim.Actor) { c.query.Begin(a, table, pk, pred) })
 	out, err := c.out, c.err
 	c.release()
 	return out, err
