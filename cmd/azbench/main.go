@@ -4,7 +4,7 @@
 // Fig. 3 (queue ops), Table 1 (VM lifecycle), Figs. 4-5 (inter-VM TCP), the
 // Section 6.1 property-filter ablation, and the queue-depth invariance
 // check. Experiments are selected by name from the core registry, so the
-// -run values are exactly core.Names() plus the bench suites.
+// -run values are exactly core.Names().
 //
 // Usage:
 //
@@ -43,7 +43,7 @@ func main() { os.Exit(run(os.Args[1:])) }
 func run(args []string) int {
 	fs := flag.NewFlagSet("azbench", flag.ExitOnError)
 	var (
-		runName = fs.String("run", "all", "artifact: all|"+strings.Join(core.Names(), "|")+"|netbench|storagebench|schedbench|simbench|scalebench")
+		runName = fs.String("run", "all", "artifact: all|"+strings.Join(core.Names(), "|"))
 		seed    = fs.Uint64("seed", 42, "root random seed")
 		quick   = fs.Bool("quick", false, "reduced scale for fast runs")
 		workers = fs.Int("workers", 1, "scheduler width: independent experiment cells run on this many goroutines (1 = serial; results are bit-identical at any width)")
@@ -51,10 +51,8 @@ func run(args []string) int {
 		msg     = fs.Int("msg", 512, "fig3 message size in bytes (512|1024|4096|8192)")
 		csv     = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		svgDir  = fs.String("svg", "", "also write SVG figures into this directory")
-		bench   = fs.String("benchout", "", "output path for the netbench/storagebench/schedbench/simbench artifact (default BENCH_<suite>.json)")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf = fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
-		gate    = fs.String("gate", "", "simbench: regression-gate mode — rerun the gated suites and fail if >10% slower than this BENCH_sim.json")
 	)
 	fs.Parse(args)
 	if *cpuProf != "" {
@@ -100,47 +98,6 @@ func run(args []string) int {
 			t.Render(os.Stdout)
 		}
 		fmt.Println()
-	}
-
-	// The bench suites are calibration harnesses, not paper artifacts; they
-	// live outside the experiment registry.
-	switch which {
-	case "netbench":
-		out := *bench
-		if out == "" {
-			out = "BENCH_netsim.json"
-		}
-		runNetBench(*seed, *quick, out)
-		return 0
-	case "storagebench":
-		out := *bench
-		if out == "" {
-			out = "BENCH_storage.json"
-		}
-		runStorageBench(*seed, *quick, out)
-		return 0
-	case "schedbench":
-		out := *bench
-		if out == "" {
-			out = "BENCH_sched.json"
-		}
-		runSchedBench(*seed, out)
-		return 0
-	case "simbench":
-		if *gate != "" {
-			return runSimGate(*gate)
-		}
-		out := *bench
-		if out == "" {
-			out = "BENCH_sim.json"
-		}
-		return runSimBench(*seed, *quick, out)
-	case "scalebench":
-		out := *bench
-		if out == "" {
-			out = "BENCH_scale.json"
-		}
-		return runScaleBench(*seed, *quick, out)
 	}
 
 	proto := core.Proto{Seed: *seed, Workers: *workers}

@@ -37,6 +37,7 @@
 // or finishes the actor, and the kernel panics on a step that does
 // neither. Both drivers schedule exactly one event per wake, so a
 // blocking call and its flat form are trace-identical by construction —
-// pinned by the per-service golden traces and equivalence tests and the
-// scalebench trace gate.
+// pinned by the per-service golden traces and equivalence tests and by the
+// scale ladder's flat-versus-goroutine trace check
+// (internal/azure/scale_test.go).
 package azureobs

@@ -142,11 +142,16 @@ func runFig1Round(cfg Fig1Config, n, run int, upload bool) *fig1Round {
 		// Stage the shared blob without timing it.
 		staged := false
 		stager := cloud.NewClient(cloud.Controller.ReadyFleet(1, fabric.Worker, fabric.Small)[0], 1_000_000)
-		cloud.Engine.Spawn("stage", func(p *sim.Proc) {
-			if err := stager.PutBlob(p, "bench", "shared-1g", size, true); err != nil {
-				panic(err)
-			}
-			staged = true
+		var stage sim.Actor
+		stage.Bind(cloud.Engine, "stage")
+		stage.Go(func() {
+			stager.PutBlobFlat(&stage, "bench", "shared-1g", size, true, func(_ int64, err error) {
+				if err != nil {
+					panic(err)
+				}
+				staged = true
+				stage.Finish()
+			})
 		})
 		cloud.Engine.Run()
 		if !staged {

@@ -34,18 +34,26 @@
 // flow, cached in the flow's hop, so the walk does not queue it and the
 // filling pass never charges it. A shared link's fair share is computed
 // once per filling round, and while some shared link's share lies below
-// every private capacity in the component, the scan for the bottleneck
-// stops at the first hop on such a link. Per-link solver state lives on the
-// Link itself, stamped with a walk epoch instead of rebuilt in a map.
+// every private capacity in the component, the round's bottleneck share is
+// found without scanning the flows' hops. Per-link solver state lives on
+// the Link itself, stamped with a walk epoch instead of rebuilt in a map.
+//
+// Each filling round fixes every unfixed flow that sees the round's
+// smallest share on some hop, all at once, with every share taken before
+// any of them is charged. Equal shares are common (identical NICs, two
+// links split the same way), and fixing one tied link before another would
+// make the last bits of the rates depend on the order the flows are taken
+// in. A swap-delete moves the last flow into the freed slot without
+// re-solving that flow's component, so an order-dependent solver would
+// disagree with a fresh solve after the move.
 //
 // The fast path is bit-exact with the from-scratch progressive-filling
 // solver: components never interact (a flow's rate depends only on links it
-// can reach through shared flows), the marked flows are taken in fabric
-// order and their hops in path order so tie-breaking between equally-loaded
-// links is unchanged, a private link's cached share equals capRem/1
-// exactly, every flow is settled exactly once per reallocation at the rate
-// it held, and kept predictions equal what a recomputation would have
-// produced. The property tests and FuzzFabricChurn cross-check
+// can reach through shared flows), no round depends on flow order, a
+// private link's cached share equals capRem/1 exactly, every flow is
+// settled exactly once per reallocation at the rate it held, and kept
+// predictions equal what a recomputation would have produced. The property
+// tests and FuzzFabricChurn cross-check
 // incremental against from-scratch allocations on random churn sequences,
 // TestTimedChurnHash pins a clock-advancing churn of about 2,000 flows, and
 // internal/core's trace goldens pin whole experiment runs to the bit. With
@@ -533,10 +541,8 @@ func (f *Fabric) solve(step float64) {
 		l.capRem = l.positiveCap()
 		l.unfix = int32(len(l.flows))
 	}
-	// Take the marked flows in fabric order, which is what keeps bottleneck
-	// tie-breaking identical to the from-scratch solver. Every flow is
-	// settled here at the rate it is about to lose (or, outside the
-	// component, keeps).
+	// Collect the marked flows. Every flow is settled here at the rate it is
+	// about to lose (or, outside the component, keeps).
 	f.unfixed = f.unfixed[:0]
 	for i := range f.state {
 		s := &f.state[i]
@@ -545,42 +551,20 @@ func (f *Fabric) solve(step float64) {
 			f.unfixed = append(f.unfixed, int32(i))
 		}
 	}
-	// Progressive filling. Each round, the bottleneck is the link whose
-	// fair share for its unfixed flows is smallest — the first such hop in
-	// flow order (not map order), so ties resolve stably — and every
-	// unfixed flow crossing it is fixed at that share. A shared link's
-	// share is computed once per round; a private link's bottleneck is its
-	// one flow.
+	// Progressive filling. Each round, the bottleneck share is the smallest
+	// fair share any unfixed flow sees on its path, and every unfixed flow
+	// with a hop at that share is fixed at it, all in the same round. A
+	// shared link's share is computed once per round, before any of the
+	// round's flows is charged; a private link's share is its capacity.
+	// Fixing the round's flows together makes the allocation independent of
+	// the order the flows are taken in.
 	unfixed := f.unfixed
 	for len(unfixed) > 0 {
-		bottleneck, at, share := f.bottleneck(unfixed)
-		if at < 0 {
-			// No constraining link (cannot happen with non-empty paths).
-			for _, i := range unfixed {
-				f.state[i].rate = math.Inf(1)
-			}
-			break
-		}
-		if share < 0 {
-			share = 0
-		}
-		if bottleneck == nil {
-			i := unfixed[at]
-			f.fix(i, f.route(i), share)
-			unfixed = append(unfixed[:at], unfixed[at+1:]...)
-			continue
-		}
+		share := f.bottleneck(unfixed)
 		n := 0
 		for _, i := range unfixed {
 			r := f.route(i)
-			onBottleneck := false
-			for _, h := range r {
-				if h.l == bottleneck {
-					onBottleneck = true
-					break
-				}
-			}
-			if !onBottleneck {
+			if !atShare(r, share) {
 				unfixed[n] = i
 				n++
 				continue
@@ -591,14 +575,12 @@ func (f *Fabric) solve(step float64) {
 	}
 }
 
-// bottleneck finds one filling round's bottleneck: the first hop, scanning
-// the unfixed flows in order and each flow's hops in path order, whose
-// fair share is smallest. It returns the hop's link, or nil for a private
-// link, the position in unfixed of the flow it was found on (-1 if no hop
-// constrains), and the share. When some shared link's share is below
-// every private capacity in the component, no private hop can win, so the
-// scan stops at the first hop on a link with that share.
-func (f *Fabric) bottleneck(unfixed []int32) (bottleneck *Link, at int, share float64) {
+// bottleneck computes one filling round's fair share on every shared link
+// the unfixed flows cross and returns the smallest share any of them sees.
+// When some shared link's share is below every private capacity in the
+// component, no private hop can hold the minimum, so the flows' hops are
+// not scanned.
+func (f *Fabric) bottleneck(unfixed []int32) float64 {
 	low := math.Inf(1)
 	for _, l := range f.reached {
 		if l.unfix > 0 {
@@ -609,34 +591,32 @@ func (f *Fabric) bottleneck(unfixed []int32) (bottleneck *Link, at int, share fl
 		}
 	}
 	if low < f.minCap1 {
-		for k, i := range unfixed {
-			for _, h := range f.route(i) {
-				if h.cap1 == 0 && h.l.unfix > 0 && h.l.share == low {
-					return h.l, k, h.l.share
-				}
-			}
-		}
+		return low
 	}
-	at, share = -1, math.Inf(1)
-	for k, i := range unfixed {
+	for _, i := range unfixed {
 		for _, h := range f.route(i) {
-			s := h.cap1
-			if s == 0 {
-				if h.l.unfix == 0 {
-					continue
-				}
-				s = h.l.share
-			}
-			if s < share {
-				share, at = s, k
-				bottleneck = nil
-				if h.cap1 == 0 {
-					bottleneck = h.l
-				}
+			if h.cap1 != 0 && h.cap1 < low {
+				low = h.cap1
 			}
 		}
 	}
-	return bottleneck, at, share
+	return low
+}
+
+// atShare reports whether a flow with hops r has a hop whose fair share
+// this round is share. A shared link an unfixed flow crosses always has a
+// share computed for the round.
+func atShare(r []hop, share float64) bool {
+	for _, h := range r {
+		s := h.cap1
+		if s == 0 {
+			s = h.l.share
+		}
+		if s == share {
+			return true
+		}
+	}
+	return false
 }
 
 // fix assigns the flow in slot i, whose hops are r, its final rate and

@@ -163,8 +163,9 @@ func TestPropertyConservationUnderChurn(t *testing.T) {
 }
 
 // scratchRates recomputes the max-min fair allocation from scratch with an
-// independent map-based progressive-filling solver — the seed implementation
-// the incremental fast path replaced — without touching any fabric state.
+// independent map-based progressive-filling solver, without touching any
+// fabric state. Each round fixes every unfixed flow that sees the round's
+// smallest share, so the map's random iteration order cannot change a bit.
 // It is the oracle for the incremental-consistency properties below.
 func scratchRates(f *Fabric) map[*Flow]float64 {
 	type linkState struct {
@@ -188,46 +189,26 @@ func scratchRates(f *Fabric) map[*Flow]float64 {
 		unfixed[fl] = true
 	}
 	for len(unfixed) > 0 {
-		var bottleneck *Link
 		share := math.Inf(1)
-		for _, fl := range f.flows {
-			if !unfixed[fl] {
-				continue
-			}
+		for fl := range unfixed {
 			for _, l := range fl.path {
 				st := ls[l]
-				if st.unfix == 0 {
-					continue
-				}
 				if s := st.capRem / float64(st.unfix); s < share {
 					share = s
-					bottleneck = l
 				}
 			}
 		}
-		if bottleneck == nil {
-			for fl := range unfixed {
-				rates[fl] = math.Inf(1)
-			}
-			break
-		}
-		if share < 0 {
-			share = 0
-		}
-		for _, fl := range f.flows {
-			if !unfixed[fl] {
-				continue
-			}
-			on := false
+		var fixed []*Flow
+		for fl := range unfixed {
 			for _, l := range fl.path {
-				if l == bottleneck {
-					on = true
+				st := ls[l]
+				if st.capRem/float64(st.unfix) == share {
+					fixed = append(fixed, fl)
 					break
 				}
 			}
-			if !on {
-				continue
-			}
+		}
+		for _, fl := range fixed {
 			rates[fl] = share
 			for _, l := range fl.path {
 				st := ls[l]

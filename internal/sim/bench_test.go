@@ -1,18 +1,20 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
 
-// Kernel hot-path microbenchmarks. The same four workloads are surfaced at
-// fixed scale by `azbench -run simbench` (cmd/azbench/simbench.go), which
-// compares against embedded pre-overhaul baselines; these go-bench variants
-// are for interactive profiling work:
+// Kernel hot-path microbenchmarks, for interactive profiling work:
 //
 //	go test -run xx -bench BenchmarkCancelChurn -cpuprofile cpu.out ./internal/sim
 //
-// churnTick spreads replacement events pseudo-randomly (Fibonacci hashing)
+// The repository benchmark (perfbench) tracks the kernel's cost from change
+// to change through sim.ns_per_event on its campaign, crowd and xfer
+// workloads.
+//
+// benchAt spreads replacement events pseudo-randomly (Fibonacci hashing)
 // over a window ahead of the clock so the heap sees realistic disorder.
 const benchTick = time.Microsecond
 
@@ -32,10 +34,16 @@ func uncheckedEngines(b *testing.B) {
 // path before a fabric held a single completion event): per fired
 // completion, one flow retires its pending completion (CancelRecycle +
 // Schedule of the successor) and the reallocated bandwidth moves seven
-// others — the same composite the azbench cancel-churn suite runs.
+// others. It runs at 1024 pending events and at 8192, where the calendar
+// outgrows the first cache levels.
 func BenchmarkCancelChurn(b *testing.B) {
+	for _, pop := range []int{1024, 8192} {
+		b.Run(fmt.Sprintf("pop=%d", pop), func(b *testing.B) { cancelChurn(b, pop) })
+	}
+}
+
+func cancelChurn(b *testing.B, pop int) {
 	uncheckedEngines(b)
-	const pop = 1024
 	e := NewEngine()
 	evs := make([]*Event, pop)
 	var refill []int

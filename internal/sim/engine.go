@@ -254,8 +254,8 @@ type Engine struct {
 	// abandoned engine leaks no goroutines.
 	idle []*worker
 
-	// Worker-pool accounting, exposed for the simbench observability record
-	// and pool-leak guards.
+	// Worker-pool accounting, exposed for perfbench's sim.procs_per_op and
+	// sim.workers_peak and for the worker-pool tests' leak guards.
 	procsSpawned   uint64
 	workersCreated uint64
 	workersReused  uint64

@@ -168,3 +168,31 @@ func TestWakeEventsRecycleAutomatically(t *testing.T) {
 		t.Fatalf("free list holds %d events, want ≤ 2 — wake events not reused in place", free)
 	}
 }
+
+// TestSpawnAllocatesOnlyTheProc checks the closed-loop client pattern, one
+// short-lived process per request: once the worker pool and the calendar
+// are warm, spawning a batch of 64 processes and yielding so they run
+// allocates one object per process, the Proc itself. Events, channels,
+// goroutines and closures are all reused.
+func TestSpawnAllocatesOnlyTheProc(t *testing.T) {
+	e := NewEngine()
+	const batch, warm, batches = 64, 16, 256
+	var before, after runtime.MemStats
+	e.Spawn("driver", func(p *Proc) {
+		for b := 0; b < warm+batches; b++ {
+			if b == warm {
+				runtime.ReadMemStats(&before)
+			}
+			for j := 0; j < batch; j++ {
+				e.Spawn("child", benchChild)
+			}
+			p.Yield()
+		}
+		runtime.ReadMemStats(&after)
+	})
+	e.Run()
+	perSpawn := float64(after.Mallocs-before.Mallocs) / (batch * batches)
+	if perSpawn > 1.05 {
+		t.Fatalf("a steady-state spawn allocates %.4f objects, want 1 (the Proc)", perSpawn)
+	}
+}

@@ -22,8 +22,8 @@ const replaySeed = 1009
 // pinnedTraceHash is the FNV-64a of the exemplar session's trace. Any
 // change to the kernel's event ordering, the storage services' virtual
 // timing, or the facade's routing that alters a single completion instant
-// or status flips this hash — it is the wire-level equivalent of the
-// simbench trace anchors.
+// or status flips this hash — it is the wire-level equivalent of
+// internal/core's trace goldens.
 const pinnedTraceHash = 0x141561a31017e6f0
 
 type replayResult struct {
